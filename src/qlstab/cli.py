@@ -124,7 +124,7 @@ def _pairs(values) -> list:
 
 
 def _verdict_string(report: analysis.DqlsReport) -> str:
-    if any("borderline" in w for w in report.warnings):
+    if report.borderline:
         return "indeterminate"
     return "true" if report.verdict else "false"
 
@@ -146,12 +146,14 @@ def _base_report(command: str, args, instance: ProblemInstance, rtol: float) -> 
     }
 
 
-def _resolved_rtol(args, instance: ProblemInstance) -> float:
+def _load(args) -> tuple[ProblemInstance, float]:
+    """The instance and its support tolerance: flag, else instance, else default."""
+    instance = load_instance(args.instance)
     if args.tolerance is not None:
-        return args.tolerance
+        return instance, args.tolerance
     if instance.tolerance is not None:
-        return instance.tolerance
-    return subspaces.SUPPORT_RTOL
+        return instance, instance.tolerance
+    return instance, subspaces.SUPPORT_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,7 @@ def _resolved_rtol(args, instance: ProblemInstance) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_check_dqls(args) -> dict:
-    instance = load_instance(args.instance)
-    rtol = _resolved_rtol(args, instance)
+    instance, rtol = _load(args)
     report = analysis.check_dqls(instance.state, instance.pattern, rtol)
     out = _base_report("check-dqls", args, instance, rtol)
     out.update(
@@ -183,8 +184,7 @@ def _cmd_check_dqls(args) -> dict:
 
 
 def _cmd_parent_ham(args) -> dict:
-    instance = load_instance(args.instance)
-    rtol = _resolved_rtol(args, instance)
+    instance, rtol = _load(args)
     ham = analysis.parent_hamiltonian(instance.state, instance.pattern, rtol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,8 +239,7 @@ def _synthesize(instance: ProblemInstance, rtol: float, force: bool):
 
 
 def _cmd_synthesize(args) -> dict:
-    instance = load_instance(args.instance)
-    rtol = _resolved_rtol(args, instance)
+    instance, rtol = _load(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stabilizers = _synthesize(instance, rtol, args.force)
@@ -303,8 +302,7 @@ def _load_operators(directory: str, instance: ProblemInstance):
 
 
 def _cmd_certify(args) -> dict:
-    instance = load_instance(args.instance)
-    rtol = _resolved_rtol(args, instance)
+    instance, rtol = _load(args)
     notes: list[str] = []
     if args.operators:
         stabilizers = _load_operators(args.operators, instance)
@@ -363,8 +361,7 @@ def _cmd_certify(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    instance = load_instance(args.instance)
-    rtol = _resolved_rtol(args, instance)
+    instance, rtol = _load(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stabilizers = _synthesize(instance, rtol, args.force)

@@ -47,6 +47,22 @@ class NumericalRankWarning(UserWarning):
     """A rank decision fell close to its numerical threshold."""
 
 
+def _warn_if_borderline(evals: np.ndarray, cutoff: float, decision: str) -> None:
+    """Warn when eigenvalues lie within a factor ``RANK_MARGIN`` of the cutoff."""
+    near = [
+        float(w)
+        for w in evals
+        if cutoff / RANK_MARGIN <= abs(w) <= cutoff * RANK_MARGIN
+    ]
+    if near:
+        warnings.warn(
+            f"{decision} rank decision is borderline: eigenvalues {near} lie "
+            f"within a factor {RANK_MARGIN:g} of the cutoff {cutoff:.3e}",
+            NumericalRankWarning,
+            stacklevel=3,
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Subspace of C^ambient_dim represented by an orthonormal column frame."""
@@ -134,18 +150,7 @@ def support(rho, rtol: float = SUPPORT_RTOL) -> Subspace:
             f"operator is not positive semidefinite (eigenvalue {evals[0]:.3e})"
         )
     cutoff = rtol * lam_max
-    near = [
-        float(w)
-        for w in evals
-        if cutoff / RANK_MARGIN <= abs(w) <= cutoff * RANK_MARGIN
-    ]
-    if near:
-        warnings.warn(
-            f"support rank decision is borderline: eigenvalues {near} lie "
-            f"within a factor {RANK_MARGIN:g} of the cutoff {cutoff:.3e}",
-            NumericalRankWarning,
-            stacklevel=2,
-        )
+    _warn_if_borderline(evals, cutoff, "support")
     return Subspace(mat.shape[0], evecs[:, evals > cutoff])
 
 
@@ -182,7 +187,14 @@ def complement(sub: Subspace) -> Subspace:
     return Subspace(sub.ambient_dim, basis[:, sub.dim:])
 
 
-def _intersection_eigensystem(subspaces: Sequence[Subspace]):
+def intersect(subspaces: Sequence[Subspace], tol: float = INTERSECT_TOL) -> Subspace:
+    """Intersection of subspaces as the kernel of the summed complement projectors.
+
+    The kernel of sum_k (I - P_k) is extracted as the eigenspace of
+    eigenvalues below ``tol``; this treats all inputs symmetrically instead
+    of iterating pairwise intersections. Every returned column is checked to
+    lie in each input subspace within ``ORTH_TOL``.
+    """
     subs = list(subspaces)
     if not subs:
         raise ValueError("intersection of an empty list of subspaces")
@@ -196,30 +208,7 @@ def _intersection_eigensystem(subspaces: Sequence[Subspace]):
     for s in subs:
         accum -= projector(s)
     evals, evecs = np.linalg.eigh((accum + accum.conj().T) / 2.0)
-    return evals, evecs
-
-
-def intersect(subspaces: Sequence[Subspace], tol: float = INTERSECT_TOL) -> Subspace:
-    """Intersection of subspaces as the kernel of the summed complement projectors.
-
-    The kernel of sum_k (I - P_k) is extracted as the eigenspace of
-    eigenvalues below ``tol``; this treats all inputs symmetrically instead
-    of iterating pairwise intersections. Every returned column is checked to
-    lie in each input subspace within ``ORTH_TOL``.
-    """
-    evals, evecs = _intersection_eigensystem(subspaces)
-    subs = list(subspaces)
-    d = subs[0].ambient_dim
-    near = [
-        float(w) for w in evals if tol / RANK_MARGIN <= abs(w) <= tol * RANK_MARGIN
-    ]
-    if near:
-        warnings.warn(
-            f"intersection rank decision is borderline: eigenvalues {near} lie "
-            f"within a factor {RANK_MARGIN:g} of the cutoff {tol:.3e}",
-            NumericalRankWarning,
-            stacklevel=2,
-        )
+    _warn_if_borderline(evals, tol, "intersection")
     frame = evecs[:, evals < tol]
     for s in subs:
         if frame.shape[1] == 0:

@@ -98,7 +98,9 @@ def synthesize_block(
     matrix is zero on the support columns, couples the first complement
     direction into the last support direction with the first gain, and
     shifts along the complement with the remaining gains. Returned in the
-    computational basis.
+    computational basis. On degenerate supports the operator depends on the
+    frame that :func:`~qlstab.subspaces.support` returns, not only on the
+    subspace.
 
     Args:
         target_support: subspace to stabilize; must be proper and nonzero.

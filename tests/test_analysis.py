@@ -11,8 +11,16 @@ from qlstab.analysis import (
     is_frustration_free,
     parent_hamiltonian,
 )
-from qlstab.subspaces import Subspace, equals, span
+from qlstab.subspaces import (
+    Subspace,
+    equals,
+    intersect,
+    projector,
+    span,
+    support,
+)
 from qlstab.tensor import (
+    CoverageWarning,
     DimensionMismatchError,
     LocalityPattern,
     Neighborhood,
@@ -22,10 +30,12 @@ from qlstab.tensor import (
     apply_local_unitary,
     basis_state,
     embed,
+    embed_frame,
     make_dicke_4_2,
     make_ghz,
     make_graph_state,
     make_w,
+    partial_trace,
     qubit_space,
     random_pure_state,
 )
@@ -114,8 +124,6 @@ class TestCheckDqls:
     def test_target_always_inside_intersection(self):
         import warnings as _warnings
 
-        from qlstab.tensor import CoverageWarning
-
         rng = np.random.default_rng(1)
         for _ in range(15):
             n = int(rng.integers(2, 5))
@@ -131,6 +139,84 @@ class TestCheckDqls:
                 _warnings.simplefilter("ignore", CoverageWarning)
                 report = check_dqls(psi, pattern_of(space, hoods))
             assert report.intersection.contains(psi.amplitudes, tol=1e-8)
+
+
+def _oracle_fixtures():
+    import warnings as _warnings
+
+    cases = []
+    for n in range(3, 7):
+        ghz = make_ghz(n)
+        cases.append((f"ghz{n}", ghz, [(i, i + 1) for i in range(n - 1)]))
+    cases.append(("w5", make_w(5), [(0, 1, 2, 3), (1, 2, 3, 4)]))
+    cases.append(("dicke", make_dicke_4_2(), [(0, 1, 2), (1, 2, 3)]))
+    chain = [(i, i + 1) for i in range(4)]
+    cases.append(
+        (
+            "cluster5",
+            make_graph_state(5, chain),
+            [(i, i + 1, i + 2) for i in range(3)],
+        )
+    )
+    cases.append(
+        (
+            "ring5",
+            make_graph_state(5, chain + [(4, 0)]),
+            [tuple(sorted({(i - 1) % 5, i, (i + 1) % 5})) for i in range(5)],
+        )
+    )
+    rng = np.random.default_rng(11)
+    mixed = random_pure_state(TensorSpace((3, 2, 3)), rng)
+    cases.append(("qutrit_qubit", mixed, [(0, 1), (1, 2)]))
+    left = random_pure_state(TensorSpace((3, 2)), rng).amplitudes
+    right = random_pure_state(TensorSpace((2, 3)), rng).amplitudes
+    pairs = PureState(TensorSpace((3, 2, 2, 3)), np.kron(left, right))
+    cases.append(("qutrit_pairs", pairs, [(0, 1), (1, 2), (2, 3)]))
+    for k in range(4):
+        n = int(rng.integers(3, 6))
+        hole = int(rng.integers(n))
+        others = [a for a in range(n) if a != hole]
+        hoods = []
+        for _ in range(int(rng.integers(1, 4))):
+            size = int(rng.integers(1, len(others) + 1))
+            picked = rng.choice(others, size, replace=False)
+            hoods.append(tuple(sorted(picked.tolist())))
+        cases.append((f"uncovered{k}", random_pure_state(qubit_space(n), rng), hoods))
+    out = []
+    for name, psi, hoods in cases:
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", CoverageWarning)
+            out.append(pytest.param(psi, pattern_of(psi.space, hoods), id=name))
+    return out
+
+
+class TestDenseOracleAgreement:
+    """check_dqls against the explicit embedded-frame intersection route."""
+
+    @pytest.mark.parametrize("psi, pattern", _oracle_fixtures())
+    def test_matches_embedded_frame_intersection(self, psi, pattern):
+        rho = psi.density_matrix()
+        embedded = [
+            Subspace(
+                psi.space.dim,
+                embed_frame(
+                    support(partial_trace(rho, hood)).frame, hood, psi.space
+                ),
+            )
+            for hood in pattern.neighborhoods
+        ]
+        oracle = intersect(embedded)
+        oracle_verdict = oracle.dim == 1 and equals(oracle, span(psi.amplitudes))
+
+        report = check_dqls(psi, pattern)
+        assert report.verdict == oracle_verdict
+        assert report.intersection_dim == oracle.dim
+        np.testing.assert_allclose(
+            projector(report.intersection), projector(oracle), atol=1e-9
+        )
+        assert parent_hamiltonian(psi, pattern).kernel().dim == report.intersection_dim
+        if pattern.uncovered():
+            assert any("uncovered" in w for w in report.warnings)
 
 
 class TestTieBreaking:
@@ -153,11 +239,13 @@ class TestTieBreaking:
         assert report.intersection_dim == 1
         assert any("downgraded" in w for w in report.warnings)
         assert any("borderline" in w for w in report.warnings)
+        assert report.borderline
 
     def test_clean_instance_has_no_borderline_warnings(self):
         psi, pattern = dicke_pattern()
         report = check_dqls(psi, pattern)
         assert not any("borderline" in w for w in report.warnings)
+        assert not report.borderline
 
 
 class TestLocalUnitaryInvariance:

@@ -53,6 +53,14 @@ class TestCheckDqls:
         assert report["intersection_dim"] == 1
         assert len(report["intersection_basis"]) == 1
 
+    def test_dicke_intersection_basis_is_the_target(self, tmp_path, capsys):
+        code, report, _ = run_cli(capsys, ["check-dqls", dicke_instance(tmp_path)])
+        assert code == 0
+        (basis,) = report["intersection_basis"]
+        vec = np.array([complex(re, im) for re, im in basis])
+        target = load_instance(tmp_path / "dicke.json").state.amplitudes
+        np.testing.assert_allclose(vec, target, rtol=0, atol=1e-12)
+
     def test_explicit_amplitudes_product_state(self, tmp_path, capsys):
         amps = [[0.0, 0.0]] * 4
         amps[0] = [1.0, 0.0]

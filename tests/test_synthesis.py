@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qlstab.dynamics import LindbladGenerator, apply_generator, vectorize
+from qlstab.dynamics import (
+    LindbladGenerator,
+    apply_generator,
+    gas_certificate,
+    stabilizer_generator,
+    vectorize,
+)
 from qlstab.subspaces import Subspace
 from qlstab.synthesis import (
     DegenerateNeighborhoodWarning,
@@ -23,6 +29,7 @@ from qlstab.tensor import (
     embed,
     make_dicke_4_2,
     make_ghz,
+    make_graph_state,
     qubit_space,
     random_pure_state,
 )
@@ -230,6 +237,21 @@ class TestSynthesizeStabilizers:
             stabs = synthesize_stabilizers(psi, pattern, gain_scale=1.0)
         assert np.linalg.norm(stabs.operators[1].block) == 0.0
         assert stabs.gains[1] == ()
+
+    def test_cluster5_certificate_gap_is_pinned(self):
+        # The 3-site reduced states of the cluster state have degenerate
+        # spectra, so the support frame (and with it every synthesized
+        # block) shifts by O(1) under 1e-17 changes to the reduced state;
+        # the gap pins the frame that the density-matrix partial trace gives.
+        psi = make_graph_state(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        pattern = LocalityPattern(
+            psi.space, tuple(Neighborhood((i, i + 1, i + 2)) for i in range(3))
+        )
+        stabs = synthesize_stabilizers(psi, pattern)
+        cert = gas_certificate(stabilizer_generator(stabs, psi.space), psi)
+        assert cert.certified
+        assert cert.spectrum.kernel_dim == 1
+        assert cert.spectrum.gap == pytest.approx(1.026177178305575, rel=1e-6)
 
     def test_gains_recorded(self):
         psi = make_dicke_4_2()
