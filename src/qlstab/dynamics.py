@@ -4,9 +4,13 @@ The generator acts as rho -> -i[H, rho] + sum_k (L_k rho L_k^dag
 - (1/2){L_k^dag L_k, rho}). Its vectorized (column-stacking) matrix form
 supports dense spectral analysis: a global-asymptotic-stability certificate
 checks that the target is the unique stationary state and that no purely
-rotating invariant structure survives. Time evolution uses a fixed-step
-classical 4th-order integrator with a trace-drift guard; cyclic switching
-composes per-neighborhood semigroup maps through dense matrix exponentials.
+rotating invariant structure survives. Because the generator maps Hermitian
+matrices to Hermitian matrices, the certificate works on its real form in
+a Hermitian basis: eigenvalues come from a real eigensolver without
+eigenvectors, and the stationary state from one bordered linear solve.
+Time evolution uses a fixed-step classical 4th-order integrator with a
+trace-drift guard; cyclic switching composes per-neighborhood semigroup
+maps through dense matrix exponentials.
 
 Dense spectral paths are capped at total dimension 64 (a 4096-dimensional
 vectorized generator); larger systems must fall back to trajectory
@@ -153,7 +157,11 @@ class SpectrumReport:
 
 @dataclass(frozen=True, eq=False)
 class GasCertificate:
-    """Spectral global-asymptotic-stability verdict for a target state."""
+    """Spectral global-asymptotic-stability verdict for a target state.
+
+    ``steady_state`` is the trace-one stationary state, set only when the
+    kernel is one-dimensional (None otherwise).
+    """
 
     certified: bool
     spectrum: SpectrumReport
@@ -266,6 +274,71 @@ def vectorize(gen: LindbladGenerator) -> np.ndarray:
     return out
 
 
+def _hermitian_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked indices of the entries (i, j) and (j, i), i < j, of a d x d matrix."""
+    i, j = np.triu_indices(d, 1)
+    return i + j * d, j + i * d
+
+
+def _real_form(lhat: np.ndarray, d: int) -> np.ndarray:
+    """Real matrix T lhat T^dag of a Hermiticity-preserving superoperator.
+
+    T is the unitary that maps stack(X) to real coordinates: X_ii stays on
+    its diagonal slot, sqrt(2) Re X_ij goes to slot (i, j) and sqrt(2) Im X_ij
+    to slot (j, i), for i < j. For Hermitian X these coordinates are real, so
+    the result is real and has the spectrum of ``lhat``. ``lhat`` is
+    overwritten: its rows, then its columns, are mixed pairwise in place,
+    with at most two half-size temporaries alive at a time.
+    """
+    upper, lower = _hermitian_pairs(d)
+    scale = 1.0 / math.sqrt(2.0)
+    # Rows mix by T, columns by T^dag: (a, b) -> (a + b, +-i (a - b)) / sqrt 2.
+    for view, phase in ((lhat, -1j), (lhat.T, 1j)):
+        a = view[upper]
+        b = view[lower]
+        a += b
+        b *= -2.0
+        b += a
+        a *= scale
+        b *= phase * scale
+        view[upper] = a
+        view[lower] = b
+        del a, b
+    return np.ascontiguousarray(lhat.real)
+
+
+def _from_real(vec: np.ndarray) -> np.ndarray:
+    """Inverse of the coordinate map of :func:`_real_form`: T^dag vec."""
+    vec = np.asarray(vec)
+    upper, lower = _hermitian_pairs(math.isqrt(vec.size))
+    out = vec.astype(complex)
+    scale = 1.0 / math.sqrt(2.0)
+    out[upper] = scale * (vec[upper] + 1j * vec[lower])
+    out[lower] = scale * (vec[upper] - 1j * vec[lower])
+    return out
+
+
+def _steady_state(real: np.ndarray, d: int) -> np.ndarray | None:
+    """Trace-one kernel vector of a real form with a one-dimensional kernel.
+
+    The trace functional (1 on the diagonal slots) spans the left kernel of
+    a trace-preserving generator, so the first diagonal row depends on the
+    others; replacing it by the trace functional and solving against e_0
+    gives the kernel vector with unit trace. Overwrites row 0 of ``real``.
+    Returns None when that system is singular, i.e. the kernel vector is
+    traceless.
+    """
+    real[0] = 0.0
+    real[0, :: d + 1] = 1.0
+    rhs = np.zeros(real.shape[0])
+    rhs[0] = 1.0
+    try:
+        vec = np.linalg.solve(real, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return unstack(_from_real(vec), d)
+
+
 def _classify_spectrum(evals: np.ndarray, tol: float) -> SpectrumReport:
     zero_mask = np.abs(evals) <= tol
     kernel_dim = int(np.count_nonzero(zero_mask))
@@ -299,6 +372,12 @@ def gas_certificate(
     eigenvalue has real part within ``tol`` of zero, which rules out
     invariant structures that merely rotate.
 
+    The vectorized generator is conjugated in place into its real form in a
+    Hermitian basis (see :func:`_real_form`), which has the same spectrum.
+    Only its eigenvalues are computed; they are exactly conjugate-symmetric.
+    With a one-dimensional kernel the stationary state comes from one
+    solve, with the first diagonal row replaced by the trace functional.
+
     Raises:
         DimensionCapError: above ``dim_cap``; use a trajectory-based check
             instead, and report it as evidence rather than a certificate.
@@ -311,7 +390,8 @@ def gas_certificate(
             f"dimension {d} exceeds the dense spectral cap {dim_cap}; "
             "use trajectory evidence instead"
         )
-    evals, evecs = np.linalg.eig(vectorize(gen))
+    real = _real_form(vectorize(gen), d)
+    evals = np.linalg.eigvals(real).astype(complex, copy=False)
     worst = float(np.max(evals.real))
     if worst > 100 * tol:
         raise ArithmeticError(
@@ -331,26 +411,21 @@ def gas_certificate(
         )
     certified = report.kernel_dim == 1
     steady = None
-    if report.kernel_dim >= 1:
-        idx = int(np.argmin(np.abs(evals)))
-        candidate = unstack(evecs[:, idx], d)
-        tr = complex(np.trace(candidate))
-        if abs(tr) < 1e-12:
+    if certified:
+        steady = _steady_state(real, d)
+        if steady is None:
             messages.append("kernel vector is traceless; no stationary state in it")
             certified = False
         else:
-            steady = candidate / tr
-    if certified and steady is not None:
-        rho_target = np.outer(target.amplitudes, target.amplitudes.conj())
-        deviation = float(np.linalg.norm(steady - rho_target))
-        if deviation > state_tol:
-            messages.append(
-                f"stationary state differs from the target by {deviation:.3e}"
-            )
-            certified = False
-    elif report.kernel_dim != 1:
+            rho_target = np.outer(target.amplitudes, target.amplitudes.conj())
+            deviation = float(np.linalg.norm(steady - rho_target))
+            if deviation > state_tol:
+                messages.append(
+                    f"stationary state differs from the target by {deviation:.3e}"
+                )
+                certified = False
+    else:
         messages.append(f"kernel dimension is {report.kernel_dim}, need exactly 1")
-        certified = False
     rotating = [
         complex(z)
         for z in evals

@@ -267,6 +267,14 @@ class TestCertifyCommand:
         assert report["gap"] > 0
         assert len(report["eigenvalues"]) == 256
 
+    def test_certificate_timings_beside_total(self, tmp_path, capsys):
+        code, report, _ = run_cli(capsys, ["certify", dicke_instance(tmp_path)])
+        assert code == 0
+        timings = report["timings"]
+        assert set(timings) == {"certificate_s", "total_s"}
+        for value in timings.values():
+            assert isinstance(value, float) and value >= 0.0
+
     def test_certify_from_written_operators(self, tmp_path, capsys):
         out_dir = tmp_path / "ops"
         inst = dicke_instance(tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from qlstab.dynamics import (
+    EIG_TOL,
     DimensionCapError,
     IntegrationError,
     LindbladGenerator,
@@ -28,6 +29,7 @@ from qlstab.dynamics import (
     unstack,
     vectorize,
 )
+from qlstab.dynamics import _from_real, _real_form
 from qlstab.synthesis import synthesize_stabilizers
 from qlstab.tensor import (
     DensityMatrix,
@@ -36,6 +38,8 @@ from qlstab.tensor import (
     TensorSpace,
     basis_state,
     make_dicke_4_2,
+    make_ghz,
+    make_graph_state,
     qubit_space,
     random_density_matrix,
     random_pure_state,
@@ -70,6 +74,81 @@ def random_generator(space, rng, n_ops=2, with_ham=True):
         for _ in range(n_ops)
     )
     return LindbladGenerator(space, ham, ops)
+
+
+def eig_certificate(gen, target, tol=EIG_TOL, state_tol=1e-7):
+    """Dense oracle: the certificate from complex eig with eigenvectors.
+
+    The kernel vector at the eigenvalue of least modulus, divided by its
+    trace, is the stationary state. Returns (certified, kernel_dim,
+    abscissa, steady_state, messages).
+    """
+    d = gen.space.dim
+    evals, evecs = np.linalg.eig(vectorize(gen))
+    zero = np.abs(evals) <= tol
+    kernel_dim = int(np.count_nonzero(zero))
+    nonzero = evals[~zero]
+    abscissa = float(np.max(nonzero.real)) if nonzero.size else -math.inf
+    messages = []
+    near = [complex(z) for z in evals if tol / 100 <= abs(z.real) <= tol * 100]
+    if near:
+        messages.append(
+            f"eigenvalue real parts near the classification threshold: {near}"
+        )
+    certified = kernel_dim == 1
+    steady = None
+    if certified:
+        candidate = unstack(evecs[:, int(np.argmin(np.abs(evals)))], d)
+        steady = candidate / np.trace(candidate)
+        rho_target = np.outer(target.amplitudes, target.amplitudes.conj())
+        deviation = float(np.linalg.norm(steady - rho_target))
+        if deviation > state_tol:
+            messages.append(
+                f"stationary state differs from the target by {deviation:.3e}"
+            )
+            certified = False
+    else:
+        messages.append(f"kernel dimension is {kernel_dim}, need exactly 1")
+    rotating = [complex(z) for z in evals if abs(z) > tol and abs(z.real) <= tol]
+    if rotating:
+        messages.append(f"rotating invariant structure: eigenvalues {rotating}")
+        certified = False
+    return certified, kernel_dim, abscissa, steady, tuple(messages)
+
+
+def _synthesized(psi, hoods, **kwargs):
+    pattern = LocalityPattern(psi.space, tuple(Neighborhood(h) for h in hoods))
+    return stabilizer_generator(
+        synthesize_stabilizers(psi, pattern, **kwargs), psi.space
+    ), psi
+
+
+def _oracle_fixture(name):
+    if name == "amplitude_damping":
+        return LindbladGenerator(Q1, None, (LOWER,)), basis_state(Q1, 0)
+    if name == "dephasing":
+        return LindbladGenerator(Q1, None, (SZ,)), basis_state(Q1, 0)
+    if name == "zero":
+        zero = np.zeros((2, 2))
+        return LindbladGenerator(Q1, zero, (zero,)), basis_state(Q1, 0)
+    if name == "random_qubit_qutrit":
+        space = TensorSpace((2, 3))
+        gen = random_generator(space, np.random.default_rng(4))
+        return gen, basis_state(space, 0)
+    if name == "dicke":
+        psi, stabs = dicke_generator()
+        return stabilizer_generator(stabs, psi.space), psi
+    if name == "cluster5":
+        psi = make_graph_state(5, [(i, i + 1) for i in range(4)])
+        return _synthesized(psi, [(i, i + 1, i + 2) for i in range(3)])
+    if name == "ring4":
+        psi = make_graph_state(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        hoods = [sorted({(i - 1) % 4, i, (i + 1) % 4}) for i in range(4)]
+        return _synthesized(psi, hoods)
+    if name == "ghz5_forced":
+        psi = make_ghz(5)
+        return _synthesized(psi, [(i, i + 1) for i in range(4)], force=True)
+    raise KeyError(name)
 
 
 class TestLindbladGeneratorType:
@@ -163,6 +242,57 @@ class TestGasCertificate:
         cert = gas_certificate(gen, basis_state(Q1, 0))
         assert not cert.certified
         assert cert.spectrum.kernel_dim >= 2
+
+    def test_no_steady_state_without_a_unique_kernel(self):
+        gen = LindbladGenerator(Q1, None, (SZ,))
+        cert = gas_certificate(gen, basis_state(Q1, 0))
+        assert cert.steady_state is None
+        assert "kernel dimension is 2, need exactly 1" in cert.messages
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "amplitude_damping",
+            "dephasing",
+            "zero",
+            "random_qubit_qutrit",
+            "dicke",
+            "cluster5",
+            "ring4",
+            "ghz5_forced",
+        ],
+    )
+    def test_matches_dense_eig_oracle(self, name):
+        # Full spectra are not compared: eigenvalues inside defective
+        # (Jordan) clusters move by up to ~1e-2 between LAPACK routes.
+        gen, target = _oracle_fixture(name)
+        certified, kernel_dim, abscissa, steady, messages = eig_certificate(
+            gen, target
+        )
+        cert = gas_certificate(gen, target)
+        assert cert.certified == certified
+        assert cert.spectrum.kernel_dim == kernel_dim
+        assert cert.messages == messages
+        assert cert.spectrum.spectral_abscissa_nonzero == pytest.approx(
+            abscissa, rel=1e-9
+        )
+        assert cert.spectrum.gap == pytest.approx(-abscissa, rel=1e-9)
+        if kernel_dim == 1:
+            np.testing.assert_allclose(cert.steady_state, steady, rtol=0, atol=1e-10)
+
+    def test_real_form_acts_as_the_generator(self):
+        rng = np.random.default_rng(5)
+        space = TensorSpace((2, 3))
+        gen = random_generator(space, rng)
+        real = _real_form(vectorize(gen), space.dim)
+        assert real.dtype == np.float64
+        assert real.flags.c_contiguous
+        for _ in range(5):
+            vec = rng.standard_normal(space.dim**2)
+            direct = stack(apply_generator(gen, unstack(_from_real(vec))))
+            np.testing.assert_allclose(
+                _from_real(real @ vec), direct, rtol=0, atol=1e-12
+            )
 
     def test_wrong_target_fails(self):
         gen = LindbladGenerator(Q1, None, (LOWER,))
