@@ -18,6 +18,7 @@ from .tensor import (
     PureState,
     QLOperator,
     TensorSpace,
+    apply_local,
     apply_local_unitary,
     basis_state,
     embed,

@@ -32,6 +32,7 @@ from .tensor import (
     PureState,
     QLOperator,
     TensorSpace,
+    apply_local,
     embed,
     partial_trace,
 )
@@ -106,12 +107,11 @@ def _complement_terms(psi: PureState, pattern: LocalityPattern, rtol: float):
     if psi.space != pattern.space:
         raise DimensionMismatchError("state and pattern live on different spaces")
     space = psi.space
-    rho_d = psi.density_matrix()
     per: list[NeighborhoodAnalysis] = []
     terms: list[QLOperator] = []
     total = np.zeros((space.dim, space.dim), dtype=complex)
     for hood in pattern.neighborhoods:
-        reduced = partial_trace(rho_d, hood)
+        reduced = partial_trace(psi, hood)
         sup = subspaces.support(reduced, rtol)
         block = np.eye(reduced.space.dim, dtype=complex) - subspaces.projector(sup)
         term = QLOperator(hood, block)
@@ -164,7 +164,7 @@ def check_dqls(
     kernel = [_fix_phase(v) for v in evecs[:, evals < subspaces.INTERSECT_TOL].T]
     intersection = Subspace(psi.space.dim, np.transpose(kernel))
     for term in terms:
-        applied = embed(term, psi.space) @ intersection.frame
+        applied = apply_local(term, psi.space, intersection.frame)
         worst = float(np.max(np.linalg.norm(applied, axis=0), initial=0.0))
         if worst > ORTH_TOL:
             raise ArithmeticError(
@@ -224,13 +224,12 @@ def is_frustration_free(
     True iff for each Hermitian term the expectation value on ``psi`` equals
     the smallest eigenvalue of the embedded term within ``tol``.
     """
-    space = psi.space
     for k, term in enumerate(terms):
         asym = np.max(np.abs(term.block - term.block.conj().T))
         if asym > 1e-9 * max(1.0, float(np.max(np.abs(term.block)))):
             raise ValueError(f"term {k} is not Hermitian (asymmetry {asym:.3e})")
-        full = embed(term, space)
-        expectation = float(np.real(np.vdot(psi.amplitudes, full @ psi.amplitudes)))
+        applied = apply_local(term, psi.space, psi.amplitudes)
+        expectation = float(np.real(np.vdot(psi.amplitudes, applied)))
         # Tensoring with the identity leaves the set of eigenvalues unchanged,
         # so the minimum can be read off the block.
         lam_min = float(np.linalg.eigvalsh((term.block + term.block.conj().T) / 2)[0])

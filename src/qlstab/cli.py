@@ -36,7 +36,6 @@ from .tensor import (
     DimensionMismatchError,
     Neighborhood,
     QLOperator,
-    embed,
     random_density_matrix,
     random_pure_state,
 )
@@ -247,7 +246,6 @@ def _cmd_synthesize(args) -> dict:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
-    residuals = []
     for k, (op, gains) in enumerate(zip(stabilizers.operators, stabilizers.gains)):
         path = out_dir / f"noise_op_{k:02d}.json"
         write_operator_file(
@@ -262,13 +260,6 @@ def _cmd_synthesize(args) -> dict:
             },
         )
         files.append(str(path))
-        residuals.append(
-            float(
-                np.linalg.norm(
-                    embed(op, instance.space) @ instance.state.amplitudes
-                )
-            )
-        )
     if args.force:
         notes.append(
             "synthesis was forced; if the target is not stabilizable the "
@@ -278,7 +269,7 @@ def _cmd_synthesize(args) -> dict:
     out.update(
         {
             "gains_policy": instance.gains_policy,
-            "annihilation_residuals": residuals,
+            "annihilation_residuals": list(stabilizers.residuals),
             "files": files,
             "warnings": notes,
         }
@@ -298,7 +289,7 @@ def _load_operators(directory: str, instance: ProblemInstance):
             raise InstanceFormatError(f"{path}: missing 'neighborhood' metadata")
         ops.append(QLOperator(Neighborhood(tuple(int(a) for a in hood)), matrix))
     gains = tuple(() for _ in ops)
-    return synthesis.StabilizerSet(tuple(ops), gains)
+    return synthesis.StabilizerSet(tuple(ops), gains, ())
 
 
 def _cmd_certify(args) -> dict:

@@ -27,7 +27,7 @@ from .tensor import (
     LocalityPattern,
     PureState,
     QLOperator,
-    embed,
+    apply_local,
 )
 
 ANNIHILATION_TOL = 1e-8
@@ -65,10 +65,12 @@ class DegenerateNeighborhoodWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class StabilizerSet:
-    """One synthesized noise operator per neighborhood, with its gains."""
+    """One synthesized noise operator per neighborhood, with its gains and
+    its annihilation residual on the target (both empty when loaded)."""
 
     operators: tuple[QLOperator, ...]
     gains: tuple[tuple[float, ...], ...]
+    residuals: tuple[float, ...]
 
 
 def gains_for(policy: str, count: int, scale: float = 1.0) -> tuple[float, ...]:
@@ -179,14 +181,16 @@ def synthesize_stabilizers(
         gains = gains_for(gains_policy, r, gain_scale)
         operators.append(QLOperator(hood, synthesize_block(sup, gains)))
         all_gains.append(gains)
+    residuals = []
     for op in operators:
-        residual = float(np.linalg.norm(embed(op, psi.space) @ psi.amplitudes))
+        residual = float(np.linalg.norm(apply_local(op, psi.space, psi.amplitudes)))
+        residuals.append(residual)
         if residual > ANNIHILATION_TOL:
             raise ArithmeticError(
                 f"synthesized operator on {op.neighborhood.indices} fails to "
                 f"annihilate the target (residual {residual:.3e})"
             )
-    return StabilizerSet(tuple(operators), tuple(all_gains))
+    return StabilizerSet(tuple(operators), tuple(all_gains), tuple(residuals))
 
 
 def renormalize_generator(

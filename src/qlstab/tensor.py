@@ -1,8 +1,9 @@
-"""Multipartite tensor algebra: states, neighborhoods, embedding, partial traces.
+"""Multipartite tensor algebra: states, neighborhoods, local operators, partial traces.
 
 Value types for composite finite-dimensional quantum systems, factories for
-the standard entangled fixture states, embedding of neighborhood-supported
-operators into the full space, and partial traces.
+the standard entangled fixture states, and partial traces. One kernel,
+:func:`apply_local`, applies a neighborhood operator to full-space vectors;
+:func:`embed` forms the dense D x D matrix only for callers that need it.
 
 Composite basis indexing is big-endian: subsystem 0 is the most significant
 digit of a computational-basis index, matching the ordering produced by
@@ -46,6 +47,7 @@ __all__ = [
     "random_pure_state",
     "random_density_matrix",
     "apply_local_unitary",
+    "apply_local",
     "partial_trace",
     "embed",
     "embed_frame",
@@ -365,7 +367,7 @@ def apply_local_unitary(
         raise DimensionMismatchError(
             f"need {n} local unitaries, got {len(locals_)}"
         )
-    mats = []
+    v = psi.amplitudes
     for a, u in enumerate(locals_):
         u = _as_complex_matrix(u, (dims[a], dims[a]))
         defect = np.max(np.abs(u.conj().T @ u - np.eye(dims[a])))
@@ -373,50 +375,75 @@ def apply_local_unitary(
             raise ValueError(
                 f"matrix for subsystem {a} is not unitary (defect {defect:.3e})"
             )
-        mats.append(u)
-    v = psi.amplitudes.reshape(dims)
-    for a, u in enumerate(mats):
-        v = np.moveaxis(np.tensordot(u, v, axes=(1, a)), 0, a)
-    return PureState(psi.space, v.reshape(-1))
+        v = apply_local(QLOperator(Neighborhood((a,)), u), psi.space, v)
+    return PureState(psi.space, v)
 
 
-def partial_trace(rho: DensityMatrix, keep: Neighborhood) -> DensityMatrix:
+def partial_trace(rho: DensityMatrix | PureState, keep: Neighborhood) -> DensityMatrix:
     """Trace out every subsystem outside ``keep``.
 
     Returns the reduced state on the space whose dims are the kept
-    subsystems' dims in increasing index order.
+    subsystems' dims in increasing index order. A pure state is traced as
+    its outer product, without validating that D x D matrix.
     """
-    dims = rho.space.dims
-    n = len(dims)
-    if keep.indices[-1] >= n:
-        raise DimensionMismatchError(
-            f"neighborhood {keep.indices} does not fit a {n}-subsystem space"
-        )
-    drop = keep.complement(n)
-    t = rho.matrix.reshape(dims + dims)
-    m = n
-    for a in sorted(drop, reverse=True):
+    keep_dims, _ = _factor_dims(keep, rho.space)
+    pure = isinstance(rho, PureState)
+    matrix = np.outer(rho.amplitudes, rho.amplitudes.conj()) if pure else rho.matrix
+    t = matrix.reshape(rho.space.dims * 2)
+    m = rho.space.n_subsystems
+    for a in sorted(keep.complement(m), reverse=True):
         t = np.trace(t, axis1=a, axis2=a + m)
         m -= 1
-    d_keep = math.prod(rho.space.subspace_dims(keep.indices))
+    d_keep = math.prod(keep_dims)
     reduced = np.ascontiguousarray(t.reshape(d_keep, d_keep))
-    return DensityMatrix(TensorSpace(rho.space.subspace_dims(keep.indices)), reduced)
+    return DensityMatrix(TensorSpace(keep_dims), reduced)
 
 
-def _embedding_layout(neighborhood: Neighborhood, space: TensorSpace):
-    """Permutation data shared by operator and frame embedding."""
+def _factor_dims(neighborhood: Neighborhood, space: TensorSpace, block=None):
+    """Dims of the neighborhood's subsystems, then of the others (the layout of
+    ``kron(block, identity)``). Raises if the neighborhood or ``block`` does not fit."""
     n = space.n_subsystems
     if neighborhood.indices[-1] >= n:
         raise DimensionMismatchError(
-            f"neighborhood {neighborhood.indices} does not fit a "
-            f"{n}-subsystem space"
+            f"neighborhood {neighborhood.indices} does not fit a {n}-subsystem space"
         )
-    rest = neighborhood.complement(n)
-    perm = list(neighborhood.indices) + list(rest)
-    axes = [perm.index(j) for j in range(n)]
-    dims_perm = [space.dims[p] for p in perm]
-    d_rest = math.prod(space.subspace_dims(rest)) if rest else 1
-    return rest, perm, axes, dims_perm, d_rest
+    hood_dims = space.subspace_dims(neighborhood.indices)
+    d_block = math.prod(hood_dims)
+    if block is not None and block.shape != (d_block, d_block):
+        raise DimensionMismatchError(
+            f"block shape {block.shape} does not match neighborhood dimension {d_block}"
+        )
+    return hood_dims, space.subspace_dims(neighborhood.complement(n))
+
+
+def _to_global(t: np.ndarray, neighborhood: Neighborhood, offset: int = 0):
+    """Reorder the subsystem axes of ``t`` that start at ``offset`` from
+    neighborhood first (each group in increasing index order) to subsystem
+    order; axes before and after them keep their places."""
+    hood = neighborhood.indices
+    return np.moveaxis(t, range(offset, offset + len(hood)), [offset + a for a in hood])
+
+
+def apply_local(op: QLOperator, space: TensorSpace, vectors: np.ndarray) -> np.ndarray:
+    """Return ``embed(op, space) @ vectors`` without forming the D x D matrix.
+
+    ``vectors`` is a (D,) vector or a (D, k) block of columns. The block is
+    contracted against the neighborhood's subsystem axes only; this is the
+    one kernel that applies a neighborhood operator on the full space.
+    """
+    hood_dims, _ = _factor_dims(op.neighborhood, space, op.block)
+    vectors = np.asarray(vectors)
+    if vectors.ndim not in (1, 2) or vectors.shape[0] != space.dim:
+        raise DimensionMismatchError(
+            f"expected {space.dim} rows of vectors, got shape {vectors.shape}"
+        )
+    m = len(hood_dims)
+    t = np.tensordot(
+        op.block.reshape(hood_dims * 2),
+        vectors.reshape(space.dims + vectors.shape[1:]),
+        axes=(range(m, 2 * m), op.neighborhood.indices),
+    )
+    return _to_global(t, op.neighborhood).reshape(vectors.shape)
 
 
 def embed(op: QLOperator, space: TensorSpace) -> np.ndarray:
@@ -425,21 +452,13 @@ def embed(op: QLOperator, space: TensorSpace) -> np.ndarray:
     The result acts as ``op.block`` on the neighborhood factor and as the
     identity on every other subsystem, respecting the global big-endian
     subsystem ordering (a permuted Kronecker product for non-contiguous
-    neighborhoods).
+    neighborhoods). Only for callers that need the dense D x D matrix
+    itself; :func:`apply_local` applies the operator to vectors.
     """
-    rest, perm, axes, dims_perm, d_rest = _embedding_layout(op.neighborhood, space)
-    d_block = math.prod(space.subspace_dims(op.neighborhood.indices))
-    if op.block.shape != (d_block, d_block):
-        raise DimensionMismatchError(
-            f"block shape {op.block.shape} does not match neighborhood "
-            f"dimension {d_block}"
-        )
-    full = np.kron(op.block, np.eye(d_rest, dtype=complex))
-    if perm == sorted(perm):
-        return full
-    n = space.n_subsystems
-    t = full.reshape(dims_perm + dims_perm)
-    t = t.transpose(axes + [n + a for a in axes])
+    hood_dims, rest_dims = _factor_dims(op.neighborhood, space, op.block)
+    full = np.kron(op.block, np.eye(math.prod(rest_dims), dtype=complex))
+    t = full.reshape((hood_dims + rest_dims) * 2)
+    t = _to_global(_to_global(t, op.neighborhood), op.neighborhood, space.n_subsystems)
     return np.ascontiguousarray(t.reshape(space.dim, space.dim))
 
 
@@ -452,17 +471,13 @@ def embed_frame(
     span is (span of frame) tensor (everything on the other subsystems).
     Orthonormal input columns stay orthonormal.
     """
-    rest, perm, axes, dims_perm, d_rest = _embedding_layout(neighborhood, space)
-    d_block = math.prod(space.subspace_dims(neighborhood.indices))
+    hood_dims, rest_dims = _factor_dims(neighborhood, space)
+    d_block = math.prod(hood_dims)
     frame = _as_complex_matrix(frame)
     if frame.ndim != 2 or frame.shape[0] != d_block:
         raise DimensionMismatchError(
             f"frame has {frame.shape[0]} rows, neighborhood dimension is {d_block}"
         )
-    full = np.kron(frame, np.eye(d_rest, dtype=complex))
-    if perm == sorted(perm):
-        return full
-    n = space.n_subsystems
-    t = full.reshape(dims_perm + [full.shape[1]])
-    t = t.transpose(axes + [n])
+    full = np.kron(frame, np.eye(math.prod(rest_dims), dtype=complex))
+    t = _to_global(full.reshape(hood_dims + rest_dims + full.shape[1:]), neighborhood)
     return np.ascontiguousarray(t.reshape(space.dim, full.shape[1]))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qlstab import analysis, synthesis
 from qlstab.analysis import (
     check_dqls,
     factorize_pure_state,
@@ -217,6 +218,60 @@ class TestDenseOracleAgreement:
         assert parent_hamiltonian(psi, pattern).kernel().dim == report.intersection_dim
         if pattern.uncovered():
             assert any("uncovered" in w for w in report.warnings)
+
+
+def _cluster5():
+    return make_graph_state(5, [(i, i + 1) for i in range(4)])
+
+
+class TestPureTargetPipeline:
+    """The pipeline traces the target vector itself and embeds each term once."""
+
+    @pytest.mark.parametrize(
+        "psi, hoods",
+        [
+            pytest.param(make_ghz(5), [(1, 2, 3), (0, 4)], id="ghz5"),
+            pytest.param(_cluster5(), [(0, 1, 2), (1, 3, 4)], id="cluster5"),
+            pytest.param(
+                random_pure_state(TensorSpace((3, 2, 3, 2)), np.random.default_rng(13)),
+                [(0, 1), (0, 2), (1, 2, 3)],
+                id="qutrit_qubit",
+            ),
+        ],
+    )
+    def test_partial_trace_of_vector_matches_density_matrix(self, psi, hoods):
+        rho = psi.density_matrix()
+        for hood in map(Neighborhood, hoods):
+            assert np.array_equal(
+                partial_trace(psi, hood).matrix, partial_trace(rho, hood).matrix
+            )
+
+    def test_each_neighborhood_embedded_once(self, monkeypatch):
+        calls = []
+
+        def counting_embed(op, space):
+            calls.append(op.neighborhood)
+            return embed(op, space)
+
+        monkeypatch.setattr(analysis, "embed", counting_embed)
+        monkeypatch.setattr(synthesis, "embed", counting_embed, raising=False)
+        psi = _cluster5()
+        pattern = pattern_of(psi.space, [(i, i + 1, i + 2) for i in range(3)])
+        check_dqls(psi, pattern)
+        assert calls == list(pattern.neighborhoods)
+        calls.clear()
+        synthesis.synthesize_stabilizers(psi, pattern)
+        assert calls == list(pattern.neighborhoods)
+
+    def test_no_full_space_density_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("built the D x D density matrix of a pure target")
+
+        monkeypatch.setattr(PureState, "density_matrix", refuse)
+        psi, pattern = dicke_pattern()
+        assert check_dqls(psi, pattern).verdict
+        assert parent_hamiltonian(psi, pattern).kernel().dim == 1
+        assert len(synthesis.synthesize_stabilizers(psi, pattern).operators) == 2
 
 
 class TestTieBreaking:

@@ -1,10 +1,13 @@
 """Noise-operator synthesis: block structure, spectra, renormalization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qlstab.cli import main
+from qlstab.instances import load_instance
 from qlstab.dynamics import (
     LindbladGenerator,
     apply_generator,
@@ -260,6 +263,35 @@ class TestSynthesizeStabilizers:
         )
         stabs = synthesize_stabilizers(psi, pattern, "graded", gain_scale=1.0)
         assert stabs.gains[0] == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+class TestReportedResiduals:
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"dims": [2] * 4, "state": "psi_t", "neighborhoods": [[0, 1, 2], [1, 2, 3]]},
+            {
+                "dims": [2] * 5,
+                "state": {"name": "graph", "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+                "neighborhoods": [[0, 1, 2], [1, 2, 3], [2, 3, 4]],
+            },
+        ],
+        ids=["dicke", "cluster5"],
+    )
+    def test_cli_reports_the_checked_residuals(self, instance, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        code = main(["synthesize", str(path), "--out", str(tmp_path / "ops")])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        loaded = load_instance(path)
+        stabs = synthesize_stabilizers(loaded.state, loaded.pattern)
+        assert len(stabs.residuals) == len(stabs.operators)
+        assert all(r <= 1e-12 for r in stabs.residuals)
+        # The report rounds every number to 12 significant digits.
+        assert report["annihilation_residuals"] == [
+            float(f"{r:.12g}") for r in stabs.residuals
+        ]
 
 
 class TestRenormalizeGenerator:

@@ -14,6 +14,7 @@ from qlstab.tensor import (
     PureState,
     QLOperator,
     TensorSpace,
+    apply_local,
     apply_local_unitary,
     basis_state,
     embed,
@@ -298,6 +299,55 @@ class TestEmbed:
         proj_small = frame @ frame.conj().T
         lhs = embed(QLOperator(hood, proj_small), space)
         np.testing.assert_allclose(lhs, big @ big.conj().T, atol=1e-12)
+
+
+def _local_operator_cases(rng, count=12):
+    """Random operators on random (2, 3)-dim spaces; the first three sit on
+    neighborhoods that skip a subsystem."""
+    cases = [((2, 3, 2), (0, 2)), ((3, 2, 2, 3), (1, 3)), ((2, 2, 3, 2), (0, 1, 3))]
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        dims = tuple(int(d) for d in rng.choice([2, 3], size=n))
+        size = int(rng.integers(1, n + 1))
+        cases.append((dims, tuple(sorted(rng.choice(n, size, replace=False).tolist()))))
+    for dims, hood in cases:
+        d_block = math.prod(dims[a] for a in hood)
+        block = rng.standard_normal((d_block, d_block)) + 1j * rng.standard_normal(
+            (d_block, d_block)
+        )
+        yield TensorSpace(dims), QLOperator(Neighborhood(hood), block)
+
+
+class TestApplyLocal:
+    def test_matches_embedding_oracle(self):
+        rng = np.random.default_rng(41)
+        for space, op in _local_operator_cases(rng):
+            full = embed_oracle(op.block, space.dims, op.neighborhood.indices)
+            for shape in [(space.dim,), (space.dim, 3), (space.dim, 0)]:
+                vectors = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                out = apply_local(op, space, vectors)
+                assert out.shape == shape
+                np.testing.assert_allclose(out, full @ vectors, rtol=0, atol=1e-12)
+
+    def test_embed_equals_oracle_exactly(self):
+        rng = np.random.default_rng(43)
+        for space, op in _local_operator_cases(rng):
+            full = embed(op, space)
+            assert np.array_equal(
+                full, embed_oracle(op.block, space.dims, op.neighborhood.indices)
+            )
+            assert full.flags.c_contiguous
+
+    def test_shape_mismatches_rejected(self):
+        space = TensorSpace((2, 3, 2))
+        op = QLOperator(Neighborhood((0, 2)), np.eye(4))
+        with pytest.raises(DimensionMismatchError):
+            apply_local(QLOperator(Neighborhood((0, 2)), np.eye(6)), space, np.ones(12))
+        with pytest.raises(DimensionMismatchError):
+            apply_local(QLOperator(Neighborhood((0, 3)), np.eye(4)), space, np.ones(12))
+        for bad in (np.ones(11), np.ones((6, 2)), np.ones((12, 2, 2)), np.ones(())):
+            with pytest.raises(DimensionMismatchError):
+                apply_local(op, space, bad)
 
 
 class TestLocalUnitary:
