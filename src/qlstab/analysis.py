@@ -7,7 +7,9 @@ is the span of the target alone. That intersection is the kernel of the
 quasi-local parent Hamiltonian sum_k (I - P_k), one complement projector per
 neighborhood, so both share one per-neighborhood loop and the verdict is read
 off one eigendecomposition. The module also checks frustration-freeness and
-exposes the tensor-factor pre-reduction of a target state.
+exposes the tensor-factor pre-reduction of a target state. Borderline rank
+calls reach ``DqlsReport`` as returned notes, never through warning capture;
+``parent_hamiltonian`` warns them.
 
 Per-neighborhood work (reduced state, support) is independent and could run
 in parallel; the sum of the embedded terms is a sequential reduction.
@@ -16,14 +18,13 @@ in parallel; the sum of the embedded terms is a sequential reduction.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import subspaces
-from .subspaces import ORTH_TOL, SUPPORT_RTOL, NumericalRankWarning, Subspace
+from .subspaces import ORTH_TOL, SUPPORT_RTOL, Subspace
 from .tensor import (
     DensityMatrix,
     DimensionMismatchError,
@@ -103,22 +104,24 @@ class ParentHamiltonian:
 
 
 def _complement_terms(psi: PureState, pattern: LocalityPattern, rtol: float):
-    """Per-neighborhood supports, complement terms I - P_k and their embedded sum."""
+    """Per-neighborhood supports, terms I - P_k, their embedded sum, rank notes."""
     if psi.space != pattern.space:
         raise DimensionMismatchError("state and pattern live on different spaces")
     space = psi.space
     per: list[NeighborhoodAnalysis] = []
     terms: list[QLOperator] = []
+    notes: list[str] = []
     total = np.zeros((space.dim, space.dim), dtype=complex)
     for hood in pattern.neighborhoods:
         reduced = partial_trace(psi, hood)
-        sup = subspaces.support(reduced, rtol)
+        sup, hood_notes = subspaces._support(reduced, rtol)
+        notes.extend(hood_notes)
         block = np.eye(reduced.space.dim, dtype=complex) - subspaces.projector(sup)
         term = QLOperator(hood, block)
         per.append(NeighborhoodAnalysis(hood, reduced, sup))
         terms.append(term)
         total += embed(term, space)
-    return per, terms, total
+    return per, terms, total, notes
 
 
 def check_dqls(
@@ -147,20 +150,11 @@ def check_dqls(
         notes.append(
             f"uncovered subsystems {list(uncovered)}: no neighborhood acts on them"
         )
-    borderline = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        per, terms, total = _complement_terms(psi, pattern, rtol)
-        evals, evecs = np.linalg.eigh((total + total.conj().T) / 2.0)
-        subspaces._warn_if_borderline(evals, subspaces.INTERSECT_TOL, "intersection")
-    for w in caught:
-        if issubclass(w.category, NumericalRankWarning):
-            borderline = True
-            notes.append(f"borderline rank decision: {w.message}")
-        else:
-            warnings.warn_explicit(
-                w.message, w.category, w.filename, w.lineno
-            )
+    per, terms, total, rank_notes = _complement_terms(psi, pattern, rtol)
+    evals, evecs = np.linalg.eigh((total + total.conj().T) / 2.0)
+    rank_notes += subspaces._borderline(evals, subspaces.INTERSECT_TOL, "intersection")
+    borderline = bool(rank_notes)
+    notes += [f"borderline rank decision: {note}" for note in rank_notes]
     kernel = [_fix_phase(v) for v in evecs[:, evals < subspaces.INTERSECT_TOL].T]
     intersection = Subspace(psi.space.dim, np.transpose(kernel))
     for term in terms:
@@ -207,7 +201,8 @@ def parent_hamiltonian(
     frustration-free ground state; the ground space is exactly the span of
     the target precisely when the stabilizability verdict is true.
     """
-    _, terms, total = _complement_terms(psi, pattern, rtol)
+    _, terms, total, notes = _complement_terms(psi, pattern, rtol)
+    subspaces._warn(notes)
     residual = float(np.linalg.norm(total @ psi.amplitudes))
     if residual > 1e-8:
         raise ArithmeticError(

@@ -8,7 +8,7 @@ except for the "timings" section of the report.
 
 Exit codes: 0 success, 2 unparseable input, 3 dimension mismatch,
 4 refusal to synthesize for an unstabilizable target, 5 dense-path
-dimension cap exceeded, 6 integrator abort.
+dimension cap exceeded, 6 integrator abort, 7 numerical failure.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ EXIT_DIMENSION = 3
 EXIT_NOT_STABILIZABLE = 4
 EXIT_DIM_CAP = 5
 EXIT_INTEGRATION = 6
+EXIT_NUMERICAL = 7
 
 EVIDENCE_FIDELITY = 1e-5
 
@@ -128,9 +129,9 @@ def _verdict_string(report: analysis.DqlsReport) -> str:
     return "true" if report.verdict else "false"
 
 
-def _base_report(command: str, args, instance: ProblemInstance, rtol: float) -> dict:
+def _base_report(args, instance: ProblemInstance, rtol: float) -> dict:
     return {
-        "command": command,
+        "command": args.subcommand,
         "instance": str(args.instance),
         "state": instance.state_label,
         "dims": list(instance.space.dims),
@@ -159,31 +160,25 @@ def _load(args) -> tuple[ProblemInstance, float]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_check_dqls(args) -> dict:
-    instance, rtol = _load(args)
+def _cmd_check_dqls(args, instance: ProblemInstance, rtol: float) -> dict:
     report = analysis.check_dqls(instance.state, instance.pattern, rtol)
-    out = _base_report("check-dqls", args, instance, rtol)
-    out.update(
-        {
-            "verdict": _verdict_string(report),
-            "intersection_dim": report.intersection_dim,
-            "intersection_basis": array_to_pairs(report.intersection.frame.T),
-            "per_neighborhood": [
-                {
-                    "neighborhood": list(a.neighborhood.indices),
-                    "support_dim": a.support.dim,
-                    "reduced_dim": a.reduced_state.space.dim,
-                }
-                for a in report.per_neighborhood
-            ],
-            "warnings": list(report.warnings),
-        }
-    )
-    return out
+    return {
+        "verdict": _verdict_string(report),
+        "intersection_dim": report.intersection_dim,
+        "intersection_basis": array_to_pairs(report.intersection.frame.T),
+        "per_neighborhood": [
+            {
+                "neighborhood": list(a.neighborhood.indices),
+                "support_dim": a.support.dim,
+                "reduced_dim": a.reduced_state.space.dim,
+            }
+            for a in report.per_neighborhood
+        ],
+        "warnings": list(report.warnings),
+    }
 
 
-def _cmd_parent_ham(args) -> dict:
-    instance, rtol = _load(args)
+def _cmd_parent_ham(args, instance: ProblemInstance, rtol: float) -> dict:
     ham = analysis.parent_hamiltonian(instance.state, instance.pattern, rtol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,16 +204,12 @@ def _cmd_parent_ham(args) -> dict:
     files.append(str(total_path))
     kernel = ham.kernel()
     frustration_free = analysis.is_frustration_free(instance.state, ham.terms)
-    out = _base_report("parent-ham", args, instance, rtol)
-    out.update(
-        {
-            "kernel_dim": kernel.dim,
-            "frustration_free": frustration_free,
-            "files": files,
-            "warnings": [],
-        }
-    )
-    return out
+    return {
+        "kernel_dim": kernel.dim,
+        "frustration_free": frustration_free,
+        "files": files,
+        "warnings": [],
+    }
 
 
 def _synthesize(instance: ProblemInstance, rtol: float, force: bool):
@@ -237,12 +228,8 @@ def _synthesize(instance: ProblemInstance, rtol: float, force: bool):
     )
 
 
-def _cmd_synthesize(args) -> dict:
-    instance, rtol = _load(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stabilizers = _synthesize(instance, rtol, args.force)
-    notes = [str(w.message) for w in caught]
+def _cmd_synthesize(args, instance: ProblemInstance, rtol: float) -> dict:
+    stabilizers = _synthesize(instance, rtol, args.force)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -260,21 +247,16 @@ def _cmd_synthesize(args) -> dict:
             },
         )
         files.append(str(path))
-    if args.force:
-        notes.append(
-            "synthesis was forced; if the target is not stabilizable the "
-            "certificate kernel dimension will exceed 1"
-        )
-    out = _base_report("synthesize", args, instance, rtol)
-    out.update(
-        {
-            "gains_policy": instance.gains_policy,
-            "annihilation_residuals": list(stabilizers.residuals),
-            "files": files,
-            "warnings": notes,
-        }
+    forced = (
+        "synthesis was forced; if the target is not stabilizable the "
+        "certificate kernel dimension will exceed 1"
     )
-    return out
+    return {
+        "gains_policy": instance.gains_policy,
+        "annihilation_residuals": list(stabilizers.residuals),
+        "files": files,
+        "warnings": [forced] if args.force else [],
+    }
 
 
 def _load_operators(directory: str, instance: ProblemInstance):
@@ -292,37 +274,29 @@ def _load_operators(directory: str, instance: ProblemInstance):
     return synthesis.StabilizerSet(tuple(ops), gains, ())
 
 
-def _cmd_certify(args) -> dict:
-    instance, rtol = _load(args)
+def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
     notes: list[str] = []
     if args.operators:
         stabilizers = _load_operators(args.operators, instance)
         notes.append(f"operators loaded from {args.operators}")
     else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stabilizers = _synthesize(instance, rtol, args.force)
-        notes.extend(str(w.message) for w in caught)
+        stabilizers = _synthesize(instance, rtol, args.force)
     gen = dynamics.stabilizer_generator(stabilizers, instance.space)
-    out = _base_report("certify", args, instance, rtol)
     dim = instance.space.dim
     if dim <= args.dim_cap:
         started = time.perf_counter()
         cert = dynamics.gas_certificate(gen, instance.state, dim_cap=args.dim_cap)
         certificate_s = time.perf_counter() - started
-        out.update(
-            {
-                "mode": "certificate",
-                "certified": cert.certified,
-                "kernel_dim": cert.spectrum.kernel_dim,
-                "spectral_abscissa_nonzero": cert.spectrum.spectral_abscissa_nonzero,
-                "gap": cert.spectrum.gap,
-                "eigenvalues": _pairs(cert.spectrum.eigenvalues),
-                "warnings": notes + list(cert.messages),
-                "timings": {"certificate_s": certificate_s},
-            }
-        )
-        return out
+        return {
+            "mode": "certificate",
+            "certified": cert.certified,
+            "kernel_dim": cert.spectrum.kernel_dim,
+            "spectral_abscissa_nonzero": cert.spectrum.spectral_abscissa_nonzero,
+            "gap": cert.spectrum.gap,
+            "eigenvalues": _pairs(cert.spectrum.eigenvalues),
+            "warnings": notes + list(cert.messages),
+            "timings": {"certificate_s": certificate_s},
+        }
     if not args.evidence_fallback:
         raise dynamics.DimensionCapError(
             f"dimension {dim} exceeds the dense spectral cap {args.dim_cap}; "
@@ -337,64 +311,57 @@ def _cmd_certify(args) -> dict:
         )
         finals.append(dynamics.fidelity(instance.state, trajectory[-1][1]))
     supported = all(f > 1.0 - EVIDENCE_FIDELITY for f in finals)
-    out.update(
-        {
-            "mode": "evidence",
-            "evidence_supported": supported,
-            "final_fidelities": finals,
-            "t_final": args.t_final,
-            "trajectories": args.trajectories,
-            "warnings": notes
-            + [
-                "trajectory evidence only: no spectral certificate above the "
-                "dimension cap"
-            ],
-        }
-    )
-    return out
+    return {
+        "mode": "evidence",
+        "evidence_supported": supported,
+        "final_fidelities": finals,
+        "t_final": args.t_final,
+        "trajectories": args.trajectories,
+        "warnings": notes
+        + [
+            "trajectory evidence only: no spectral certificate above the "
+            "dimension cap"
+        ],
+    }
 
 
-def _cmd_simulate(args) -> dict:
-    instance, rtol = _load(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stabilizers = _synthesize(instance, rtol, args.force)
-        rng = np.random.default_rng(args.seed)
+def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
+    stabilizers = _synthesize(instance, rtol, args.force)
+    rng = np.random.default_rng(args.seed)
+    if args.switched:
+        schedule = dynamics.SwitchingSchedule(
+            args.tau,
+            tuple(dynamics.stabilizer_generators(stabilizers, instance.space)),
+        )
+    else:
+        gen = dynamics.stabilizer_generator(stabilizers, instance.space)
+    target_rho = instance.state.density_matrix()
+    rows: list[tuple] = []
+    finals = []
+    for traj_id in range(args.trajectories):
+        if args.mixed:
+            rho0 = random_density_matrix(instance.space, rng)
+        else:
+            rho0 = random_pure_state(instance.space, rng).density_matrix()
         if args.switched:
-            schedule = dynamics.SwitchingSchedule(
-                args.tau,
-                tuple(dynamics.stabilizer_generators(stabilizers, instance.space)),
+            trajectory = dynamics.simulate_switched(
+                schedule, rho0, args.cycles, args.dt
             )
         else:
-            gen = dynamics.stabilizer_generator(stabilizers, instance.space)
-        target_rho = instance.state.density_matrix()
-        rows: list[tuple] = []
-        finals = []
-        for traj_id in range(args.trajectories):
-            if args.mixed:
-                rho0 = random_density_matrix(instance.space, rng)
-            else:
-                rho0 = random_pure_state(instance.space, rng).density_matrix()
-            if args.switched:
-                trajectory = dynamics.simulate_switched(
-                    schedule, rho0, args.cycles, args.dt
+            trajectory = dynamics.evolve(
+                gen, rho0, args.t_final, args.dt, record_every=args.record_every
+            )
+        for t, state in trajectory:
+            rows.append(
+                (
+                    traj_id,
+                    t,
+                    dynamics.fidelity(instance.state, state),
+                    dynamics.trace_distance(state, target_rho),
+                    dynamics.purity(state),
                 )
-            else:
-                trajectory = dynamics.evolve(
-                    gen, rho0, args.t_final, args.dt, record_every=args.record_every
-                )
-            for t, state in trajectory:
-                rows.append(
-                    (
-                        traj_id,
-                        t,
-                        dynamics.fidelity(instance.state, state),
-                        dynamics.trace_distance(state, target_rho),
-                        dynamics.purity(state),
-                    )
-                )
-            finals.append(dynamics.fidelity(instance.state, trajectory[-1][1]))
-    notes = [str(w.message) for w in caught]
+            )
+        finals.append(dynamics.fidelity(instance.state, trajectory[-1][1]))
     csv_path = Path(args.csv)
     with csv_path.open("w") as fh:
         fh.write("trajectory_id,t,fidelity,trace_distance,purity\n")
@@ -402,18 +369,15 @@ def _cmd_simulate(args) -> dict:
             fh.write(
                 f"{row[0]},{row[1]:.12g},{row[2]:.12g},{row[3]:.12g},{row[4]:.12g}\n"
             )
-    out = _base_report("simulate", args, instance, rtol)
-    out.update(
-        {
-            "mode": "switched" if args.switched else "simultaneous",
-            "trajectories": args.trajectories,
-            "csv": str(csv_path),
-            "rows": len(rows),
-            "final_fidelities": finals,
-            "min_final_fidelity": min(finals) if finals else None,
-            "warnings": notes,
-        }
-    )
+    out = {
+        "mode": "switched" if args.switched else "simultaneous",
+        "trajectories": args.trajectories,
+        "csv": str(csv_path),
+        "rows": len(rows),
+        "final_fidelities": finals,
+        "min_final_fidelity": min(finals) if finals else None,
+        "warnings": [],
+    }
     if args.switched:
         out["tau"] = args.tau
         out["cycles"] = args.cycles
@@ -525,7 +489,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        report = args.func(args)
+        instance, rtol = _load(args)
+        # Warnings raised while a command runs become report notes, ahead of
+        # the command's own; a CoverageWarning from loading still goes to stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fields = args.func(args, instance, rtol)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -544,6 +513,12 @@ def main(argv=None) -> int:
     except dynamics.IntegrationError as exc:
         print(f"error: integrator aborted: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    report = _base_report(args, instance, rtol)
+    report.update(fields)
+    report["warnings"] = [str(w.message) for w in caught] + report["warnings"]
     report.setdefault("timings", {})["total_s"] = time.perf_counter() - started
     _emit(report, args.output)
     return EXIT_OK

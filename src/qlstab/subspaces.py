@@ -5,6 +5,8 @@ subspace intersections, with explicit numerical rank thresholds. Frames are
 complex matrices with orthonormal columns; a zero-column frame is the legal
 representation of the zero subspace, never an error.
 
+Rank decisions near their cutoff yield notes: ``support`` and ``intersect``
+warn them as :class:`NumericalRankWarning`; ``_support`` returns them as data.
 Everything here is a pure function on immutable values; safe for concurrent
 use.
 """
@@ -47,20 +49,25 @@ class NumericalRankWarning(UserWarning):
     """A rank decision fell close to its numerical threshold."""
 
 
-def _warn_if_borderline(evals: np.ndarray, cutoff: float, decision: str) -> None:
-    """Warn when eigenvalues lie within a factor ``RANK_MARGIN`` of the cutoff."""
+def _borderline(evals: np.ndarray, cutoff: float, decision: str) -> list[str]:
+    """A note when eigenvalues lie within a factor ``RANK_MARGIN`` of the cutoff."""
     near = [
         float(w)
         for w in evals
         if cutoff / RANK_MARGIN <= abs(w) <= cutoff * RANK_MARGIN
     ]
-    if near:
-        warnings.warn(
-            f"{decision} rank decision is borderline: eigenvalues {near} lie "
-            f"within a factor {RANK_MARGIN:g} of the cutoff {cutoff:.3e}",
-            NumericalRankWarning,
-            stacklevel=3,
-        )
+    if not near:
+        return []
+    return [
+        f"{decision} rank decision is borderline: eigenvalues {near} lie "
+        f"within a factor {RANK_MARGIN:g} of the cutoff {cutoff:.3e}"
+    ]
+
+
+def _warn(notes: Sequence[str]) -> None:
+    """Warn each borderline note, attributed to the public function's caller."""
+    for note in notes:
+        warnings.warn(note, NumericalRankWarning, stacklevel=3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +142,13 @@ def support(rho, rtol: float = SUPPORT_RTOL) -> Subspace:
 
     Accepts a :class:`DensityMatrix` or any Hermitian PSD ndarray.
     """
+    sub, notes = _support(rho, rtol)
+    _warn(notes)
+    return sub
+
+
+def _support(rho, rtol: float) -> tuple[Subspace, list[str]]:
+    """:func:`support`, returning its borderline note instead of warning it."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
@@ -150,8 +164,8 @@ def support(rho, rtol: float = SUPPORT_RTOL) -> Subspace:
             f"operator is not positive semidefinite (eigenvalue {evals[0]:.3e})"
         )
     cutoff = rtol * lam_max
-    _warn_if_borderline(evals, cutoff, "support")
-    return Subspace(mat.shape[0], evecs[:, evals > cutoff])
+    notes = _borderline(evals, cutoff, "support")
+    return Subspace(mat.shape[0], evecs[:, evals > cutoff]), notes
 
 
 def projector(sub: Subspace) -> np.ndarray:
@@ -208,7 +222,7 @@ def intersect(subspaces: Sequence[Subspace], tol: float = INTERSECT_TOL) -> Subs
     for s in subs:
         accum -= projector(s)
     evals, evecs = np.linalg.eigh((accum + accum.conj().T) / 2.0)
-    _warn_if_borderline(evals, tol, "intersection")
+    _warn(_borderline(evals, tol, "intersection"))
     frame = evecs[:, evals < tol]
     for s in subs:
         if frame.shape[1] == 0:

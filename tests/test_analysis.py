@@ -13,6 +13,7 @@ from qlstab.analysis import (
     parent_hamiltonian,
 )
 from qlstab.subspaces import (
+    NumericalRankWarning,
     Subspace,
     equals,
     intersect,
@@ -301,6 +302,57 @@ class TestTieBreaking:
         report = check_dqls(psi, pattern)
         assert not any("borderline" in w for w in report.warnings)
         assert not report.borderline
+
+
+def _borderline_two_qubit():
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = math.sqrt(1 - 5e-9)
+    amps[3] = math.sqrt(5e-9)
+    psi = PureState(qubit_space(2), amps)
+    return psi, pattern_of(psi.space, [(0, 1), (0,), (1,)])
+
+
+class TestBorderlineNotesAsData:
+    """Borderline rank calls reach DqlsReport without process-global
+    warning capture; the public support-level functions still warn."""
+
+    def test_no_warning_capture_in_check_dqls(self, monkeypatch):
+        import warnings as _warnings
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("warnings.catch_warnings was called")
+
+        psi, pattern = _borderline_two_qubit()
+        with pytest.warns(synthesis.DegenerateNeighborhoodWarning):
+            with monkeypatch.context() as m:
+                m.setattr(_warnings, "catch_warnings", refuse)
+                report = check_dqls(psi, pattern)
+                forced = synthesis.synthesize_stabilizers(psi, pattern, force=True)
+        assert report.borderline
+        assert not report.verdict
+        # The support notes, in neighborhood order, then the downgrade.
+        with pytest.warns(NumericalRankWarning) as rec:
+            for hood in ((0,), (1,)):
+                support(partial_trace(psi, Neighborhood(hood)))
+        expected = [f"borderline rank decision: {w.message}" for w in rec]
+        assert len(expected) == 2
+        assert list(report.warnings[:2]) == expected
+        assert len(report.warnings) == 3
+        assert report.warnings[2].startswith("verdict downgraded to false")
+        assert len(forced.operators) == 3
+
+    def test_public_functions_still_warn(self):
+        psi, pattern = _borderline_two_qubit()
+        with pytest.warns(NumericalRankWarning, match="support rank decision"):
+            parent_hamiltonian(psi, pattern)
+        # Two lines at angle theta: the smallest eigenvalue of the summed
+        # complement projectors, 1 - cos(theta) ~ 1e-7, sits just above the
+        # 1e-8 intersection cutoff.
+        theta = math.sqrt(2e-7)
+        lines = [span(np.array([1.0, 0.0])),
+                 span(np.array([math.cos(theta), math.sin(theta)]))]
+        with pytest.warns(NumericalRankWarning, match="intersection rank decision"):
+            assert intersect(lines).dim == 0
 
 
 class TestLocalUnitaryInvariance:

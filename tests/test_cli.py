@@ -31,6 +31,19 @@ def dicke_instance(tmp_path, **extra):
     return write_instance(tmp_path / "dicke.json", data)
 
 
+def two_qubit_instance(tmp_path, weight):
+    """sqrt(1 - w)|00> + sqrt(w)|11> with neighborhoods {0, 1}, {0}, {1}."""
+    big, small = np.sqrt(1 - weight), np.sqrt(weight)
+    return write_instance(
+        tmp_path / "two_qubit.json",
+        {
+            "dims": [2, 2],
+            "state": [[big, 0.0], [0.0, 0.0], [0.0, 0.0], [small, 0.0]],
+            "neighborhoods": [[0, 1], [0], [1]],
+        },
+    )
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -191,6 +204,28 @@ class TestExitCodes:
         assert code == 6
         assert "step size" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-dqls"],
+            ["parent-ham", "--out", "ham"],
+            ["synthesize", "--out", "ops", "--force"],
+            ["certify", "--force"],
+            ["simulate", "--csv", "t.csv", "--force", "--t-final", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, argv):
+        # A Schmidt weight of 1e-13 sits below the support cutoff on the
+        # singletons but not on the pair, so the containment checks fail.
+        inst = two_qubit_instance(tmp_path, 1e-13)
+        words = [str(tmp_path / w) if w in ("ham", "ops", "t.csv") else w
+                 for w in argv[1:]]
+        code, report, err = run_cli(capsys, [argv[0], inst, *words])
+        assert code == 7
+        assert report is None
+        assert err.startswith("error: numerical failure: ")
+
 
 class TestSynthesizeCommand:
     def test_writes_operator_files_with_metadata(self, tmp_path, capsys):
@@ -254,6 +289,20 @@ class TestParentHamCommand:
         psi = inst_data.state.amplitudes
         np.testing.assert_allclose(
             total, np.eye(4) - np.outer(psi, psi.conj()), atol=1e-10
+        )
+
+
+    def test_borderline_rank_calls_are_reported(self, tmp_path, capsys):
+        inst = two_qubit_instance(tmp_path, 5e-9)
+        code, report, err = run_cli(
+            capsys, ["parent-ham", inst, "--out", str(tmp_path / "ham")]
+        )
+        assert code == 0
+        assert err == ""
+        assert len(report["warnings"]) == 2
+        assert all(
+            w.startswith("support rank decision is borderline: ")
+            for w in report["warnings"]
         )
 
 
@@ -586,3 +635,46 @@ class TestDeterminism:
         assert main(base + ["--csv", str(csv_b), "--seed", "2"]) == 0
         capsys.readouterr()
         assert csv_a.read_bytes() != csv_b.read_bytes()
+
+
+class TestReportSchema:
+    BASE = ["command", "instance", "state", "dims", "neighborhoods", "seed",
+            "tolerances"]
+    SIM = ["mode", "trajectories", "csv", "rows", "final_fidelities",
+           "min_final_fidelity", "warnings"]
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["check-dqls"],
+             ["verdict", "intersection_dim", "intersection_basis",
+              "per_neighborhood", "warnings"]),
+            (["parent-ham", "--out", "ham"],
+             ["kernel_dim", "frustration_free", "files", "warnings"]),
+            (["synthesize", "--out", "ops"],
+             ["gains_policy", "annihilation_residuals", "files", "warnings"]),
+            (["certify"],
+             ["mode", "certified", "kernel_dim", "spectral_abscissa_nonzero",
+              "gap", "eigenvalues", "warnings"]),
+            (["certify", "--dim-cap", "8", "--evidence-fallback",
+              "--trajectories", "1", "--t-final", "0.1"],
+             ["mode", "evidence_supported", "final_fidelities", "t_final",
+              "trajectories", "warnings"]),
+            (["simulate", "--csv", "s.csv", "--t-final", "0.1",
+              "--trajectories", "1"],
+             SIM + ["t_final"]),
+            (["simulate", "--csv", "s.csv", "--switched", "--cycles", "1",
+              "--trajectories", "1"],
+             SIM + ["tau", "cycles"]),
+        ],
+        ids=["check-dqls", "parent-ham", "synthesize", "certify-certificate",
+             "certify-evidence", "simulate-simultaneous", "simulate-switched"],
+    )
+    def test_top_level_key_order(self, tmp_path, capsys, argv, keys):
+        words = [str(tmp_path / w) if w in ("ham", "ops", "s.csv") else w
+                 for w in argv[1:]]
+        code, report, _ = run_cli(
+            capsys, [argv[0], dicke_instance(tmp_path), *words]
+        )
+        assert code == 0
+        assert list(report) == self.BASE + keys + ["timings"]
