@@ -24,10 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from . import subspaces
-from .subspaces import ORTH_TOL, SUPPORT_RTOL, Subspace
+from .subspaces import INTERSECT_TOL, ORTH_TOL, SUPPORT_RTOL, Subspace
 from .tensor import (
     DensityMatrix,
     DimensionMismatchError,
+    HERM_TOL,
     LocalityPattern,
     Neighborhood,
     PureState,
@@ -38,10 +39,11 @@ from .tensor import (
     partial_trace,
 )
 
-EIG_TOL = 1e-8
+ANNIHILATION_TOL = 1e-8
+PURITY_TOL = 1e-9
 
 __all__ = [
-    "EIG_TOL",
+    "ANNIHILATION_TOL",
     "NeighborhoodAnalysis",
     "DqlsReport",
     "ParentHamiltonian",
@@ -97,10 +99,17 @@ class ParentHamiltonian:
     terms: tuple[QLOperator, ...]
     total: np.ndarray = field(repr=False)
 
-    def kernel(self, tol: float = EIG_TOL) -> Subspace:
-        """Ground space: eigenvectors of the total with eigenvalue below tol."""
-        evals, evecs = np.linalg.eigh((self.total + self.total.conj().T) / 2.0)
-        return Subspace(self.total.shape[0], evecs[:, evals < tol])
+    def kernel(self) -> Subspace:
+        """Ground space: eigenvectors of the total below ``INTERSECT_TOL``."""
+        return _kernel(self.total)[1]
+
+
+def _kernel(total: np.ndarray) -> tuple[np.ndarray, Subspace]:
+    """Eigenvalues of a parent-Hamiltonian sum and its kernel: the eigenvectors
+    below ``INTERSECT_TOL``, each with its largest entry made real positive."""
+    evals, evecs = np.linalg.eigh((total + total.conj().T) / 2.0)
+    kernel = [_fix_phase(v) for v in evecs[:, evals < INTERSECT_TOL].T]
+    return evals, Subspace(total.shape[0], np.transpose(kernel))
 
 
 def _complement_terms(psi: PureState, pattern: LocalityPattern, rtol: float):
@@ -151,12 +160,10 @@ def check_dqls(
             f"uncovered subsystems {list(uncovered)}: no neighborhood acts on them"
         )
     per, terms, total, rank_notes = _complement_terms(psi, pattern, rtol)
-    evals, evecs = np.linalg.eigh((total + total.conj().T) / 2.0)
-    rank_notes += subspaces._borderline(evals, subspaces.INTERSECT_TOL, "intersection")
+    evals, intersection = _kernel(total)
+    rank_notes += subspaces._borderline(evals, INTERSECT_TOL, "intersection")
     borderline = bool(rank_notes)
     notes += [f"borderline rank decision: {note}" for note in rank_notes]
-    kernel = [_fix_phase(v) for v in evecs[:, evals < subspaces.INTERSECT_TOL].T]
-    intersection = Subspace(psi.space.dim, np.transpose(kernel))
     for term in terms:
         applied = apply_local(term, psi.space, intersection.frame)
         worst = float(np.max(np.linalg.norm(applied, axis=0), initial=0.0))
@@ -173,7 +180,7 @@ def check_dqls(
     residual = float(
         np.linalg.norm(psi.amplitudes - intersection.frame @ overlap)
     )
-    if residual > 1e-8:
+    if not residual <= ANNIHILATION_TOL:
         raise ArithmeticError(
             f"target escaped the intersection subspace by {residual:.3e}; "
             "support thresholds are inconsistent with this input"
@@ -204,31 +211,29 @@ def parent_hamiltonian(
     _, terms, total, notes = _complement_terms(psi, pattern, rtol)
     subspaces._warn(notes)
     residual = float(np.linalg.norm(total @ psi.amplitudes))
-    if residual > 1e-8:
+    if not residual <= ANNIHILATION_TOL:
         raise ArithmeticError(
             f"parent Hamiltonian fails to annihilate the target ({residual:.3e})"
         )
     return ParentHamiltonian(psi.space, tuple(terms), total)
 
 
-def is_frustration_free(
-    psi: PureState, terms: Sequence[QLOperator], tol: float = EIG_TOL
-) -> bool:
+def is_frustration_free(psi: PureState, terms: Sequence[QLOperator]) -> bool:
     """Whether the target attains every term's minimum eigenvalue.
 
     True iff for each Hermitian term the expectation value on ``psi`` equals
-    the smallest eigenvalue of the embedded term within ``tol``.
+    the smallest eigenvalue of the embedded term within ``INTERSECT_TOL``.
     """
     for k, term in enumerate(terms):
         asym = np.max(np.abs(term.block - term.block.conj().T))
-        if asym > 1e-9 * max(1.0, float(np.max(np.abs(term.block)))):
+        if asym > HERM_TOL * max(1.0, float(np.max(np.abs(term.block)))):
             raise ValueError(f"term {k} is not Hermitian (asymmetry {asym:.3e})")
         applied = apply_local(term, psi.space, psi.amplitudes)
         expectation = float(np.real(np.vdot(psi.amplitudes, applied)))
         # Tensoring with the identity leaves the set of eigenvalues unchanged,
         # so the minimum can be read off the block.
         lam_min = float(np.linalg.eigvalsh((term.block + term.block.conj().T) / 2)[0])
-        if abs(expectation - lam_min) > tol:
+        if abs(expectation - lam_min) > INTERSECT_TOL:
             return False
     return True
 
@@ -240,13 +245,11 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
-def factorize_pure_state(
-    psi: PureState, tol: float = 1e-9
-) -> list[tuple[tuple[int, ...], PureState]]:
+def factorize_pure_state(psi: PureState) -> list[tuple[tuple[int, ...], PureState]]:
     """Finest tensor factorization of a pure state across subsystem subsets.
 
     A subset splits off exactly when its reduced state is pure (purity
-    deficit below ``tol``); searching subsets in size order yields minimal
+    deficit at most ``PURITY_TOL``); searching subsets in size order yields minimal
     factors, so no returned factor has further product structure. Factors
     come back ordered by their smallest subsystem index, each with a
     deterministic global phase.
@@ -265,7 +268,7 @@ def factorize_pure_state(
                 subset = tuple(sorted((anchor,) + combo))
                 reduced = partial_trace(rho, Neighborhood(subset))
                 purity = float(np.real(np.trace(reduced.matrix @ reduced.matrix)))
-                if 1.0 - purity <= tol:
+                if 1.0 - purity <= PURITY_TOL:
                     found, found_reduced = subset, reduced
                     break
             if found is not None:

@@ -29,20 +29,25 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .subspaces import complete_frame
-from .synthesis import StabilizerSet
+from .subspaces import RANK_MARGIN, complete_frame
+from .synthesis import INVARIANCE_TOL, StabilizerSet
 from .tensor import (
     DensityMatrix,
     DimensionMismatchError,
     HERM_TOL,
+    NORM_TOL,
     PureState,
     TensorSpace,
     embed,
 )
 
 EIG_TOL = 1e-8
+STEADY_STATE_TOL = 1e-7
 DEFAULT_DIM_CAP = 64
 TRACE_DRIFT_LIMIT = 1e-6
+# A valid state never has entries above 1; the integrator step preserves the
+# trace exactly, so instability shows up as entry blowup first.
+DIVERGENCE_LIMIT = 10.0
 SNAPSHOT_HERM_TOL = 1e-7
 SNAPSHOT_TRACE_TOL = 1e-7
 SNAPSHOT_PSD_TOL = 1e-5
@@ -357,20 +362,16 @@ def _classify_spectrum(evals: np.ndarray, tol: float) -> SpectrumReport:
 
 
 def gas_certificate(
-    gen: LindbladGenerator,
-    target: PureState,
-    *,
-    tol: float = EIG_TOL,
-    state_tol: float = 1e-7,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    gen: LindbladGenerator, target: PureState, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> GasCertificate:
     """Spectral certificate that the target is globally asymptotically stable.
 
     Certifies exactly when (a) the vectorized generator has a
-    one-dimensional kernel, (b) the kernel vector, trace-normalized, is the
-    target's density matrix within ``state_tol``, and (c) no nonzero
-    eigenvalue has real part within ``tol`` of zero, which rules out
-    invariant structures that merely rotate.
+    one-dimensional kernel (eigenvalues of modulus at most ``EIG_TOL``),
+    (b) the kernel vector, trace-normalized, is the target's density matrix
+    within ``STEADY_STATE_TOL``, and (c) no nonzero eigenvalue has real part
+    within ``EIG_TOL`` of zero, which rules out invariant structures that
+    merely rotate.
 
     The vectorized generator is conjugated in place into its real form in a
     Hermitian basis (see :func:`_real_form`), which has the same spectrum.
@@ -393,17 +394,17 @@ def gas_certificate(
     real = _real_form(vectorize(gen), d)
     evals = np.linalg.eigvals(real).astype(complex, copy=False)
     worst = float(np.max(evals.real))
-    if worst > 100 * tol:
+    if worst > RANK_MARGIN * EIG_TOL:
         raise ArithmeticError(
             f"generator spectrum reaches into the right half plane ({worst:.3e}); "
             "the input is not a valid dissipative generator"
         )
-    report = _classify_spectrum(evals, tol)
+    report = _classify_spectrum(evals, EIG_TOL)
     messages: list[str] = []
     near = [
         complex(z)
         for z in evals
-        if tol / 100.0 <= abs(z.real) <= tol * 100.0
+        if EIG_TOL / RANK_MARGIN <= abs(z.real) <= EIG_TOL * RANK_MARGIN
     ]
     if near:
         messages.append(
@@ -419,7 +420,7 @@ def gas_certificate(
         else:
             rho_target = np.outer(target.amplitudes, target.amplitudes.conj())
             deviation = float(np.linalg.norm(steady - rho_target))
-            if deviation > state_tol:
+            if deviation > STEADY_STATE_TOL:
                 messages.append(
                     f"stationary state differs from the target by {deviation:.3e}"
                 )
@@ -429,7 +430,7 @@ def gas_certificate(
     rotating = [
         complex(z)
         for z in evals
-        if abs(z) > tol and abs(z.real) <= tol
+        if abs(z) > EIG_TOL and abs(z.real) <= EIG_TOL
     ]
     if rotating:
         messages.append(f"rotating invariant structure: eigenvalues {rotating}")
@@ -437,10 +438,8 @@ def gas_certificate(
     return GasCertificate(certified, report, steady, tuple(messages))
 
 
-def check_invariance(
-    gen: LindbladGenerator, psi: PureState, tol: float = 1e-9
-) -> InvarianceDiagnostics:
-    """Dual-route check that a pure target is stationary for the generator."""
+def check_invariance(gen: LindbladGenerator, psi: PureState) -> InvarianceDiagnostics:
+    """Dual-route check that a pure target is stationary (``INVARIANCE_TOL``)."""
     d = gen.space.dim
     if psi.space != gen.space:
         raise DimensionMismatchError("state and generator live on different spaces")
@@ -460,11 +459,11 @@ def check_invariance(
         ham_residual = float(np.linalg.norm(1j * ham_rot[0, 1:] - 0.5 * cross))
     else:
         ham_residual = 0.0
-    block_ok = offdiag <= tol and ham_residual <= tol
+    block_ok = offdiag <= INVARIANCE_TOL and ham_residual <= INVARIANCE_TOL
 
     rho_d = np.outer(psi.amplitudes, psi.amplitudes.conj())
     gen_residual = float(np.linalg.norm(apply_generator(gen, rho_d)))
-    gen_ok = gen_residual <= tol
+    gen_ok = gen_residual <= INVARIANCE_TOL
 
     if block_ok != gen_ok:
         warnings.warn(
@@ -545,9 +544,7 @@ def evolve(
     for k in range(1, steps + 1):
         mat = _rk4_step(gen, mat, dt_eff)
         peak = float(np.max(np.abs(mat)))
-        if not math.isfinite(peak) or peak > 10.0:
-            # A valid state never has entries above 1; the step preserves the
-            # trace exactly, so instability shows up as entry blowup first.
+        if not peak <= DIVERGENCE_LIMIT:
             raise IntegrationError(
                 f"solution diverged (max entry {peak:.3e}) at "
                 f"t={k * dt_eff:.6g} (dt={dt_eff:.3e}); reduce the step size"
@@ -605,7 +602,7 @@ def fme_generator(
     ham = sum(pieces, np.zeros((d, d), dtype=complex))
     ham = ham + 0.5 * (f @ m + m.conj().T @ f)
     asym = np.max(np.abs(ham - ham.conj().T))
-    if asym > 1e-9 * max(1.0, float(np.max(np.abs(ham)))):
+    if asym > HERM_TOL * max(1.0, float(np.max(np.abs(ham)))):
         raise ArithmeticError(
             f"assembled feedback Hamiltonian is not Hermitian ({asym:.3e})"
         )
@@ -619,9 +616,7 @@ def fme_generator(
     return LindbladGenerator(space, (ham + ham.conj().T) / 2.0, (noise,))
 
 
-def switched_map(
-    schedule: SwitchingSchedule, dim_cap: int = DEFAULT_DIM_CAP
-) -> np.ndarray:
+def switched_map(schedule: SwitchingSchedule) -> np.ndarray:
     """Vectorized map of one full switching cycle (last generator leftmost).
 
     Computed as the product of dense matrix exponentials of the vectorized
@@ -630,9 +625,9 @@ def switched_map(
     """
     space = schedule.generators[0].space
     d = space.dim
-    if d > dim_cap:
+    if d > DEFAULT_DIM_CAP:
         raise DimensionCapError(
-            f"dimension {d} exceeds the dense spectral cap {dim_cap}"
+            f"dimension {d} exceeds the dense spectral cap {DEFAULT_DIM_CAP}"
         )
     total = np.eye(d * d, dtype=complex)
     for gen in schedule.generators:
@@ -644,12 +639,12 @@ def switched_map(
         rho /= np.trace(rho).real
         image = unstack(total @ stack(rho), d)
         out_trace = complex(np.trace(image))
-        if abs(out_trace - 1.0) > 1e-9:
+        if abs(out_trace - 1.0) > NORM_TOL:
             raise ArithmeticError(
                 f"cycle map is not trace preserving (trace {out_trace!r})"
             )
         asym = float(np.max(np.abs(image - image.conj().T)))
-        if asym > 1e-9:
+        if asym > HERM_TOL:
             raise ArithmeticError(
                 f"cycle map does not preserve Hermiticity (asymmetry {asym:.3e})"
             )

@@ -24,6 +24,7 @@ from .tensor import DensityMatrix, DimensionMismatchError
 ORTH_TOL = 1e-9
 INTERSECT_TOL = 1e-8
 SUPPORT_RTOL = 1e-10
+OPERATOR_RTOL = 1e-8
 # Rank decisions whose eigenvalues sit within this factor of the cutoff are
 # reported, so borderline verdicts stay auditable.
 RANK_MARGIN = 100.0
@@ -157,9 +158,9 @@ def _support(rho, rtol: float) -> tuple[Subspace, list[str]]:
     lam_max = float(evals[-1])
     if lam_max <= 0.0:
         raise ValueError("the zero (or negative) operator has no support")
-    if asym > 1e-8 * max(1.0, lam_max):
+    if asym > OPERATOR_RTOL * max(1.0, lam_max):
         raise ValueError(f"operator is not Hermitian (asymmetry {asym:.3e})")
-    if float(evals[0]) < -1e-8 * lam_max:
+    if float(evals[0]) < -OPERATOR_RTOL * lam_max:
         raise ValueError(
             f"operator is not positive semidefinite (eigenvalue {evals[0]:.3e})"
         )

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import DqlsReport, check_dqls
+from .analysis import ANNIHILATION_TOL, DqlsReport, check_dqls
 from .subspaces import SUPPORT_RTOL, Subspace, complete_frame
 from .tensor import (
     LocalityPattern,
@@ -30,7 +30,7 @@ from .tensor import (
     apply_local,
 )
 
-ANNIHILATION_TOL = 1e-8
+INVARIANCE_TOL = 1e-9
 # Default multiplier on the per-policy gains. Relaxation rates grow
 # quadratically with the gains, and the unit-gain combined generator for the
 # two-neighborhood 4-qubit fixtures relaxes with a gap near 0.11, far too
@@ -39,7 +39,6 @@ ANNIHILATION_TOL = 1e-8
 DEFAULT_GAIN_SCALE = 3.0
 
 __all__ = [
-    "ANNIHILATION_TOL",
     "DEFAULT_GAIN_SCALE",
     "NotStabilizableError",
     "DegenerateNeighborhoodWarning",
@@ -194,10 +193,7 @@ def synthesize_stabilizers(
 
 
 def renormalize_generator(
-    hamiltonian: np.ndarray,
-    noise_ops: Sequence[np.ndarray],
-    psi: PureState,
-    tol: float = 1e-9,
+    hamiltonian: np.ndarray, noise_ops: Sequence[np.ndarray], psi: PureState
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Shift noise operators so they annihilate a common eigenvector.
 
@@ -222,7 +218,7 @@ def renormalize_generator(
             raise ValueError(f"noise operator {k} shape {op.shape} != ({d}, {d})")
         eigval = complex(np.vdot(psi.amplitudes, op @ psi.amplitudes))
         residual = float(np.linalg.norm(op @ psi.amplitudes - eigval * psi.amplitudes))
-        if residual > tol:
+        if residual > INVARIANCE_TOL:
             raise ValueError(
                 f"target is not an eigenvector of noise operator {k} "
                 f"(residual {residual:.3e})"

@@ -14,6 +14,8 @@ from scipy.linalg import expm
 
 from qlstab.analysis import check_dqls, parent_hamiltonian
 from qlstab.dynamics import (
+    EIG_TOL,
+    STEADY_STATE_TOL,
     LindbladGenerator,
     SwitchingSchedule,
     evolve,
@@ -203,7 +205,8 @@ def test_criterion_06_spectral_certificate():
         psi, pattern = dicke_pattern()
         stabs = synthesize_stabilizers(psi, pattern)
         gen = stabilizer_generator(stabs, psi.space)
-        cert = gas_certificate(gen, psi, tol=1e-8, state_tol=1e-7)
+        assert (EIG_TOL, STEADY_STATE_TOL) == (1e-8, 1e-7)
+        cert = gas_certificate(gen, psi)
         assert cert.certified
         assert cert.spectrum.kernel_dim == 1
         nonzero = cert.spectrum.eigenvalues[np.abs(cert.spectrum.eigenvalues) > 1e-8]
