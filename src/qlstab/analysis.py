@@ -18,6 +18,7 @@ in parallel; the sum of the embedded terms is a sequential reduction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -249,35 +250,36 @@ def factorize_pure_state(psi: PureState) -> list[tuple[tuple[int, ...], PureStat
     """Finest tensor factorization of a pure state across subsystem subsets.
 
     A subset splits off exactly when its reduced state is pure (purity
-    deficit at most ``PURITY_TOL``); searching subsets in size order yields minimal
-    factors, so no returned factor has further product structure. Factors
-    come back ordered by their smallest subsystem index, each with a
-    deterministic global phase.
+    deficit at most ``PURITY_TOL``); searching subsets in size order yields
+    minimal factors, so no returned factor has further product structure.
+    Factors come back ordered by their smallest subsystem index, each with a
+    deterministic global phase. The purity is sum(s**4) over the singular
+    values s of the amplitudes reshaped to (subset dim, rest dim), and the
+    factor is the top left singular vector; no D x D matrix is formed.
     """
     space = psi.space
-    rho = psi.density_matrix()
+    amplitudes = psi.amplitudes.reshape(space.dims)
     remaining = list(range(space.n_subsystems))
     factors: list[tuple[tuple[int, ...], PureState]] = []
     while remaining:
         anchor = remaining[0]
         rest = remaining[1:]
-        found: tuple[int, ...] | None = None
-        found_reduced: DensityMatrix | None = None
+        found: tuple[tuple[int, ...], np.ndarray] | None = None
         for size in range(1, len(remaining) + 1):
             for combo in itertools.combinations(rest, size - 1):
                 subset = tuple(sorted((anchor,) + combo))
-                reduced = partial_trace(rho, Neighborhood(subset))
-                purity = float(np.real(np.trace(reduced.matrix @ reduced.matrix)))
-                if 1.0 - purity <= PURITY_TOL:
-                    found, found_reduced = subset, reduced
+                d_subset = math.prod(space.subspace_dims(subset))
+                matrix = np.moveaxis(amplitudes, subset, range(len(subset)))
+                matrix = matrix.reshape(d_subset, -1)
+                u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+                if 1.0 - float(np.sum(s**4)) <= PURITY_TOL:
+                    found = subset, u[:, 0]
                     break
             if found is not None:
                 break
-        assert found is not None and found_reduced is not None
-        evals, evecs = np.linalg.eigh(found_reduced.matrix)
-        vec = _fix_phase(evecs[:, -1])
-        factors.append(
-            (found, PureState(found_reduced.space, vec / np.linalg.norm(vec)))
-        )
-        remaining = [a for a in remaining if a not in found]
+        assert found is not None
+        subset, vec = found
+        sub_space = TensorSpace(space.subspace_dims(subset))
+        factors.append((subset, PureState(sub_space, _fix_phase(vec))))
+        remaining = [a for a in remaining if a not in subset]
     return factors

@@ -25,6 +25,8 @@ Operator matrix files are {"meta": {...}, "matrix": [[[re, im], ...], ...]}.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -98,6 +100,29 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _integer(value: Any, what: str) -> int:
+    """An int or an integral float; booleans and everything else are malformed."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise InstanceFormatError(f"{what}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(value: Any, what: str) -> float:
+    """A finite real number; booleans, strings and NaN or infinities are malformed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InstanceFormatError(f"{what}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InstanceFormatError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def _build_state(space: TensorSpace, descriptor: Any) -> tuple[PureState, str]:
     dims = space.dims
     n = space.n_subsystems
@@ -128,7 +153,10 @@ def _build_state(space: TensorSpace, descriptor: Any) -> tuple[PureState, str]:
         return make_ghz(n), name
     if name == "w":
         require_qubits(name)
-        return make_w(n), name
+        try:
+            return make_w(n), name
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc)) from exc
     if name == "psi_t":
         if dims != (2, 2, 2, 2):
             raise DimensionMismatchError(
@@ -141,7 +169,7 @@ def _build_state(space: TensorSpace, descriptor: Any) -> tuple[PureState, str]:
         if edges is None:
             raise InstanceFormatError("graph state needs an 'edges' list")
         try:
-            edge_pairs = [(int(u), int(v)) for u, v in edges]
+            edge_pairs = [(_integer(u, "edge"), _integer(v, "edge")) for u, v in edges]
         except (TypeError, ValueError) as exc:
             raise InstanceFormatError(f"malformed edge list: {exc}") from exc
         try:
@@ -174,15 +202,16 @@ def parse_instance(data: Any) -> ProblemInstance:
 
     Structural problems raise :class:`InstanceFormatError`; size and index
     inconsistencies raise :class:`DimensionMismatchError` so callers can
-    distinguish the two failure classes.
+    distinguish the two failure classes. Integer fields (dims, neighborhood
+    indices, graph edges) accept integers and integral floats only, and
+    ``tolerance`` and ``gain_scale`` must be finite numbers.
     """
     if not isinstance(data, dict):
         raise InstanceFormatError("instance must be a JSON object")
     raw_dims = _require(data, "dims")
-    try:
-        dims = tuple(int(d) for d in raw_dims)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"malformed dims: {exc}") from exc
+    if not isinstance(raw_dims, list):
+        raise InstanceFormatError("dims must be a list of integers")
+    dims = tuple(_integer(d, "dims") for d in raw_dims)
     try:
         space = TensorSpace(dims)
     except ValueError as exc:
@@ -195,18 +224,18 @@ def parse_instance(data: Any) -> ProblemInstance:
         raise InstanceFormatError("neighborhoods must be a non-empty list of lists")
     hoods = []
     for entry in raw_hoods:
+        if not isinstance(entry, list):
+            raise InstanceFormatError(f"malformed neighborhood {entry!r}: not a list")
+        indices = tuple(_integer(a, "neighborhood index") for a in entry)
         try:
-            hoods.append(Neighborhood(tuple(int(a) for a in entry)))
-        except (TypeError, ValueError) as exc:
+            hoods.append(Neighborhood(indices))
+        except ValueError as exc:
             raise InstanceFormatError(f"malformed neighborhood {entry!r}: {exc}") from exc
     pattern = LocalityPattern(space, tuple(hoods))
 
     tolerance = data.get("tolerance")
     if tolerance is not None:
-        try:
-            tolerance = float(tolerance)
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"malformed tolerance: {exc}") from exc
+        tolerance = _finite(tolerance, "tolerance")
         if not (0.0 < tolerance < 1.0):
             raise InstanceFormatError("tolerance must lie strictly between 0 and 1")
 
@@ -217,10 +246,7 @@ def parse_instance(data: Any) -> ProblemInstance:
         )
     gain_scale = data.get("gain_scale")
     if gain_scale is not None:
-        try:
-            gain_scale = float(gain_scale)
-        except (TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"malformed gain_scale: {exc}") from exc
+        gain_scale = _finite(gain_scale, "gain_scale")
         if gain_scale <= 0.0:
             raise InstanceFormatError("gain_scale must be strictly positive")
     return ProblemInstance(

@@ -15,6 +15,7 @@ correction, leaving the generator's action unchanged.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -76,13 +77,13 @@ def gains_for(policy: str, count: int, scale: float = 1.0) -> tuple[float, ...]:
     """Gain sequence of the given length for a named policy.
 
     ``uniform`` uses all ones; ``graded`` uses 1, 2, ..., which breaks the
-    spectral degeneracies of the uniform choice. ``scale`` multiplies the
-    whole sequence.
+    spectral degeneracies of the uniform choice. ``scale``, finite and
+    positive, multiplies the whole sequence.
     """
     if count < 0:
         raise ValueError("gain count must be non-negative")
-    if scale <= 0:
-        raise ValueError("gain scale must be strictly positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("gain scale must be finite and strictly positive")
     if policy == "uniform":
         return (float(scale),) * count
     if policy == "graded":
@@ -184,7 +185,7 @@ def synthesize_stabilizers(
     for op in operators:
         residual = float(np.linalg.norm(apply_local(op, psi.space, psi.amplitudes)))
         residuals.append(residual)
-        if residual > ANNIHILATION_TOL:
+        if not residual <= ANNIHILATION_TOL:
             raise ArithmeticError(
                 f"synthesized operator on {op.neighborhood.indices} fails to "
                 f"annihilate the target (residual {residual:.3e})"

@@ -123,7 +123,7 @@ class PureState:
                 f"space has dimension {self.space.dim}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm {nrm!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -159,13 +159,13 @@ class DensityMatrix:
         d = self.space.dim
         mat = _as_complex_matrix(self.matrix, (d, d))
         asym = np.max(np.abs(mat - mat.conj().T))
-        if asym > herm_tol:
+        if not asym <= herm_tol:
             raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e}")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > trace_tol:
+        if not abs(tr - 1.0) <= trace_tol:
             raise ValueError(f"trace {tr!r} is not 1 within {trace_tol}")
         lam_min = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
-        if lam_min < -psd_tol:
+        if not lam_min >= -psd_tol:
             raise ValueError(f"matrix has negative eigenvalue {lam_min:.3e}")
         object.__setattr__(self, "matrix", _freeze(mat))
 

@@ -517,6 +517,30 @@ class TestFactorization:
             rebuilt = np.kron(rebuilt, factor.amplitudes)
         assert abs(abs(np.vdot(rebuilt, psi.amplitudes)) - 1.0) < 1e-10
 
+    def test_non_contiguous_factors_without_density_matrix(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pair = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        trits = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        pair /= np.linalg.norm(pair)
+        trits /= np.linalg.norm(trits)
+        amps = np.einsum("ik,jl->ijkl", pair, trits).reshape(-1)
+        psi = PureState(TensorSpace((2, 3, 2, 3)), amps)
+        rho = psi.density_matrix()
+
+        def refuse(self):
+            raise AssertionError("built the D x D density matrix of a pure target")
+
+        monkeypatch.setattr(PureState, "density_matrix", refuse)
+        factors = factorize_pure_state(psi)
+        assert [idx for idx, _ in factors] == [(0, 2), (1, 3)]
+        for (idx, factor), block in zip(factors, (pair, trits)):
+            assert abs(abs(np.vdot(factor.amplitudes, block.reshape(-1))) - 1) < 1e-12
+            np.testing.assert_allclose(
+                np.outer(factor.amplitudes, factor.amplitudes.conj()),
+                partial_trace(rho, Neighborhood(idx)).matrix,
+                atol=1e-12,
+            )
+
     def test_two_entangled_blocks(self):
         ghz = make_ghz(2).amplitudes
         bell = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)

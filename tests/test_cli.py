@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, exit codes, file outputs, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -225,6 +226,45 @@ class TestExitCodes:
         assert code == 7
         assert report is None
         assert err.startswith("error: numerical failure: ")
+
+
+    @pytest.mark.parametrize(
+        "key, value, fragment",
+        [
+            ("dims", [2, math.inf], "expected an integer"),
+            ("dims", [2, 2.7], "expected an integer"),
+            ("dims", [2, True], "expected an integer"),
+            ("neighborhoods", [[0, math.inf]], "expected an integer"),
+            ("neighborhoods", [[0, 1.9]], "expected an integer"),
+            ("neighborhoods", [[0, True]], "expected an integer"),
+            ("state", {"name": "graph", "edges": [[0, 1.5]]}, "expected an integer"),
+            ("state", {"name": "graph", "edges": [[0, True]]}, "expected an integer"),
+            ("state", [[1.0, 0.0], [math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]], "norm"),
+            ("dims", [2], "W state needs n >= 2"),
+        ],
+        ids=["dims-inf", "dims-2.7", "dims-true", "hood-inf", "hood-1.9",
+             "hood-true", "edge-1.5", "edge-true", "nan-amplitude", "w-one-qubit"],
+    )
+    def test_malformed_numbers_are_parse_errors(
+        self, tmp_path, capsys, key, value, fragment
+    ):
+        data = {"dims": [2, 2], "state": "w", "neighborhoods": [[0, 1]]}
+        data[key] = value
+        inst = write_instance(tmp_path / "odd.json", data)
+        code, report, err = run_cli(capsys, ["check-dqls", inst])
+        assert code == 2
+        assert report is None
+        assert fragment in err
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_gain_scale_is_parse_error(self, tmp_path, capsys, scale):
+        inst = dicke_instance(tmp_path, gain_scale=scale)
+        out = tmp_path / "ops"
+        code, report, err = run_cli(capsys, ["synthesize", inst, "--out", str(out)])
+        assert code == 2
+        assert report is None
+        assert "gain_scale must be finite" in err
+        assert not out.exists()
 
 
 class TestSynthesizeCommand:

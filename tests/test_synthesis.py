@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qlstab import synthesis
 from qlstab.cli import main
 from qlstab.instances import load_instance
 from qlstab.dynamics import (
@@ -67,6 +68,9 @@ class TestGainPolicies:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             gains_for("uniform", 2, scale=0.0)
+        for scale in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gains_for("uniform", 2, scale=scale)
 
 
 class TestSynthesizeBlock:
@@ -190,6 +194,17 @@ class TestSynthesizeStabilizers:
             assert op.block.shape == (8, 8)
             residual = np.linalg.norm(embed(op, psi.space) @ psi.amplitudes)
             assert residual < 1e-10
+
+    def test_nan_residual_fails_the_annihilation_check(self, monkeypatch):
+        psi = make_dicke_4_2()
+        pattern = LocalityPattern(
+            psi.space, (Neighborhood((0, 1, 2)), Neighborhood((1, 2, 3)))
+        )
+        monkeypatch.setattr(
+            synthesis, "synthesize_block", lambda sup, gains: np.full((8, 8), np.nan)
+        )
+        with pytest.raises(ArithmeticError, match="fails to annihilate"):
+            synthesize_stabilizers(psi, pattern)
 
     def test_product_state_gets_lowering_type_operators(self):
         psi = basis_state(qubit_space(2), 0)

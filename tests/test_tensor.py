@@ -48,6 +48,8 @@ class TestTypes:
     def test_pure_state_requires_normalization(self):
         with pytest.raises(ValueError):
             PureState(qubit_space(1), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="norm"):
+            PureState(qubit_space(1), np.array([1.0, math.nan]))
 
     def test_pure_state_requires_matching_length(self):
         with pytest.raises(DimensionMismatchError):
@@ -61,6 +63,11 @@ class TestTypes:
             DensityMatrix(space, np.diag([0.7, 0.7]))  # trace 1.4
         with pytest.raises(ValueError):
             DensityMatrix(space, np.diag([1.5, -0.5]))  # negative eigenvalue
+        for entry in ((0, 0), (0, 1)):
+            mat = np.diag([0.5, 0.5]).astype(complex)
+            mat[entry] = mat[entry[::-1]] = math.nan
+            with pytest.raises(ValueError, match="nan"):
+                DensityMatrix(space, mat)
 
     def test_neighborhood_normalizes_and_validates(self):
         assert Neighborhood((2, 0)).indices == (0, 2)
