@@ -54,7 +54,6 @@ from .analysis import (
     parent_hamiltonian,
 )
 from .synthesis import (
-    DegenerateNeighborhoodWarning,
     NotStabilizableError,
     StabilizerSet,
     gains_for,

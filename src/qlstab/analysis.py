@@ -8,8 +8,8 @@ quasi-local parent Hamiltonian sum_k (I - P_k), one complement projector per
 neighborhood, so both share one per-neighborhood loop and the verdict is read
 off one eigendecomposition. The module also checks frustration-freeness and
 exposes the tensor-factor pre-reduction of a target state. Borderline rank
-calls reach ``DqlsReport`` as returned notes, never through warning capture;
-``parent_hamiltonian`` warns them.
+calls are returned as notes in ``DqlsReport.warnings`` and
+``ParentHamiltonian.warnings``; nothing here raises or captures a warning.
 
 Per-neighborhood work (reduced state, support) is independent and could run
 in parallel; the sum of the embedded terms is a sequential reduction.
@@ -93,12 +93,14 @@ class ParentHamiltonian:
 
     Each term's block is the orthogonal projector onto the complement of the
     reduced-state support on its neighborhood, so every term is a Hermitian
-    idempotent and the total is positive semidefinite.
+    idempotent and the total is positive semidefinite. ``warnings`` holds the
+    borderline support rank calls, in neighborhood order.
     """
 
     space: TensorSpace
     terms: tuple[QLOperator, ...]
     total: np.ndarray = field(repr=False)
+    warnings: tuple[str, ...] = ()
 
     def kernel(self) -> Subspace:
         """Ground space: eigenvectors of the total below ``INTERSECT_TOL``."""
@@ -210,13 +212,12 @@ def parent_hamiltonian(
     the target precisely when the stabilizability verdict is true.
     """
     _, terms, total, notes = _complement_terms(psi, pattern, rtol)
-    subspaces._warn(notes)
     residual = float(np.linalg.norm(total @ psi.amplitudes))
     if not residual <= ANNIHILATION_TOL:
         raise ArithmeticError(
             f"parent Hamiltonian fails to annihilate the target ({residual:.3e})"
         )
-    return ParentHamiltonian(psi.space, tuple(terms), total)
+    return ParentHamiltonian(psi.space, tuple(terms), total, tuple(notes))
 
 
 def is_frustration_free(psi: PureState, terms: Sequence[QLOperator]) -> bool:

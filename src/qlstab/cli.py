@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from . import analysis, dynamics, subspaces, synthesis
 from .instances import (
     InstanceFormatError,
     ProblemInstance,
+    _neighborhood,
     array_to_pairs,
     load_instance,
     read_operator_file,
@@ -34,7 +34,6 @@ from .instances import (
 )
 from .tensor import (
     DimensionMismatchError,
-    Neighborhood,
     QLOperator,
     random_density_matrix,
     random_pure_state,
@@ -208,7 +207,7 @@ def _cmd_parent_ham(args, instance: ProblemInstance, rtol: float) -> dict:
         "kernel_dim": kernel.dim,
         "frustration_free": frustration_free,
         "files": files,
-        "warnings": [],
+        "warnings": list(ham.warnings),
     }
 
 
@@ -255,7 +254,7 @@ def _cmd_synthesize(args, instance: ProblemInstance, rtol: float) -> dict:
         "gains_policy": instance.gains_policy,
         "annihilation_residuals": list(stabilizers.residuals),
         "files": files,
-        "warnings": [forced] if args.force else [],
+        "warnings": list(stabilizers.warnings) + ([forced] if args.force else []),
     }
 
 
@@ -266,21 +265,24 @@ def _load_operators(directory: str, instance: ProblemInstance):
     ops = []
     for path in paths:
         matrix, meta = read_operator_file(path)
-        hood = meta.get("neighborhood")
-        if hood is None:
+        if meta.get("neighborhood") is None:
             raise InstanceFormatError(f"{path}: missing 'neighborhood' metadata")
-        ops.append(QLOperator(Neighborhood(tuple(int(a) for a in hood)), matrix))
+        try:
+            hood = _neighborhood(meta["neighborhood"])
+        except InstanceFormatError as exc:
+            raise InstanceFormatError(f"{path}: {exc}") from exc
+        ops.append(QLOperator(hood, matrix))
     gains = tuple(() for _ in ops)
     return synthesis.StabilizerSet(tuple(ops), gains, ())
 
 
 def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
-    notes: list[str] = []
     if args.operators:
         stabilizers = _load_operators(args.operators, instance)
-        notes.append(f"operators loaded from {args.operators}")
+        notes = [f"operators loaded from {args.operators}"]
     else:
         stabilizers = _synthesize(instance, rtol, args.force)
+        notes = list(stabilizers.warnings)
     gen = dynamics.stabilizer_generator(stabilizers, instance.space)
     dim = instance.space.dim
     if dim <= args.dim_cap:
@@ -327,12 +329,15 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
 
 def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
     stabilizers = _synthesize(instance, rtol, args.force)
+    notes = list(stabilizers.warnings)
     rng = np.random.default_rng(args.seed)
     if args.switched:
         schedule = dynamics.SwitchingSchedule(
             args.tau,
             tuple(dynamics.stabilizer_generators(stabilizers, instance.space)),
         )
+        if len(schedule.generators) == 1:
+            notes.append("single-generator schedule degenerates to a fixed generator")
     else:
         gen = dynamics.stabilizer_generator(stabilizers, instance.space)
     target_rho = instance.state.density_matrix()
@@ -376,7 +381,7 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
         "rows": len(rows),
         "final_fidelities": finals,
         "min_final_fidelity": min(finals) if finals else None,
-        "warnings": [],
+        "warnings": notes,
     }
     if args.switched:
         out["tau"] = args.tau
@@ -489,12 +494,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        # Each command returns its notes in the "warnings" field, its result's
+        # first; a CoverageWarning from loading still goes to stderr.
         instance, rtol = _load(args)
-        # Warnings raised while a command runs become report notes, ahead of
-        # the command's own; a CoverageWarning from loading still goes to stderr.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fields = args.func(args, instance, rtol)
+        fields = args.func(args, instance, rtol)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -518,7 +521,6 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     report = _base_report(args, instance, rtol)
     report.update(fields)
-    report["warnings"] = [str(w.message) for w in caught] + report["warnings"]
     report.setdefault("timings", {})["total_s"] = time.perf_counter() - started
     _emit(report, args.output)
     return EXIT_OK

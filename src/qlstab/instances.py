@@ -75,15 +75,21 @@ class ProblemInstance:
 
 
 def pairs_to_array(pairs: Any, what: str = "value") -> np.ndarray:
-    """Convert nested [re, im] pairs to a complex array (1-D or 2-D)."""
+    """Convert nested [re, im] pairs to a complex array (1-D or 2-D).
+
+    Every entry must be a number; booleans and numeric strings, which numpy
+    would silently convert, are malformed.
+    """
     try:
         arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"{what}: expected [re, im] pairs: {exc}") from exc
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise InstanceFormatError(
             f"{what}: expected [re, im] pairs, got shape {arr.shape}"
         )
+    for leaf in np.asarray(pairs, dtype=object).flat:
+        _number(leaf, what)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -110,10 +116,15 @@ def _integer(value: Any, what: str) -> int:
     return int(value)
 
 
-def _finite(value: Any, what: str) -> float:
-    """A finite real number; booleans, strings and NaN or infinities are malformed."""
+def _number(value: Any, what: str) -> None:
+    """Reject booleans, strings and everything else that is not a real number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InstanceFormatError(f"{what}: expected a number, got {value!r}")
+
+
+def _finite(value: Any, what: str) -> float:
+    """A finite real number; booleans, strings and NaN or infinities are malformed."""
+    _number(value, what)
     try:
         number = float(value)
     except OverflowError:
@@ -121,6 +132,17 @@ def _finite(value: Any, what: str) -> float:
     if not math.isfinite(number):
         raise InstanceFormatError(f"{what} must be finite, got {value!r}")
     return number
+
+
+def _neighborhood(entry: Any) -> Neighborhood:
+    """A neighborhood from a JSON list of distinct subsystem indices."""
+    if not isinstance(entry, list):
+        raise InstanceFormatError(f"malformed neighborhood {entry!r}: not a list")
+    indices = tuple(_integer(a, "neighborhood index") for a in entry)
+    try:
+        return Neighborhood(indices)
+    except ValueError as exc:
+        raise InstanceFormatError(f"malformed neighborhood {entry!r}: {exc}") from exc
 
 
 def _build_state(space: TensorSpace, descriptor: Any) -> tuple[PureState, str]:
@@ -222,16 +244,8 @@ def parse_instance(data: Any) -> ProblemInstance:
     raw_hoods = _require(data, "neighborhoods")
     if not isinstance(raw_hoods, list) or not raw_hoods:
         raise InstanceFormatError("neighborhoods must be a non-empty list of lists")
-    hoods = []
-    for entry in raw_hoods:
-        if not isinstance(entry, list):
-            raise InstanceFormatError(f"malformed neighborhood {entry!r}: not a list")
-        indices = tuple(_integer(a, "neighborhood index") for a in entry)
-        try:
-            hoods.append(Neighborhood(indices))
-        except ValueError as exc:
-            raise InstanceFormatError(f"malformed neighborhood {entry!r}: {exc}") from exc
-    pattern = LocalityPattern(space, tuple(hoods))
+    hoods = tuple(_neighborhood(entry) for entry in raw_hoods)
+    pattern = LocalityPattern(space, hoods)
 
     tolerance = data.get("tolerance")
     if tolerance is not None:
@@ -273,4 +287,9 @@ def read_operator_file(path: str | Path) -> tuple[np.ndarray, dict]:
     matrix = pairs_to_array(data["matrix"], "matrix")
     if matrix.ndim != 2:
         raise InstanceFormatError(f"{path}: matrix must be two-dimensional")
-    return matrix, data.get("meta", {})
+    if not np.isfinite(matrix).all():
+        raise InstanceFormatError(f"{path}: matrix entries must be finite")
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InstanceFormatError(f"{path}: 'meta' must be an object")
+    return matrix, meta

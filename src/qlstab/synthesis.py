@@ -16,7 +16,6 @@ correction, leaving the generator's action unchanged.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +41,6 @@ DEFAULT_GAIN_SCALE = 3.0
 __all__ = [
     "DEFAULT_GAIN_SCALE",
     "NotStabilizableError",
-    "DegenerateNeighborhoodWarning",
     "StabilizerSet",
     "gains_for",
     "synthesize_block",
@@ -59,18 +57,16 @@ class NotStabilizableError(RuntimeError):
         self.report = report
 
 
-class DegenerateNeighborhoodWarning(UserWarning):
-    """A reduced support fills its whole neighborhood space; nothing to damp."""
-
-
 @dataclass(frozen=True, eq=False)
 class StabilizerSet:
-    """One synthesized noise operator per neighborhood, with its gains and
-    its annihilation residual on the target (both empty when loaded)."""
+    """One synthesized noise operator per neighborhood, with its gains, its
+    annihilation residual on the target and the synthesis notes (all empty
+    when loaded)."""
 
     operators: tuple[QLOperator, ...]
     gains: tuple[tuple[float, ...], ...]
     residuals: tuple[float, ...]
+    warnings: tuple[str, ...] = ()
 
 
 def gains_for(policy: str, count: int, scale: float = 1.0) -> tuple[float, ...]:
@@ -144,7 +140,8 @@ def synthesize_stabilizers(
     Refuses targets that fail the stabilizability test unless ``force`` is
     set (useful for experiments; the resulting dynamics then have extra
     stationary states). A neighborhood whose reduced support already fills
-    its whole factor contributes the zero operator with a warning.
+    its whole factor contributes the zero operator. ``warnings`` holds the
+    stabilizability report's notes, then one note per such neighborhood.
 
     ``gains_policy`` fixes the relative gains along the complement chain and
     ``gain_scale`` their overall strength (relaxation rates are quadratic in
@@ -155,12 +152,18 @@ def synthesize_stabilizers(
     """
     report = check_dqls(psi, pattern, rtol)
     if not report.verdict and not force:
+        reason = (
+            "stabilizability verdict is indeterminate because of a borderline "
+            "rank decision"
+            if report.borderline
+            else "target failed the stabilizability test"
+        )
         raise NotStabilizableError(
-            "target failed the stabilizability test "
-            f"(intersection dimension {report.intersection_dim}); "
+            f"{reason} (intersection dimension {report.intersection_dim}); "
             "pass force=True to synthesize anyway",
             report,
         )
+    notes = list(report.warnings)
     operators: list[QLOperator] = []
     all_gains: list[tuple[float, ...]] = []
     for analysis in report.per_neighborhood:
@@ -169,11 +172,9 @@ def synthesize_stabilizers(
         block_dim = sup.ambient_dim
         r = block_dim - sup.dim
         if r == 0:
-            warnings.warn(
+            notes.append(
                 f"neighborhood {hood.indices}: reduced support fills the whole "
-                "factor; contributing the zero operator",
-                DegenerateNeighborhoodWarning,
-                stacklevel=2,
+                "factor; contributing the zero operator"
             )
             operators.append(QLOperator(hood, np.zeros((block_dim, block_dim))))
             all_gains.append(())
@@ -190,7 +191,9 @@ def synthesize_stabilizers(
                 f"synthesized operator on {op.neighborhood.indices} fails to "
                 f"annihilate the target (residual {residual:.3e})"
             )
-    return StabilizerSet(tuple(operators), tuple(all_gains), tuple(residuals))
+    return StabilizerSet(
+        tuple(operators), tuple(all_gains), tuple(residuals), tuple(notes)
+    )
 
 
 def renormalize_generator(

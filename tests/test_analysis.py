@@ -313,8 +313,9 @@ def _borderline_two_qubit():
 
 
 class TestBorderlineNotesAsData:
-    """Borderline rank calls reach DqlsReport without process-global
-    warning capture; the public support-level functions still warn."""
+    """Borderline rank calls reach DqlsReport, ParentHamiltonian and
+    StabilizerSet as returned notes without process-global warning capture;
+    the public support-level functions still warn."""
 
     def test_no_warning_capture_in_check_dqls(self, monkeypatch):
         import warnings as _warnings
@@ -323,11 +324,10 @@ class TestBorderlineNotesAsData:
             raise AssertionError("warnings.catch_warnings was called")
 
         psi, pattern = _borderline_two_qubit()
-        with pytest.warns(synthesis.DegenerateNeighborhoodWarning):
-            with monkeypatch.context() as m:
-                m.setattr(_warnings, "catch_warnings", refuse)
-                report = check_dqls(psi, pattern)
-                forced = synthesis.synthesize_stabilizers(psi, pattern, force=True)
+        with monkeypatch.context() as m:
+            m.setattr(_warnings, "catch_warnings", refuse)
+            report = check_dqls(psi, pattern)
+            forced = synthesis.synthesize_stabilizers(psi, pattern, force=True)
         assert report.borderline
         assert not report.verdict
         # The support notes, in neighborhood order, then the downgrade.
@@ -340,11 +340,23 @@ class TestBorderlineNotesAsData:
         assert len(report.warnings) == 3
         assert report.warnings[2].startswith("verdict downgraded to false")
         assert len(forced.operators) == 3
+        # Both singleton supports fill their qubit, so each adds a
+        # degenerate-neighborhood note after the report's own.
+        assert forced.warnings == report.warnings + tuple(
+            f"neighborhood {hood}: reduced support fills the whole factor; "
+            "contributing the zero operator"
+            for hood in ((0,), (1,))
+        )
 
     def test_public_functions_still_warn(self):
         psi, pattern = _borderline_two_qubit()
-        with pytest.warns(NumericalRankWarning, match="support rank decision"):
-            parent_hamiltonian(psi, pattern)
+        # parent_hamiltonian returns its support notes instead of warning.
+        ham = parent_hamiltonian(psi, pattern)
+        with pytest.warns(NumericalRankWarning) as rec:
+            for hood in ((0,), (1,)):
+                support(partial_trace(psi, Neighborhood(hood)))
+        assert ham.warnings == tuple(str(w.message) for w in rec)
+        assert all("support rank decision" in w for w in ham.warnings)
         # Two lines at angle theta: the smallest eigenvalue of the summed
         # complement projectors, 1 - cos(theta) ~ 1e-7, sits just above the
         # 1e-8 intersection cutoff.

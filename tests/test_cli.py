@@ -240,10 +240,15 @@ class TestExitCodes:
             ("state", {"name": "graph", "edges": [[0, 1.5]]}, "expected an integer"),
             ("state", {"name": "graph", "edges": [[0, True]]}, "expected an integer"),
             ("state", [[1.0, 0.0], [math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]], "norm"),
+            ("state", [[True, False]] + [[0.0, 0.0]] * 3,
+             "state amplitudes: expected a number"),
+            ("state", [["1", "0"]] + [[0.0, 0.0]] * 3,
+             "state amplitudes: expected a number"),
             ("dims", [2], "W state needs n >= 2"),
         ],
         ids=["dims-inf", "dims-2.7", "dims-true", "hood-inf", "hood-1.9",
-             "hood-true", "edge-1.5", "edge-true", "nan-amplitude", "w-one-qubit"],
+             "hood-true", "edge-1.5", "edge-true", "nan-amplitude",
+             "bool-amplitude", "string-amplitude", "w-one-qubit"],
     )
     def test_malformed_numbers_are_parse_errors(
         self, tmp_path, capsys, key, value, fragment
@@ -718,3 +723,146 @@ class TestReportSchema:
         )
         assert code == 0
         assert list(report) == self.BASE + keys + ["timings"]
+
+
+def ghz2_instance(tmp_path):
+    """Two-qubit GHZ with the one full neighborhood: a single generator."""
+    return write_instance(
+        tmp_path / "ghz2.json",
+        {"dims": [2, 2], "state": "ghz", "neighborhoods": [[0, 1]]},
+    )
+
+
+FORCED = {
+    "synthesize": ["--out", "ops", "--force"],
+    "certify": ["--force"],
+    "simulate": ["--csv", "t.csv", "--force", "--t-final", "0.1",
+                 "--trajectories", "1"],
+}
+
+
+class TestDiagnosticsAsData:
+    """Every note reaches the report as a returned value; no command relies
+    on process-global warning capture."""
+
+    def test_no_command_captures_warnings(self, tmp_path, capsys, monkeypatch):
+        import warnings
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("warnings.catch_warnings was called")
+
+        inst = two_qubit_instance(tmp_path, 5e-9)
+        runs = [["check-dqls"], ["parent-ham", "--out", str(tmp_path / "ham")]]
+        runs += [
+            [cmd] + [str(tmp_path / w) if w in ("ops", "t.csv") else w
+                     for w in words]
+            for cmd, words in FORCED.items()
+        ]
+        # The patch is undone before any assertion, since pytest itself
+        # captures warnings around each test phase.
+        with monkeypatch.context() as m:
+            m.setattr(warnings, "catch_warnings", refuse)
+            results = [run_cli(capsys, [argv[0], inst, *argv[1:]]) for argv in runs]
+        for argv, (code, report, err) in zip(runs, results):
+            assert code == 0, argv
+            assert err == ""
+            assert report["warnings"], argv
+
+    @pytest.mark.parametrize("cmd", sorted(FORCED))
+    def test_forced_commands_list_dqls_notes_first(self, tmp_path, capsys, cmd):
+        inst = two_qubit_instance(tmp_path, 5e-9)
+        _, dqls, _ = run_cli(capsys, ["check-dqls", inst])
+        assert dqls["verdict"] == "indeterminate"
+        notes = dqls["warnings"]
+        assert len(notes) == 3
+        assert all(n.startswith("borderline rank decision: ") for n in notes[:2])
+        assert notes[2].startswith("verdict downgraded to false")
+        words = [str(tmp_path / w) if w in ("ops", "t.csv") else w
+                 for w in FORCED[cmd]]
+        code, report, err = run_cli(capsys, [cmd, inst, *words])
+        assert code == 0
+        assert err == ""
+        assert report["warnings"][:3] == notes
+        # Then one note per singleton neighborhood whose support fills its qubit.
+        assert [w for w in report["warnings"] if "fills the whole" in w] == [
+            f"neighborhood ({a},): reduced support fills the whole factor; "
+            "contributing the zero operator"
+            for a in (0, 1)
+        ]
+
+    def test_forced_uncovered_instance_reports_coverage(self, tmp_path, capsys):
+        from qlstab.tensor import CoverageWarning
+
+        inst = write_instance(
+            tmp_path / "ghz3.json",
+            {"dims": [2, 2, 2], "state": "ghz", "neighborhoods": [[0, 1]]},
+        )
+        with pytest.warns(CoverageWarning):
+            code, report, _ = run_cli(
+                capsys, ["synthesize", inst, "--out", str(tmp_path / "o"), "--force"]
+            )
+        assert code == 0
+        assert report["warnings"][0].startswith("uncovered subsystems [2]")
+        assert report["warnings"][-1].startswith("synthesis was forced")
+
+    def test_single_generator_schedule_is_reported(self, tmp_path, capsys):
+        argv = ["simulate", ghz2_instance(tmp_path), "--csv",
+                str(tmp_path / "s.csv"), "--switched", "--cycles", "1",
+                "--trajectories", "1"]
+        code, report, err = run_cli(capsys, argv)
+        assert code == 0
+        assert err == ""
+        assert report["warnings"] == [
+            "single-generator schedule degenerates to a fixed generator"
+        ]
+
+    def test_borderline_refusal_says_indeterminate(self, tmp_path, capsys):
+        inst = two_qubit_instance(tmp_path, 5e-9)
+        code, report, err = run_cli(
+            capsys, ["synthesize", inst, "--out", str(tmp_path / "ops")]
+        )
+        assert code == 4
+        assert report is None
+        assert "indeterminate because of a borderline rank decision" in err
+        assert "force" in err
+
+
+class TestMalformedOperatorFiles:
+    """Operator files are outside input: a malformed one exits 2."""
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda d: d["meta"].update(neighborhood=5), "not a list"),
+            (lambda d: d["meta"].update(neighborhood=[True, 1.9]),
+             "expected an integer"),
+            (lambda d: d["meta"].update(neighborhood=[1, 1]), "duplicate"),
+            (lambda d: d.update(meta=[1]), "'meta' must be an object"),
+            (lambda d: d["matrix"][0].__setitem__(0, [math.nan, 0.0]),
+             "matrix entries must be finite"),
+            (lambda d: d["matrix"][0].__setitem__(0, [True, "0"]),
+             "expected a number"),
+        ],
+        ids=["hood-int", "hood-bool-float", "hood-duplicate", "meta-list",
+             "nan-entry", "bool-string-entry"],
+    )
+    def test_certify_rejects(self, tmp_path, capsys, edit, fragment):
+        from qlstab.instances import write_operator_file
+
+        ops_dir = tmp_path / "ops"
+        ops_dir.mkdir()
+        path = ops_dir / "noise_op_00.json"
+        write_operator_file(
+            path,
+            np.array([[0, 1, 0, 0]] + [[0, 0, 0, 0]] * 3, dtype=complex),
+            {"kind": "noise_operator", "neighborhood": [0, 1]},
+        )
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        code, report, err = run_cli(
+            capsys, ["certify", ghz2_instance(tmp_path), "--operators", str(ops_dir)]
+        )
+        assert code == 2
+        assert report is None
+        assert fragment in err

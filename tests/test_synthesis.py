@@ -18,7 +18,6 @@ from qlstab.dynamics import (
 )
 from qlstab.subspaces import Subspace
 from qlstab.synthesis import (
-    DegenerateNeighborhoodWarning,
     NotStabilizableError,
     gains_for,
     renormalize_generator,
@@ -251,8 +250,11 @@ class TestSynthesizeStabilizers:
         # A generic 4-qubit state's reduced state on 2 qubits is full rank
         # (its rank equals the Schmidt rank across the bipartition, which is
         # 4 generically), so that neighborhood has nothing left to damp.
-        with pytest.warns(DegenerateNeighborhoodWarning):
-            stabs = synthesize_stabilizers(psi, pattern, gain_scale=1.0)
+        stabs = synthesize_stabilizers(psi, pattern, gain_scale=1.0)
+        assert stabs.warnings == (
+            "neighborhood (0, 1): reduced support fills the whole factor; "
+            "contributing the zero operator",
+        )
         assert np.linalg.norm(stabs.operators[1].block) == 0.0
         assert stabs.gains[1] == ()
 
