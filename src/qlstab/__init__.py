@@ -10,7 +10,6 @@ resulting evolution.
 __version__ = "0.1.0"
 
 from .tensor import (
-    CoverageWarning,
     DensityMatrix,
     DimensionMismatchError,
     LocalityPattern,
@@ -33,7 +32,6 @@ from .tensor import (
     random_pure_state,
 )
 from .subspaces import (
-    NumericalRankWarning,
     Subspace,
     complement,
     complete_frame,

@@ -7,9 +7,10 @@ is the span of the target alone. That intersection is the kernel of the
 quasi-local parent Hamiltonian sum_k (I - P_k), one complement projector per
 neighborhood, so both share one per-neighborhood loop and the verdict is read
 off one eigendecomposition. The module also checks frustration-freeness and
-exposes the tensor-factor pre-reduction of a target state. Borderline rank
-calls are returned as notes in ``DqlsReport.warnings`` and
-``ParentHamiltonian.warnings``; nothing here raises or captures a warning.
+exposes the tensor-factor pre-reduction of a target state. Uncovered
+subsystems and borderline rank calls are returned as notes in
+``DqlsReport.warnings`` and ``ParentHamiltonian.warnings``; nothing here
+warns or captures a warning.
 
 Per-neighborhood work (reduced state, support) is independent and could run
 in parallel; the sum of the embedded terms is a sequential reduction.
@@ -94,7 +95,8 @@ class ParentHamiltonian:
     Each term's block is the orthogonal projector onto the complement of the
     reduced-state support on its neighborhood, so every term is a Hermitian
     idempotent and the total is positive semidefinite. ``warnings`` holds the
-    borderline support rank calls, in neighborhood order.
+    uncovered-subsystems note, if any, then the borderline support rank
+    calls in neighborhood order.
     """
 
     space: TensorSpace
@@ -115,6 +117,13 @@ def _kernel(total: np.ndarray) -> tuple[np.ndarray, Subspace]:
     return evals, Subspace(total.shape[0], np.transpose(kernel))
 
 
+def _coverage_notes(pattern: LocalityPattern) -> list[str]:
+    """The note naming the subsystems no neighborhood acts on, if there are any."""
+    uncovered = list(pattern.uncovered())
+    note = f"uncovered subsystems {uncovered}: no neighborhood acts on them"
+    return [note] if uncovered else []
+
+
 def _complement_terms(psi: PureState, pattern: LocalityPattern, rtol: float):
     """Per-neighborhood supports, terms I - P_k, their embedded sum, rank notes."""
     if psi.space != pattern.space:
@@ -126,7 +135,7 @@ def _complement_terms(psi: PureState, pattern: LocalityPattern, rtol: float):
     total = np.zeros((space.dim, space.dim), dtype=complex)
     for hood in pattern.neighborhoods:
         reduced = partial_trace(psi, hood)
-        sup, hood_notes = subspaces._support(reduced, rtol)
+        sup, hood_notes = subspaces.support(reduced, rtol)
         notes.extend(hood_notes)
         block = np.eye(reduced.space.dim, dtype=complex) - subspaces.projector(sup)
         term = QLOperator(hood, block)
@@ -156,12 +165,7 @@ def check_dqls(
     Raises:
         DimensionMismatchError: if state and pattern live on different spaces.
     """
-    notes: list[str] = []
-    uncovered = pattern.uncovered()
-    if uncovered:
-        notes.append(
-            f"uncovered subsystems {list(uncovered)}: no neighborhood acts on them"
-        )
+    notes = _coverage_notes(pattern)
     per, terms, total, rank_notes = _complement_terms(psi, pattern, rtol)
     evals, intersection = _kernel(total)
     rank_notes += subspaces._borderline(evals, INTERSECT_TOL, "intersection")
@@ -217,6 +221,7 @@ def parent_hamiltonian(
         raise ArithmeticError(
             f"parent Hamiltonian fails to annihilate the target ({residual:.3e})"
         )
+    notes = _coverage_notes(pattern) + notes
     return ParentHamiltonian(psi.space, tuple(terms), total, tuple(notes))
 
 

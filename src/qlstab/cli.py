@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -27,6 +28,7 @@ from .instances import (
     InstanceFormatError,
     ProblemInstance,
     _neighborhood,
+    _tolerance,
     array_to_pairs,
     load_instance,
     read_operator_file,
@@ -380,7 +382,7 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
         "csv": str(csv_path),
         "rows": len(rows),
         "final_fidelities": finals,
-        "min_final_fidelity": min(finals) if finals else None,
+        "min_final_fidelity": min(finals),
         "warnings": notes,
     }
     if args.switched:
@@ -395,18 +397,53 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
+def _flag(kind, check):
+    """argparse type: convert the text with ``kind``, whose ValueError argparse
+    reports as usual, then pass the value through ``check``, whose ValueError
+    message names the rule the value breaks."""
+
+    def parse(text: str):
+        value = kind(text)
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _rule(rule: str, ok):
+    """A ``check`` for :func:`_flag` that rejects values failing ``ok``."""
+
+    def check(value):
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {value}")
+        return value
+
+    return check
+
+
+# Same rule as an instance's "tolerance" field.
+_TOLERANCE = _flag(float, _tolerance)
+_TIME = _flag(float, _rule("finite and >= 0", lambda v: 0.0 <= v < math.inf))
+_STEP = _flag(float, _rule("finite and > 0", lambda v: 0.0 < v < math.inf))
+_COUNT = _flag(int, _rule(">= 1", lambda v: v >= 1))
+_SEED = _flag(int, _rule(">= 0", lambda v: v >= 0))
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tolerance",
-        type=float,
+        type=_TOLERANCE,
         default=None,
         help="relative support eigenvalue threshold (overrides the instance)",
     )
     common.add_argument(
         "--output", choices=("json", "text"), default="json", help="report format"
     )
-    common.add_argument("--seed", type=int, default=0, help="random seed")
+    common.add_argument("--seed", type=_SEED, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(
         prog="qlstab",
@@ -464,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="above the cap, fall back to trajectory evidence",
     )
-    p.add_argument("--trajectories", type=int, default=20)
-    p.add_argument("--t-final", type=float, default=40.0)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--trajectories", type=_COUNT, default=20)
+    p.add_argument("--t-final", type=_TIME, default=40.0)
+    p.add_argument("--dt", type=_STEP, default=None)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser(
@@ -476,13 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("instance")
     p.add_argument("--csv", required=True, help="trajectory CSV output path")
-    p.add_argument("--t-final", type=float, default=40.0)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--record-every", type=int, default=1)
+    p.add_argument("--t-final", type=_TIME, default=40.0)
+    p.add_argument("--dt", type=_STEP, default=None)
+    p.add_argument("--record-every", type=_COUNT, default=1)
     p.add_argument("--switched", action="store_true", help="cyclic switching")
-    p.add_argument("--tau", type=float, default=1.0, help="switching interval")
-    p.add_argument("--cycles", type=int, default=30)
-    p.add_argument("--trajectories", type=int, default=10)
+    p.add_argument("--tau", type=_TIME, default=1.0, help="switching interval")
+    p.add_argument("--cycles", type=_COUNT, default=30)
+    p.add_argument("--trajectories", type=_COUNT, default=10)
     p.add_argument("--mixed", action="store_true", help="mixed initial states")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_simulate)
@@ -495,7 +532,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         # Each command returns its notes in the "warnings" field, its result's
-        # first; a CoverageWarning from loading still goes to stderr.
+        # first; nothing in qlstab warns, so stderr carries errors only.
         instance, rtol = _load(args)
         fields = args.func(args, instance, rtol)
     except json.JSONDecodeError as exc:

@@ -258,17 +258,24 @@ def vectorize(gen: LindbladGenerator) -> np.ndarray:
     """Column-stacking matrix form of the generator.
 
     Satisfies unstack(vectorize(gen) @ stack(rho)) == apply_generator(gen,
-    rho). The Hamiltonian enters as -i(I kron H - H^T kron I); each noise
-    operator as conj(L) kron L minus the symmetrized quadratic terms.
+    rho). With the drift K = -iH - (1/2) sum_k L_k^dag L_k the generator is
+    rho -> K rho + rho K^dag + sum_k L_k rho L_k^dag, so its matrix is
+    I kron K + conj(K) kron I plus conj(L) kron L per noise operator. The
+    two drift terms are added block by block through a (d, d, d, d) view of
+    the output; only the noise terms form a D^2 x D^2 Kronecker product.
     """
     d = gen.space.dim
-    eye = np.eye(d, dtype=complex)
-    out = np.zeros((d * d, d * d), dtype=complex)
+    drift = -0.5 * gen._quad
     if gen.hamiltonian is not None:
-        out += -1j * (np.kron(eye, gen.hamiltonian) - np.kron(gen.hamiltonian.T, eye))
+        drift = drift - 1j * gen.hamiltonian
+    out = np.zeros((d * d, d * d), dtype=complex)
+    blocks = out.reshape(d, d, d, d)
+    drift_conj = drift.conj()
+    for i in range(d):
+        blocks[i, :, i, :] += drift
+        blocks[:, i, :, i] += drift_conj
     for op in gen.noise_ops:
         out += np.kron(op.conj(), op)
-    out -= 0.5 * (np.kron(eye, gen._quad) + np.kron(gen._quad.T, eye))
     return out
 
 

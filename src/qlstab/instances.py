@@ -134,6 +134,14 @@ def _finite(value: Any, what: str) -> float:
     return number
 
 
+def _tolerance(value: Any) -> float:
+    """A support tolerance: a finite number strictly between 0 and 1."""
+    tolerance = _finite(value, "tolerance")
+    if not 0.0 < tolerance < 1.0:
+        raise InstanceFormatError("tolerance must lie strictly between 0 and 1")
+    return tolerance
+
+
 def _neighborhood(entry: Any) -> Neighborhood:
     """A neighborhood from a JSON list of distinct subsystem indices."""
     if not isinstance(entry, list):
@@ -249,9 +257,7 @@ def parse_instance(data: Any) -> ProblemInstance:
 
     tolerance = data.get("tolerance")
     if tolerance is not None:
-        tolerance = _finite(tolerance, "tolerance")
-        if not (0.0 < tolerance < 1.0):
-            raise InstanceFormatError("tolerance must lie strictly between 0 and 1")
+        tolerance = _tolerance(tolerance)
 
     gains_policy = data.get("gains_policy", "uniform")
     if gains_policy not in ("uniform", "graded"):

@@ -6,14 +6,12 @@ complex matrices with orthonormal columns; a zero-column frame is the legal
 representation of the zero subspace, never an error.
 
 Rank decisions near their cutoff yield notes: ``support`` and ``intersect``
-warn them as :class:`NumericalRankWarning`; ``_support`` returns them as data.
-Everything here is a pure function on immutable values; safe for concurrent
-use.
+return them as data next to the subspace, and nothing here warns. Everything
+here is a pure function on immutable values; safe for concurrent use.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,7 +31,6 @@ __all__ = [
     "ORTH_TOL",
     "INTERSECT_TOL",
     "SUPPORT_RTOL",
-    "NumericalRankWarning",
     "Subspace",
     "full_space",
     "span",
@@ -44,10 +41,6 @@ __all__ = [
     "intersect",
     "equals",
 ]
-
-
-class NumericalRankWarning(UserWarning):
-    """A rank decision fell close to its numerical threshold."""
 
 
 def _borderline(evals: np.ndarray, cutoff: float, decision: str) -> list[str]:
@@ -63,12 +56,6 @@ def _borderline(evals: np.ndarray, cutoff: float, decision: str) -> list[str]:
         f"{decision} rank decision is borderline: eigenvalues {near} lie "
         f"within a factor {RANK_MARGIN:g} of the cutoff {cutoff:.3e}"
     ]
-
-
-def _warn(notes: Sequence[str]) -> None:
-    """Warn each borderline note, attributed to the public function's caller."""
-    for note in notes:
-        warnings.warn(note, NumericalRankWarning, stacklevel=3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,23 +120,16 @@ def span(vectors: np.ndarray, rtol: float = 1e-12) -> Subspace:
     return Subspace(v.shape[0], u[:, s > rtol * s[0]])
 
 
-def support(rho, rtol: float = SUPPORT_RTOL) -> Subspace:
+def support(rho, rtol: float = SUPPORT_RTOL) -> tuple[Subspace, list[str]]:
     """Span of the eigenvectors of a PSD operator with non-negligible eigenvalue.
 
     The threshold is relative to the largest eigenvalue, so scaling the
-    operator cannot change the result. Eigenvalues within a factor
-    ``RANK_MARGIN`` of the cutoff trigger a :class:`NumericalRankWarning`
-    listing them. The zero operator has no support and is an error.
+    operator cannot change the result. Returns the support and its notes:
+    one note listing the eigenvalues within a factor ``RANK_MARGIN`` of the
+    cutoff, if any. The zero operator has no support and is an error.
 
     Accepts a :class:`DensityMatrix` or any Hermitian PSD ndarray.
     """
-    sub, notes = _support(rho, rtol)
-    _warn(notes)
-    return sub
-
-
-def _support(rho, rtol: float) -> tuple[Subspace, list[str]]:
-    """:func:`support`, returning its borderline note instead of warning it."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
@@ -202,13 +182,17 @@ def complement(sub: Subspace) -> Subspace:
     return Subspace(sub.ambient_dim, basis[:, sub.dim:])
 
 
-def intersect(subspaces: Sequence[Subspace], tol: float = INTERSECT_TOL) -> Subspace:
+def intersect(
+    subspaces: Sequence[Subspace], tol: float = INTERSECT_TOL
+) -> tuple[Subspace, list[str]]:
     """Intersection of subspaces as the kernel of the summed complement projectors.
 
     The kernel of sum_k (I - P_k) is extracted as the eigenspace of
     eigenvalues below ``tol``; this treats all inputs symmetrically instead
     of iterating pairwise intersections. Every returned column is checked to
-    lie in each input subspace within ``ORTH_TOL``.
+    lie in each input subspace within ``ORTH_TOL``. Returns the intersection
+    and its notes: one note listing the eigenvalues within a factor
+    ``RANK_MARGIN`` of ``tol``, if any.
     """
     subs = list(subspaces)
     if not subs:
@@ -223,7 +207,7 @@ def intersect(subspaces: Sequence[Subspace], tol: float = INTERSECT_TOL) -> Subs
     for s in subs:
         accum -= projector(s)
     evals, evecs = np.linalg.eigh((accum + accum.conj().T) / 2.0)
-    _warn(_borderline(evals, tol, "intersection"))
+    notes = _borderline(evals, tol, "intersection")
     frame = evecs[:, evals < tol]
     for s in subs:
         if frame.shape[1] == 0:
@@ -236,7 +220,7 @@ def intersect(subspaces: Sequence[Subspace], tol: float = INTERSECT_TOL) -> Subs
                 f"vector sits {worst:.3e} outside an input subspace "
                 "(ill-conditioned inputs near the rank threshold)"
             )
-    return Subspace(d, frame)
+    return Subspace(d, frame), notes
 
 
 def equals(a: Subspace, b: Subspace, tol: float = ORTH_TOL) -> bool:

@@ -9,14 +9,15 @@ Composite basis indexing is big-endian: subsystem 0 is the most significant
 digit of a computational-basis index, matching the ordering produced by
 ``numpy.kron``. All subsystem indices are 0-based.
 
-Every value is immutable after construction and every operation is a pure
-function, so everything in this module is safe to use concurrently.
+A locality pattern may leave subsystems uncovered; that is data
+(:meth:`LocalityPattern.uncovered`), not a warning. Every value is immutable
+after construction and every operation is a pure function, so everything in
+this module is safe to use concurrently.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
@@ -31,7 +32,6 @@ __all__ = [
     "HERM_TOL",
     "PSD_TOL",
     "DimensionMismatchError",
-    "CoverageWarning",
     "TensorSpace",
     "PureState",
     "DensityMatrix",
@@ -56,10 +56,6 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """Operands live on incompatible spaces or have inconsistent shapes."""
-
-
-class CoverageWarning(UserWarning):
-    """A locality pattern leaves some subsystems outside every neighborhood."""
 
 
 def _as_complex_matrix(mat, shape=None) -> np.ndarray:
@@ -199,7 +195,11 @@ class Neighborhood:
 
 @dataclass(frozen=True)
 class LocalityPattern:
-    """A fixed quasi-locality constraint: the list of allowed neighborhoods."""
+    """A fixed quasi-locality constraint: the list of allowed neighborhoods.
+
+    Subsystems outside every neighborhood are legal; :meth:`uncovered` lists
+    them, and the analysis reports them as a note.
+    """
 
     space: TensorSpace
     neighborhoods: tuple[Neighborhood, ...]
@@ -219,17 +219,9 @@ class LocalityPattern:
                     f"a {n}-subsystem space"
                 )
         object.__setattr__(self, "neighborhoods", hoods)
-        unc = self.uncovered()
-        if unc:
-            warnings.warn(
-                f"subsystems {list(unc)} are not covered by any neighborhood; "
-                "the stabilizability test is still well defined but generic "
-                "entangled targets cannot pass",
-                CoverageWarning,
-                stacklevel=2,
-            )
 
     def uncovered(self) -> tuple[int, ...]:
+        """Subsystems that no neighborhood acts on, in increasing order."""
         covered = set()
         for h in self.neighborhoods:
             covered.update(h.indices)

@@ -90,3 +90,20 @@ def cz_matrix_oracle(n, u, v):
     for a in range(n):
         chain = np.kron(chain, p1 if a in (u, v) else eye2)
     return np.eye(2**n) - 2.0 * chain
+
+
+def vectorize_oracle(hamiltonian, noise_ops):
+    """Column-stacking Lindblad superoperator from one Kronecker product per
+    term: -i(I kron H - H^T kron I) + sum_k conj(L_k) kron L_k
+    - (1/2)(I kron Q + Q^T kron I), with Q = sum_k L_k^dag L_k."""
+    d = noise_ops[0].shape[0] if noise_ops else hamiltonian.shape[0]
+    eye = np.eye(d, dtype=complex)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    if hamiltonian is not None:
+        out += -1j * (np.kron(eye, hamiltonian) - np.kron(hamiltonian.T, eye))
+    quad = np.zeros((d, d), dtype=complex)
+    for op in noise_ops:
+        out += np.kron(op.conj(), op)
+        quad += op.conj().T @ op
+    out -= 0.5 * (np.kron(eye, quad) + np.kron(quad.T, eye))
+    return out

@@ -6,7 +6,6 @@ the captured output section); a failing criterion also fails its test.
 
 import math
 import time
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,7 +30,6 @@ from qlstab.dynamics import (
 from qlstab.subspaces import complete_frame
 from qlstab.synthesis import synthesize_stabilizers
 from qlstab.tensor import (
-    CoverageWarning,
     DensityMatrix,
     LocalityPattern,
     Neighborhood,
@@ -142,27 +140,25 @@ def test_criterion_03_target_containment_property():
     with criterion(3, "target span always inside the embedded-support intersection (200 cases)"):
         rng = np.random.default_rng(34)
         worst = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CoverageWarning)
-            for _ in range(200):
-                n = int(rng.integers(2, 6))
-                dims = tuple(int(d) for d in rng.choice([2, 2, 3], size=n))
-                space = TensorSpace(dims)
-                psi = random_pure_state(space, rng)
-                hoods = []
-                for _ in range(int(rng.integers(1, 4))):
-                    size = int(rng.integers(1, n + 1))
-                    hoods.append(
-                        tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
-                    )
-                report = check_dqls(psi, pattern_of(space, hoods))
-                frame = report.intersection.frame
-                residual = float(
-                    np.linalg.norm(
-                        psi.amplitudes - frame @ (frame.conj().T @ psi.amplitudes)
-                    )
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            dims = tuple(int(d) for d in rng.choice([2, 2, 3], size=n))
+            space = TensorSpace(dims)
+            psi = random_pure_state(space, rng)
+            hoods = []
+            for _ in range(int(rng.integers(1, 4))):
+                size = int(rng.integers(1, n + 1))
+                hoods.append(
+                    tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
                 )
-                worst = max(worst, residual)
+            report = check_dqls(psi, pattern_of(space, hoods))
+            frame = report.intersection.frame
+            residual = float(
+                np.linalg.norm(
+                    psi.amplitudes - frame @ (frame.conj().T @ psi.amplitudes)
+                )
+            )
+            worst = max(worst, residual)
         assert worst <= 1e-8, f"worst containment residual {worst:.3e}"
 
 
@@ -241,7 +237,7 @@ def test_criterion_07_single_operator_spectrum_law():
             rho_d = state.density_matrix()
             for hood in pattern.neighborhoods:
                 reduced = partial_trace(rho_d, hood)
-                sub = subspace_support(reduced)
+                sub, _ = subspace_support(reduced)
                 dim = sub.ambient_dim
                 assert dim <= 8
                 gains = (1.0,) * (dim - sub.dim)

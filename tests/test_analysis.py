@@ -13,7 +13,6 @@ from qlstab.analysis import (
     parent_hamiltonian,
 )
 from qlstab.subspaces import (
-    NumericalRankWarning,
     Subspace,
     equals,
     intersect,
@@ -22,7 +21,6 @@ from qlstab.subspaces import (
     support,
 )
 from qlstab.tensor import (
-    CoverageWarning,
     DimensionMismatchError,
     LocalityPattern,
     Neighborhood,
@@ -102,8 +100,7 @@ class TestCheckDqls:
 
     def test_space_mismatch_rejected(self):
         psi = make_ghz(2)
-        with pytest.warns(UserWarning):
-            pattern = pattern_of(qubit_space(3), [(0, 1)])
+        pattern = pattern_of(qubit_space(3), [(0, 1)])
         with pytest.raises(DimensionMismatchError):
             check_dqls(psi, pattern)
 
@@ -117,15 +114,18 @@ class TestCheckDqls:
 
     def test_uncovered_pattern_is_reported(self):
         ghz = make_ghz(3)
-        with pytest.warns(UserWarning):
-            pattern = pattern_of(ghz.space, [(0, 1)])
+        pattern = pattern_of(ghz.space, [(0, 1)])
+        assert pattern.uncovered() == (2,)
         report = check_dqls(ghz, pattern)
         assert not report.verdict
-        assert any("uncovered" in w for w in report.warnings)
+        note = "uncovered subsystems [2]: no neighborhood acts on them"
+        assert report.warnings == (note,)
+        # The same note, first, in the parent Hamiltonian; it is not a rank
+        # call, so it never makes the verdict borderline.
+        assert parent_hamiltonian(ghz, pattern).warnings == (note,)
+        assert not report.borderline
 
     def test_target_always_inside_intersection(self):
-        import warnings as _warnings
-
         rng = np.random.default_rng(1)
         for _ in range(15):
             n = int(rng.integers(2, 5))
@@ -137,15 +137,11 @@ class TestCheckDqls:
                 hoods.append(
                     tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
                 )
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore", CoverageWarning)
-                report = check_dqls(psi, pattern_of(space, hoods))
+            report = check_dqls(psi, pattern_of(space, hoods))
             assert report.intersection.contains(psi.amplitudes, tol=1e-8)
 
 
 def _oracle_fixtures():
-    import warnings as _warnings
-
     cases = []
     for n in range(3, 7):
         ghz = make_ghz(n)
@@ -184,12 +180,10 @@ def _oracle_fixtures():
             picked = rng.choice(others, size, replace=False)
             hoods.append(tuple(sorted(picked.tolist())))
         cases.append((f"uncovered{k}", random_pure_state(qubit_space(n), rng), hoods))
-    out = []
-    for name, psi, hoods in cases:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", CoverageWarning)
-            out.append(pytest.param(psi, pattern_of(psi.space, hoods), id=name))
-    return out
+    return [
+        pytest.param(psi, pattern_of(psi.space, hoods), id=name)
+        for name, psi, hoods in cases
+    ]
 
 
 class TestDenseOracleAgreement:
@@ -202,12 +196,12 @@ class TestDenseOracleAgreement:
             Subspace(
                 psi.space.dim,
                 embed_frame(
-                    support(partial_trace(rho, hood)).frame, hood, psi.space
+                    support(partial_trace(rho, hood))[0].frame, hood, psi.space
                 ),
             )
             for hood in pattern.neighborhoods
         ]
-        oracle = intersect(embedded)
+        oracle, _ = intersect(embedded)
         oracle_verdict = oracle.dim == 1 and equals(oracle, span(psi.amplitudes))
 
         report = check_dqls(psi, pattern)
@@ -277,8 +271,6 @@ class TestPureTargetPipeline:
 
 class TestTieBreaking:
     def test_borderline_rank_downgrades_verdict(self):
-        import warnings as _warnings
-
         # A Schmidt weight of 5e-9 sits inside the audit band around the
         # 1e-10 relative support cutoff: the full neighborhood alone proves
         # the state stabilizable, but the singleton rank calls are
@@ -288,9 +280,7 @@ class TestTieBreaking:
         amps[3] = math.sqrt(5e-9)
         psi = PureState(qubit_space(2), amps)
         pattern = pattern_of(psi.space, [(0, 1), (0,), (1,)])
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            report = check_dqls(psi, pattern)
+        report = check_dqls(psi, pattern)
         assert not report.verdict
         assert report.intersection_dim == 1
         assert any("downgraded" in w for w in report.warnings)
@@ -315,7 +305,7 @@ def _borderline_two_qubit():
 class TestBorderlineNotesAsData:
     """Borderline rank calls reach DqlsReport, ParentHamiltonian and
     StabilizerSet as returned notes without process-global warning capture;
-    the public support-level functions still warn."""
+    the public support-level functions return the same notes."""
 
     def test_no_warning_capture_in_check_dqls(self, monkeypatch):
         import warnings as _warnings
@@ -331,10 +321,11 @@ class TestBorderlineNotesAsData:
         assert report.borderline
         assert not report.verdict
         # The support notes, in neighborhood order, then the downgrade.
-        with pytest.warns(NumericalRankWarning) as rec:
-            for hood in ((0,), (1,)):
-                support(partial_trace(psi, Neighborhood(hood)))
-        expected = [f"borderline rank decision: {w.message}" for w in rec]
+        expected = [
+            f"borderline rank decision: {note}"
+            for hood in ((0,), (1,))
+            for note in support(partial_trace(psi, Neighborhood(hood)))[1]
+        ]
         assert len(expected) == 2
         assert list(report.warnings[:2]) == expected
         assert len(report.warnings) == 3
@@ -348,14 +339,16 @@ class TestBorderlineNotesAsData:
             for hood in ((0,), (1,))
         )
 
-    def test_public_functions_still_warn(self):
+    def test_public_functions_return_notes(self):
         psi, pattern = _borderline_two_qubit()
-        # parent_hamiltonian returns its support notes instead of warning.
         ham = parent_hamiltonian(psi, pattern)
-        with pytest.warns(NumericalRankWarning) as rec:
-            for hood in ((0,), (1,)):
-                support(partial_trace(psi, Neighborhood(hood)))
-        assert ham.warnings == tuple(str(w.message) for w in rec)
+        notes = [
+            note
+            for hood in ((0,), (1,))
+            for note in support(partial_trace(psi, Neighborhood(hood)))[1]
+        ]
+        assert len(notes) == 2
+        assert ham.warnings == tuple(notes)
         assert all("support rank decision" in w for w in ham.warnings)
         # Two lines at angle theta: the smallest eigenvalue of the summed
         # complement projectors, 1 - cos(theta) ~ 1e-7, sits just above the
@@ -363,8 +356,10 @@ class TestBorderlineNotesAsData:
         theta = math.sqrt(2e-7)
         lines = [span(np.array([1.0, 0.0])),
                  span(np.array([math.cos(theta), math.sin(theta)]))]
-        with pytest.warns(NumericalRankWarning, match="intersection rank decision"):
-            assert intersect(lines).dim == 0
+        sub, notes = intersect(lines)
+        assert sub.dim == 0
+        assert len(notes) == 1
+        assert notes[0].startswith("intersection rank decision is borderline")
 
 
 class TestLocalUnitaryInvariance:

@@ -45,6 +45,14 @@ def two_qubit_instance(tmp_path, weight):
     )
 
 
+def uncovered_ghz3_instance(tmp_path):
+    """GHZ(3) with the one neighborhood {0, 1}: qubit 2 is uncovered."""
+    return write_instance(
+        tmp_path / "ghz3_uncovered.json",
+        {"dims": [2, 2, 2], "state": "ghz", "neighborhoods": [[0, 1]]},
+    )
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -336,6 +344,18 @@ class TestParentHamCommand:
             total, np.eye(4) - np.outer(psi, psi.conj()), atol=1e-10
         )
 
+
+    def test_uncovered_note_comes_first(self, tmp_path, capsys):
+        code, report, err = run_cli(
+            capsys,
+            ["parent-ham", uncovered_ghz3_instance(tmp_path), "--out",
+             str(tmp_path / "ham")],
+        )
+        assert code == 0
+        assert err == ""
+        assert report["warnings"] == [
+            "uncovered subsystems [2]: no neighborhood acts on them"
+        ]
 
     def test_borderline_rank_calls_are_reported(self, tmp_path, capsys):
         inst = two_qubit_instance(tmp_path, 5e-9)
@@ -742,31 +762,53 @@ FORCED = {
 
 
 class TestDiagnosticsAsData:
-    """Every note reaches the report as a returned value; no command relies
-    on process-global warning capture."""
+    """Every note reaches the report as a returned value; no command warns
+    or relies on process-global warning capture."""
 
     def test_no_command_captures_warnings(self, tmp_path, capsys, monkeypatch):
         import warnings
 
         def refuse(*args, **kwargs):
-            raise AssertionError("warnings.catch_warnings was called")
+            raise AssertionError("warnings.catch_warnings or warn was called")
 
-        inst = two_qubit_instance(tmp_path, 5e-9)
         runs = [["check-dqls"], ["parent-ham", "--out", str(tmp_path / "ham")]]
         runs += [
             [cmd] + [str(tmp_path / w) if w in ("ops", "t.csv") else w
                      for w in words]
             for cmd, words in FORCED.items()
         ]
+        instances = [
+            two_qubit_instance(tmp_path, 5e-9),
+            uncovered_ghz3_instance(tmp_path),
+        ]
         # The patch is undone before any assertion, since pytest itself
         # captures warnings around each test phase.
         with monkeypatch.context() as m:
             m.setattr(warnings, "catch_warnings", refuse)
-            results = [run_cli(capsys, [argv[0], inst, *argv[1:]]) for argv in runs]
-        for argv, (code, report, err) in zip(runs, results):
+            m.setattr(warnings, "warn", refuse)
+            results = [
+                (argv, run_cli(capsys, [argv[0], inst, *argv[1:]]))
+                for inst in instances
+                for argv in runs
+            ]
+        for argv, (code, report, err) in results:
             assert code == 0, argv
             assert err == ""
             assert report["warnings"], argv
+
+    def test_uncovered_instance_runs_repeat_identically(self, tmp_path, capsys):
+        inst = uncovered_ghz3_instance(tmp_path)
+        outputs = []
+        for _ in range(2):
+            code, report, err = run_cli(capsys, ["check-dqls", inst])
+            assert code == 0
+            report.pop("timings")
+            outputs.append((report, err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] == ""
+        assert outputs[0][0]["warnings"] == [
+            "uncovered subsystems [2]: no neighborhood acts on them"
+        ]
 
     @pytest.mark.parametrize("cmd", sorted(FORCED))
     def test_forced_commands_list_dqls_notes_first(self, tmp_path, capsys, cmd):
@@ -791,17 +833,13 @@ class TestDiagnosticsAsData:
         ]
 
     def test_forced_uncovered_instance_reports_coverage(self, tmp_path, capsys):
-        from qlstab.tensor import CoverageWarning
-
-        inst = write_instance(
-            tmp_path / "ghz3.json",
-            {"dims": [2, 2, 2], "state": "ghz", "neighborhoods": [[0, 1]]},
+        code, report, err = run_cli(
+            capsys,
+            ["synthesize", uncovered_ghz3_instance(tmp_path), "--out",
+             str(tmp_path / "o"), "--force"],
         )
-        with pytest.warns(CoverageWarning):
-            code, report, _ = run_cli(
-                capsys, ["synthesize", inst, "--out", str(tmp_path / "o"), "--force"]
-            )
         assert code == 0
+        assert err == ""
         assert report["warnings"][0].startswith("uncovered subsystems [2]")
         assert report["warnings"][-1].startswith("synthesis was forced")
 
@@ -866,3 +904,41 @@ class TestMalformedOperatorFiles:
         assert code == 2
         assert report is None
         assert fragment in err
+
+
+class TestFlagValidation:
+    """Numeric flags come from outside the program: a bad value exits 2 with
+    a message that names the flag, before any work starts."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--t-final", "-1"], "--t-final"),
+            (["simulate", "--t-final", "nan"], "--t-final"),
+            (["simulate", "--t-final", "inf", "--dt", "0.1"], "--t-final"),
+            (["simulate", "--dt", "0"], "--dt"),
+            (["simulate", "--record-every", "0"], "--record-every"),
+            (["simulate", "--switched", "--cycles", "0"], "--cycles"),
+            (["simulate", "--switched", "--tau", "-1"], "--tau"),
+            (["simulate", "--seed", "-1"], "--seed"),
+            (["certify", "--evidence-fallback", "--dim-cap", "2",
+              "--t-final", "-1"], "--t-final"),
+            (["certify", "--evidence-fallback", "--dim-cap", "2",
+              "--trajectories", "0"], "--trajectories"),
+            (["check-dqls", "--tolerance", "nan"], "--tolerance"),
+            (["check-dqls", "--tolerance", "2"], "--tolerance"),
+            (["check-dqls", "--tolerance", "-1"], "--tolerance"),
+        ],
+        ids=["t-final-negative", "t-final-nan", "t-final-inf", "dt-zero",
+             "record-every-zero", "cycles-zero", "tau-negative", "seed-negative",
+             "evidence-t-final-negative", "evidence-trajectories-zero",
+             "tolerance-nan", "tolerance-two", "tolerance-negative"],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, argv, flag):
+        extra = ["--csv", str(tmp_path / "t.csv")] if argv[0] == "simulate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], dicke_instance(tmp_path), *extra, *argv[1:]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err

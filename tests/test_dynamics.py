@@ -44,7 +44,7 @@ from qlstab.tensor import (
     random_pure_state,
 )
 
-from oracles import haar_unitary
+from oracles import haar_unitary, vectorize_oracle
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -208,6 +208,23 @@ class TestVectorize:
             via_vec = unstack(lhat @ stack(rho.matrix), space.dim)
             worst = max(worst, float(np.max(np.abs(direct - via_vec))))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (2, 2, 2), (3, 3)])
+    @pytest.mark.parametrize("with_ham", [True, False], ids=["ham", "no-ham"])
+    def test_matches_kron_oracle_and_apply_generator(self, dims, with_ham):
+        rng = np.random.default_rng(sum(dims) + 10 * with_ham)
+        space = TensorSpace(dims)
+        gen = random_generator(space, rng, with_ham=with_ham)
+        lhat = vectorize(gen)
+        oracle = vectorize_oracle(gen.hamiltonian, gen.noise_ops)
+        scale = float(np.max(np.abs(oracle)))
+        assert float(np.max(np.abs(lhat - oracle))) <= 1e-13 * scale
+        mat = rng.standard_normal((space.dim,) * 2) + 1j * rng.standard_normal(
+            (space.dim,) * 2
+        )
+        direct = apply_generator(gen, mat)
+        via_vec = unstack(lhat @ stack(mat), space.dim)
+        assert float(np.max(np.abs(direct - via_vec))) <= 1e-12 * scale
 
     def test_pure_hamiltonian_spectrum_is_imaginary(self):
         rng = np.random.default_rng(2)

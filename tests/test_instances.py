@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -83,7 +82,6 @@ INSTANCES = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::qlstab.tensor.CoverageWarning")
 @given(INSTANCES)
 def test_parse_instance_returns_an_instance_or_a_format_error(data):
     try:

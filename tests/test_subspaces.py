@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qlstab.subspaces import (
-    NumericalRankWarning,
     Subspace,
     complement,
     complete_frame,
@@ -28,6 +27,13 @@ from qlstab.tensor import (
 )
 
 from oracles import haar_unitary, ptrace_oracle
+
+
+def no_notes(result):
+    """The subspace of a ``(subspace, notes)`` result that carries no note."""
+    sub, notes = result
+    assert notes == []
+    return sub
 
 
 def random_subspace(ambient, dim, rng):
@@ -61,18 +67,18 @@ class TestSubspaceType:
 class TestSupport:
     def test_pure_state_support_is_its_span(self):
         psi = make_ghz(3)
-        sub = support(psi.density_matrix())
+        sub = no_notes(support(psi.density_matrix()))
         assert sub.dim == 1
         assert sub.contains(psi.amplitudes)
 
     def test_maximally_mixed_support_is_everything(self):
         d = 6
-        sub = support(np.eye(d) / d)
+        sub = no_notes(support(np.eye(d) / d))
         assert sub.dim == d
 
     def test_ghz_reduced_support(self):
         red = partial_trace(make_ghz(3).density_matrix(), Neighborhood((0, 1)))
-        sub = support(red)
+        sub = no_notes(support(red))
         assert sub.dim == 2
         expected = coordinate_span(4, [0, 3])
         assert equals(sub, expected)
@@ -84,14 +90,16 @@ class TestSupport:
     def test_scaling_invariance(self):
         rng = np.random.default_rng(2)
         rho = random_density_matrix(TensorSpace((2, 3)), rng, rank=3)
-        a = support(rho)
-        b = support(1e-7 * rho.matrix)
+        a = no_notes(support(rho))
+        b = no_notes(support(1e-7 * rho.matrix))
         assert equals(a, b)
 
-    def test_borderline_rank_warns(self):
+    def test_borderline_rank_note(self):
         mat = np.diag([1.0, 1e-10, 0.0])
-        with pytest.warns(NumericalRankWarning):
-            support(mat, rtol=1e-10)
+        sub, notes = support(mat, rtol=1e-10)
+        assert sub.dim == 1
+        assert len(notes) == 1
+        assert notes[0].startswith("support rank decision is borderline")
 
 
 class TestComplementAndProjector:
@@ -146,13 +154,13 @@ class TestIntersect:
     def test_with_full_space_is_identity(self):
         rng = np.random.default_rng(14)
         sub = random_subspace(5, 3, rng)
-        out = intersect([sub, full_space(5)])
+        out = no_notes(intersect([sub, full_space(5)]))
         assert equals(out, sub)
 
     def test_coordinate_planes(self):
         a = coordinate_span(3, [0, 1])
         b = coordinate_span(3, [1, 2])
-        out = intersect([a, b])
+        out = no_notes(intersect([a, b]))
         assert out.dim == 1
         assert equals(out, coordinate_span(3, [1]))
 
@@ -164,15 +172,16 @@ class TestIntersect:
         embedded = []
         for hood in ((0, 1, 2), (1, 2, 3)):
             red = ptrace_oracle(rho, [2] * 4, list(hood))
-            sub = support(red)
+            sub = no_notes(support(red))
             frame = embed_frame(sub.frame, Neighborhood(hood), psi.space)
             embedded.append(Subspace(16, frame))
-        out = intersect(embedded)
+        out = no_notes(intersect(embedded))
         assert out.dim == 1
         assert equals(out, span(psi.amplitudes))
 
     def test_disjoint_subspaces_intersect_to_zero(self):
-        out = intersect([coordinate_span(4, [0, 1]), coordinate_span(4, [2, 3])])
+        halves = [coordinate_span(4, [0, 1]), coordinate_span(4, [2, 3])]
+        out = no_notes(intersect(halves))
         assert out.dim == 0
 
     def test_ambient_mismatch(self):
@@ -189,11 +198,11 @@ class TestIntersect:
             a = random_subspace(8, 6, rng)
             b = random_subspace(8, 6, rng)
             c = random_subspace(8, 7, rng)
-            ab = intersect([a, b])
-            ba = intersect([b, a])
+            ab = no_notes(intersect([a, b]))
+            ba = no_notes(intersect([b, a]))
             np.testing.assert_allclose(projector(ab), projector(ba), atol=1e-8)
-            abc = intersect([a, b, c])
-            nested = intersect([ab, c])
+            abc = no_notes(intersect([a, b, c]))
+            nested = no_notes(intersect([ab, c]))
             np.testing.assert_allclose(projector(abc), projector(nested), atol=1e-7)
 
     def test_dimension_lower_bound(self):
@@ -204,7 +213,7 @@ class TestIntersect:
             db = int(rng.integers(1, ambient + 1))
             a = random_subspace(ambient, da, rng)
             b = random_subspace(ambient, db, rng)
-            assert intersect([a, b]).dim >= da + db - ambient
+            assert no_notes(intersect([a, b])).dim >= da + db - ambient
 
 
 class TestEquals:
@@ -244,14 +253,14 @@ class TestSupportContainmentProperty:
                         tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
                     )
                 )
-            global_support = support(rho)
+            global_support = no_notes(support(rho))
             embedded = []
             for hood in hoods:
                 red = partial_trace(rho, hood)
-                sub = support(red)
+                sub = no_notes(support(red))
                 embedded.append(
                     Subspace(space.dim, embed_frame(sub.frame, hood, space))
                 )
-            inter = intersect(embedded)
+            inter = no_notes(intersect(embedded))
             residual = global_support.frame - projector(inter) @ global_support.frame
             assert float(np.max(np.abs(residual))) < 1e-8

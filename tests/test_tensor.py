@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qlstab.tensor import (
-    CoverageWarning,
     DensityMatrix,
     DimensionMismatchError,
     LocalityPattern,
@@ -77,11 +76,12 @@ class TestTypes:
             Neighborhood((1, 1))
         assert Neighborhood((0, 2)).complement(4) == (1, 3)
 
-    def test_pattern_coverage_warning(self):
+    def test_pattern_coverage_is_data(self):
+        # An uncovered subsystem is legal and listed, not warned.
         space = qubit_space(3)
-        with pytest.warns(CoverageWarning):
-            pattern = LocalityPattern(space, (Neighborhood((0, 1)),))
+        pattern = LocalityPattern(space, (Neighborhood((0, 1)),))
         assert pattern.uncovered() == (2,)
+        assert LocalityPattern(space, ((0, 1), (2,))).uncovered() == ()
 
     def test_pattern_rejects_out_of_range(self):
         with pytest.raises(DimensionMismatchError):
