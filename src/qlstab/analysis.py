@@ -37,6 +37,7 @@ from .tensor import (
     QLOperator,
     TensorSpace,
     apply_local,
+    check_hermitian,
     embed,
     partial_trace,
 )
@@ -232,9 +233,8 @@ def is_frustration_free(psi: PureState, terms: Sequence[QLOperator]) -> bool:
     the smallest eigenvalue of the embedded term within ``INTERSECT_TOL``.
     """
     for k, term in enumerate(terms):
-        asym = np.max(np.abs(term.block - term.block.conj().T))
-        if asym > HERM_TOL * max(1.0, float(np.max(np.abs(term.block)))):
-            raise ValueError(f"term {k} is not Hermitian (asymmetry {asym:.3e})")
+        bound = HERM_TOL * max(1.0, np.abs(term.block).max())
+        check_hermitian(term.block, bound, f"term {k}")
         applied = apply_local(term, psi.space, psi.amplitudes)
         expectation = float(np.real(np.vdot(psi.amplitudes, applied)))
         # Tensoring with the identity leaves the set of eigenvalues unchanged,

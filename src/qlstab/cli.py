@@ -27,19 +27,14 @@ from . import analysis, dynamics, subspaces, synthesis
 from .instances import (
     InstanceFormatError,
     ProblemInstance,
-    _neighborhood,
     _tolerance,
     array_to_pairs,
     load_instance,
-    read_operator_file,
-    write_operator_file,
+    read_noise_operators,
+    write_noise_operators,
+    write_parent_hamiltonian,
 )
-from .tensor import (
-    DimensionMismatchError,
-    QLOperator,
-    random_density_matrix,
-    random_pure_state,
-)
+from .tensor import DimensionMismatchError, random_density_matrix, random_pure_state
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -50,6 +45,19 @@ EXIT_INTEGRATION = 6
 EXIT_NUMERICAL = 7
 
 EVIDENCE_FIDELITY = 1e-5
+
+# (exception class, exit code, stderr prefix); the first matching row wins,
+# so subclasses come before their bases.
+_EXITS = (
+    (json.JSONDecodeError, EXIT_PARSE, "malformed JSON: "),
+    (InstanceFormatError, EXIT_PARSE, ""),
+    (OSError, EXIT_PARSE, ""),
+    (DimensionMismatchError, EXIT_DIMENSION, "dimension mismatch: "),
+    (synthesis.NotStabilizableError, EXIT_NOT_STABILIZABLE, ""),
+    (dynamics.DimensionCapError, EXIT_DIM_CAP, ""),
+    (dynamics.IntegrationError, EXIT_INTEGRATION, "integrator aborted: "),
+    (ArithmeticError, EXIT_NUMERICAL, "numerical failure: "),
+)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -120,10 +128,6 @@ def _emit(report: dict, fmt: str) -> None:
         print("\n".join(_render_text(report)))
 
 
-def _pairs(values) -> list:
-    return [_round12(complex(z)) for z in values]
-
-
 def _verdict_string(report: analysis.DqlsReport) -> str:
     if report.borderline:
         return "indeterminate"
@@ -181,28 +185,7 @@ def _cmd_check_dqls(args, instance: ProblemInstance, rtol: float) -> dict:
 
 def _cmd_parent_ham(args, instance: ProblemInstance, rtol: float) -> dict:
     ham = analysis.parent_hamiltonian(instance.state, instance.pattern, rtol)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for k, term in enumerate(ham.terms):
-        path = out_dir / f"parent_term_{k:02d}.json"
-        write_operator_file(
-            path,
-            term.block,
-            {
-                "kind": "parent_hamiltonian_term",
-                "neighborhood": list(term.neighborhood.indices),
-                "dims": list(instance.space.dims),
-            },
-        )
-        files.append(str(path))
-    total_path = out_dir / "parent_total.json"
-    write_operator_file(
-        total_path,
-        ham.total,
-        {"kind": "parent_hamiltonian_total", "dims": list(instance.space.dims)},
-    )
-    files.append(str(total_path))
+    files = write_parent_hamiltonian(args.out, ham)
     kernel = ham.kernel()
     frustration_free = analysis.is_frustration_free(instance.state, ham.terms)
     return {
@@ -231,23 +214,9 @@ def _synthesize(instance: ProblemInstance, rtol: float, force: bool):
 
 def _cmd_synthesize(args, instance: ProblemInstance, rtol: float) -> dict:
     stabilizers = _synthesize(instance, rtol, args.force)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for k, (op, gains) in enumerate(zip(stabilizers.operators, stabilizers.gains)):
-        path = out_dir / f"noise_op_{k:02d}.json"
-        write_operator_file(
-            path,
-            op.block,
-            {
-                "kind": "noise_operator",
-                "neighborhood": list(op.neighborhood.indices),
-                "gains": list(gains),
-                "gains_policy": instance.gains_policy,
-                "dims": list(instance.space.dims),
-            },
-        )
-        files.append(str(path))
+    files = write_noise_operators(
+        args.out, stabilizers, instance.gains_policy, instance.space.dims
+    )
     forced = (
         "synthesis was forced; if the target is not stabilizable the "
         "certificate kernel dimension will exceed 1"
@@ -260,27 +229,10 @@ def _cmd_synthesize(args, instance: ProblemInstance, rtol: float) -> dict:
     }
 
 
-def _load_operators(directory: str, instance: ProblemInstance):
-    paths = sorted(Path(directory).glob("noise_op_*.json"))
-    if not paths:
-        raise InstanceFormatError(f"no noise_op_*.json files in {directory}")
-    ops = []
-    for path in paths:
-        matrix, meta = read_operator_file(path)
-        if meta.get("neighborhood") is None:
-            raise InstanceFormatError(f"{path}: missing 'neighborhood' metadata")
-        try:
-            hood = _neighborhood(meta["neighborhood"])
-        except InstanceFormatError as exc:
-            raise InstanceFormatError(f"{path}: {exc}") from exc
-        ops.append(QLOperator(hood, matrix))
-    gains = tuple(() for _ in ops)
-    return synthesis.StabilizerSet(tuple(ops), gains, ())
-
-
 def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
     if args.operators:
-        stabilizers = _load_operators(args.operators, instance)
+        ops = tuple(read_noise_operators(args.operators))
+        stabilizers = synthesis.StabilizerSet(ops, tuple(() for _ in ops), ())
         notes = [f"operators loaded from {args.operators}"]
     else:
         stabilizers = _synthesize(instance, rtol, args.force)
@@ -297,7 +249,7 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
             "kernel_dim": cert.spectrum.kernel_dim,
             "spectral_abscissa_nonzero": cert.spectrum.spectral_abscissa_nonzero,
             "gap": cert.spectrum.gap,
-            "eigenvalues": _pairs(cert.spectrum.eigenvalues),
+            "eigenvalues": cert.spectrum.eigenvalues,
             "warnings": notes + list(cert.messages),
             "timings": {"certificate_s": certificate_s},
         }
@@ -535,27 +487,10 @@ def main(argv=None) -> int:
         # first; nothing in qlstab warns, so stderr carries errors only.
         instance, rtol = _load(args)
         fields = args.func(args, instance, rtol)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InstanceFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionMismatchError as exc:
-        print(f"error: dimension mismatch: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except synthesis.NotStabilizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_STABILIZABLE
-    except dynamics.DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIM_CAP
-    except dynamics.IntegrationError as exc:
-        print(f"error: integrator aborted: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except ArithmeticError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except tuple(row[0] for row in _EXITS) as exc:
+        code, prefix = next((c, p) for cls, c, p in _EXITS if isinstance(exc, cls))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
     report = _base_report(args, instance, rtol)
     report.update(fields)
     report.setdefault("timings", {})["total_s"] = time.perf_counter() - started

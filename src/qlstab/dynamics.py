@@ -37,6 +37,7 @@ from .tensor import (
     NORM_TOL,
     PureState,
     TensorSpace,
+    check_hermitian,
     embed,
 )
 
@@ -91,10 +92,10 @@ class IntegrationError(RuntimeError):
 class LindbladGenerator:
     """Hamiltonian plus noise operators defining a Lindblad generator.
 
-    The Hamiltonian (if present) must be Hermitian; at least one of
-    Hamiltonian and noise operators must be supplied. Units are hbar = 1:
-    the Hamiltonian carries inverse time, noise operators inverse square
-    root of time.
+    The Hamiltonian (if present) must be Hermitian and the noise operators
+    finite; at least one of Hamiltonian and noise operators must be supplied.
+    Units are hbar = 1: the Hamiltonian carries inverse time, noise operators
+    inverse square root of time.
     """
 
     space: TensorSpace
@@ -111,9 +112,7 @@ class LindbladGenerator:
                 raise DimensionMismatchError(
                     f"Hamiltonian shape {ham.shape} does not match dim {d}"
                 )
-            asym = np.max(np.abs(ham - ham.conj().T))
-            if asym > HERM_TOL * max(1.0, float(np.max(np.abs(ham)))):
-                raise ValueError(f"Hamiltonian is not Hermitian (asymmetry {asym:.3e})")
+            check_hermitian(ham, HERM_TOL * max(1.0, np.abs(ham).max()), "Hamiltonian")
             ham.flags.writeable = False
         ops = []
         for k, op in enumerate(self.noise_ops):
@@ -122,6 +121,8 @@ class LindbladGenerator:
                 raise DimensionMismatchError(
                     f"noise operator {k} shape {op.shape} does not match dim {d}"
                 )
+            if not np.isfinite(op).all():
+                raise ValueError(f"noise operator {k} has non-finite entries")
             op.flags.writeable = False
             ops.append(op)
         if ham is None and not ops:
@@ -205,7 +206,7 @@ class SwitchingSchedule:
     generators: tuple[LindbladGenerator, ...]
 
     def __post_init__(self):
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError("switching interval must be non-negative")
         gens = tuple(self.generators)
         if len(gens) < 1:
@@ -452,17 +453,13 @@ def check_invariance(gen: LindbladGenerator, psi: PureState) -> InvarianceDiagno
     ham_rot = (
         basis.conj().T @ ham @ basis if ham is not None else np.zeros((d, d))
     )
-    cross = np.zeros(d - 1, dtype=complex) if d > 1 else np.zeros(0, dtype=complex)
+    cross = np.zeros(d - 1, dtype=complex)
     offdiag = 0.0
     for op in gen.noise_ops:
         rot = basis.conj().T @ op @ basis
-        if d > 1:
-            offdiag = max(offdiag, float(np.linalg.norm(rot[1:, 0])))
-            cross += np.conj(rot[0, 0]) * rot[0, 1:]
-    if d > 1:
-        ham_residual = float(np.linalg.norm(1j * ham_rot[0, 1:] - 0.5 * cross))
-    else:
-        ham_residual = 0.0
+        offdiag = max(offdiag, float(np.linalg.norm(rot[1:, 0])))
+        cross += np.conj(rot[0, 0]) * rot[0, 1:]
+    ham_residual = float(np.linalg.norm(1j * ham_rot[0, 1:] - 0.5 * cross))
     block_ok = offdiag <= INVARIANCE_TOL and ham_residual <= INVARIANCE_TOL
 
     rho_d = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -589,18 +586,13 @@ def fme_generator(
         x = np.asarray(x, dtype=complex)
         if x.shape != (d, d):
             raise DimensionMismatchError(f"{name} shape {x.shape} != ({d}, {d})")
-        asym = np.max(np.abs(x - x.conj().T))
-        if asym > HERM_TOL * max(1.0, float(np.max(np.abs(x)))):
-            raise ValueError(f"{name} must be Hermitian (asymmetry {asym:.3e})")
+        check_hermitian(x, HERM_TOL * max(1.0, np.abs(x).max()), name)
         if name != "feedback":
             pieces.append(x)
     ham = sum(pieces, np.zeros((d, d), dtype=complex))
     ham = ham + 0.5 * (f @ m + m.conj().T @ f)
-    asym = np.max(np.abs(ham - ham.conj().T))
-    if asym > HERM_TOL * max(1.0, float(np.max(np.abs(ham)))):
-        raise ArithmeticError(
-            f"assembled feedback Hamiltonian is not Hermitian ({asym:.3e})"
-        )
+    bound = HERM_TOL * max(1.0, np.abs(ham).max())
+    check_hermitian(ham, bound, "assembled feedback Hamiltonian", ArithmeticError)
     noise = m - 1j * f
     if space is None:
         space = TensorSpace((d,))
@@ -634,15 +626,11 @@ def switched_map(schedule: SwitchingSchedule) -> np.ndarray:
         rho /= np.trace(rho).real
         image = unstack(total @ stack(rho), d)
         out_trace = complex(np.trace(image))
-        if abs(out_trace - 1.0) > NORM_TOL:
+        if not abs(out_trace - 1.0) <= NORM_TOL:
             raise ArithmeticError(
                 f"cycle map is not trace preserving (trace {out_trace!r})"
             )
-        asym = float(np.max(np.abs(image - image.conj().T)))
-        if asym > HERM_TOL:
-            raise ArithmeticError(
-                f"cycle map does not preserve Hermiticity (asymmetry {asym:.3e})"
-            )
+        check_hermitian(image, HERM_TOL, "cycle map image", ArithmeticError)
     return total
 
 

@@ -19,7 +19,9 @@ Example instance::
 {"name": "graph", "edges": [[0, 1], [1, 2]]}, or a list of [re, im]
 amplitude pairs of length prod(dims).
 
-Operator matrix files are {"meta": {...}, "matrix": [[[re, im], ...], ...]}.
+Operator matrix files are {"meta": {...}, "matrix": [[[re, im], ...], ...]},
+named ``{stem}_{k:02d}.json`` in operator order (``parent_term``,
+``noise_op``); this module owns their names, keys and reading back.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .tensor import (
     LocalityPattern,
     Neighborhood,
     PureState,
+    QLOperator,
     TensorSpace,
     make_dicke_4_2,
     make_ghz,
@@ -54,6 +57,9 @@ __all__ = [
     "array_to_pairs",
     "write_operator_file",
     "read_operator_file",
+    "write_parent_hamiltonian",
+    "write_noise_operators",
+    "read_noise_operators",
 ]
 
 
@@ -299,3 +305,59 @@ def read_operator_file(path: str | Path) -> tuple[np.ndarray, dict]:
     if not isinstance(meta, dict):
         raise InstanceFormatError(f"{path}: 'meta' must be an object")
     return matrix, meta
+
+
+def _write_operators(directory: Path, stem, kind, operators, extras, dims) -> list[str]:
+    """Write ``{stem}_{k:02d}.json`` per operator into ``directory``, creating it;
+    the metadata keys are kind, neighborhood, the keys of ``extras[k]``, dims."""
+    directory.mkdir(parents=True, exist_ok=True)
+    files = []
+    for k, (op, extra) in enumerate(zip(operators, extras)):
+        path = directory / f"{stem}_{k:02d}.json"
+        hood = list(op.neighborhood.indices)
+        meta = {"kind": kind, "neighborhood": hood, **extra, "dims": list(dims)}
+        write_operator_file(path, op.block, meta)
+        files.append(str(path))
+    return files
+
+
+def write_parent_hamiltonian(directory: str | Path, ham) -> list[str]:
+    """Write a :class:`~qlstab.analysis.ParentHamiltonian` as one
+    ``parent_term_{k:02d}.json`` per term, then ``parent_total.json``."""
+    directory, dims = Path(directory), ham.space.dims
+    extras = [{}] * len(ham.terms)
+    kind = "parent_hamiltonian_term"
+    files = _write_operators(directory, "parent_term", kind, ham.terms, extras, dims)
+    path = directory / "parent_total.json"
+    meta = {"kind": "parent_hamiltonian_total", "dims": list(dims)}
+    write_operator_file(path, ham.total, meta)
+    return files + [str(path)]
+
+
+def write_noise_operators(
+    directory: str | Path, stabilizers, policy: str, dims
+) -> list[str]:
+    """Write a :class:`~qlstab.synthesis.StabilizerSet` as one
+    ``noise_op_{k:02d}.json`` per operator, with its gains and ``policy``."""
+    ops, kind = stabilizers.operators, "noise_operator"
+    extras = [{"gains": list(g), "gains_policy": policy} for g in stabilizers.gains]
+    return _write_operators(Path(directory), "noise_op", kind, ops, extras, dims)
+
+
+def read_noise_operators(directory: str | Path) -> list[QLOperator]:
+    """The operators of the ``noise_op_*.json`` files in ``directory``, in name
+    order. A malformed file raises :class:`InstanceFormatError` naming it."""
+    paths = sorted(Path(directory).glob("noise_op_*.json"))
+    if not paths:
+        raise InstanceFormatError(f"no noise_op_*.json files in {directory}")
+    operators = []
+    for path in paths:
+        matrix, meta = read_operator_file(path)
+        if meta.get("neighborhood") is None:
+            raise InstanceFormatError(f"{path}: missing 'neighborhood' metadata")
+        try:
+            hood = _neighborhood(meta["neighborhood"])
+        except InstanceFormatError as exc:
+            raise InstanceFormatError(f"{path}: {exc}") from exc
+        operators.append(QLOperator(hood, matrix))
+    return operators

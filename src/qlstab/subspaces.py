@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import DensityMatrix, DimensionMismatchError
+from .tensor import DensityMatrix, DimensionMismatchError, check_hermitian
 
 ORTH_TOL = 1e-9
 INTERSECT_TOL = 1e-8
@@ -84,7 +84,7 @@ class Subspace:
             gram_defect = np.max(
                 np.abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
             )
-            if gram_defect > ORTH_TOL:
+            if not gram_defect <= ORTH_TOL:
                 raise ValueError(
                     f"frame columns are not orthonormal (defect {gram_defect:.3e})"
                 )
@@ -133,13 +133,11 @@ def support(rho, rtol: float = SUPPORT_RTOL) -> tuple[Subspace, list[str]]:
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
-    asym = np.max(np.abs(mat - mat.conj().T))
     evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     lam_max = float(evals[-1])
     if lam_max <= 0.0:
         raise ValueError("the zero (or negative) operator has no support")
-    if asym > OPERATOR_RTOL * max(1.0, lam_max):
-        raise ValueError(f"operator is not Hermitian (asymmetry {asym:.3e})")
+    check_hermitian(mat, OPERATOR_RTOL * max(1.0, lam_max), "operator")
     if float(evals[0]) < -OPERATOR_RTOL * lam_max:
         raise ValueError(
             f"operator is not positive semidefinite (eigenvalue {evals[0]:.3e})"

@@ -222,7 +222,7 @@ def renormalize_generator(
             raise ValueError(f"noise operator {k} shape {op.shape} != ({d}, {d})")
         eigval = complex(np.vdot(psi.amplitudes, op @ psi.amplitudes))
         residual = float(np.linalg.norm(op @ psi.amplitudes - eigval * psi.amplitudes))
-        if residual > INVARIANCE_TOL:
+        if not residual <= INVARIANCE_TOL:
             raise ValueError(
                 f"target is not an eigenvector of noise operator {k} "
                 f"(residual {residual:.3e})"

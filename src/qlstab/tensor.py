@@ -32,6 +32,7 @@ __all__ = [
     "HERM_TOL",
     "PSD_TOL",
     "DimensionMismatchError",
+    "check_hermitian",
     "TensorSpace",
     "PureState",
     "DensityMatrix",
@@ -70,6 +71,14 @@ def _as_complex_matrix(mat, shape=None) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def check_hermitian(mat, bound: float, what: str, error=ValueError) -> None:
+    """The one Hermiticity guard: raise ``error``, naming ``what``, unless
+    max |A - A^dag| <= ``bound``. A NaN entry fails it."""
+    asym = float(np.max(np.abs(mat - mat.conj().T)))
+    if not asym <= bound:
+        raise error(f"{what} is not Hermitian (asymmetry {asym:.3e})")
 
 
 @dataclass(frozen=True)
@@ -128,12 +137,6 @@ class PureState:
             self.space, np.outer(self.amplitudes, self.amplitudes.conj())
         )
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        if self.space != other.space:
-            raise DimensionMismatchError("states live on different spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -154,9 +157,7 @@ class DensityMatrix:
     def __post_init__(self, herm_tol, trace_tol, psd_tol):
         d = self.space.dim
         mat = _as_complex_matrix(self.matrix, (d, d))
-        asym = np.max(np.abs(mat - mat.conj().T))
-        if not asym <= herm_tol:
-            raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e}")
+        check_hermitian(mat, herm_tol, "matrix")
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= trace_tol:
             raise ValueError(f"trace {tr!r} is not 1 within {trace_tol}")
@@ -363,7 +364,7 @@ def apply_local_unitary(
     for a, u in enumerate(locals_):
         u = _as_complex_matrix(u, (dims[a], dims[a]))
         defect = np.max(np.abs(u.conj().T @ u - np.eye(dims[a])))
-        if defect > HERM_TOL:
+        if not defect <= HERM_TOL:
             raise ValueError(
                 f"matrix for subsystem {a} is not unitary (defect {defect:.3e})"
             )

@@ -475,6 +475,11 @@ class TestFrustrationFree:
         with pytest.raises(ValueError):
             is_frustration_free(psi, [QLOperator(Neighborhood((0,)), np.array([[0, 1], [0, 0]]))])
 
+    def test_nan_term_rejected(self):
+        term = QLOperator(Neighborhood((0,)), np.diag([np.nan, 0.0]))
+        with pytest.raises(ValueError, match="term 0 is not Hermitian"):
+            is_frustration_free(make_ghz(2), [term])
+
 
 class TestFactorization:
     def test_product_basis_state_splits_completely(self):

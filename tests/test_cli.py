@@ -95,9 +95,11 @@ class TestCheckDqls:
         assert report["verdict"] == "true"
 
     def test_report_echoes_tolerances(self, tmp_path, capsys):
-        code, report, _ = run_cli(
-            capsys, ["check-dqls", dicke_instance(tmp_path), "--tolerance", "1e-9"]
-        )
+        inst = dicke_instance(tmp_path, tolerance=1e-7)
+        code, report, _ = run_cli(capsys, ["check-dqls", inst])
+        assert code == 0
+        assert report["tolerances"]["support_rtol"] == 1e-7
+        code, report, _ = run_cli(capsys, ["check-dqls", inst, "--tolerance", "1e-9"])
         assert code == 0
         assert report["tolerances"]["support_rtol"] == pytest.approx(1e-9)
 

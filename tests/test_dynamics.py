@@ -1,6 +1,7 @@
 """Generator evaluation, vectorization, certificates, integration, switching."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,14 @@ def _oracle_fixture(name):
         return LindbladGenerator(Q1, None, (LOWER,)), basis_state(Q1, 0)
     if name == "dephasing":
         return LindbladGenerator(Q1, None, (SZ,)), basis_state(Q1, 0)
+    if name == "rotating":
+        # Kernel dimension 2 and eigenvalues +-2i: purely rotating structure.
+        return LindbladGenerator(Q1, SZ, ()), basis_state(Q1, 0)
+    if name == "slow_damping":
+        # Rate 2e-8 puts the nonzero real parts at -1e-8 and -2e-8, next to
+        # EIG_TOL.
+        gen = LindbladGenerator(Q1, None, (math.sqrt(2e-8) * LOWER,))
+        return gen, basis_state(Q1, 0)
     if name == "zero":
         zero = np.zeros((2, 2))
         return LindbladGenerator(Q1, zero, (zero,)), basis_state(Q1, 0)
@@ -150,10 +159,31 @@ def _oracle_fixture(name):
     raise KeyError(name)
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?j?")
+
+
+def assert_same_messages(got, want):
+    """Equal texts, and numbers inside them equal to 1e-12 relative: the
+    eigenvalues that messages list differ in the last digit between solvers."""
+    assert [_NUMBER.sub("#", m) for m in got] == [_NUMBER.sub("#", m) for m in want]
+    got_numbers = [complex(x) for m in got for x in _NUMBER.findall(m)]
+    want_numbers = [complex(x) for m in want for x in _NUMBER.findall(m)]
+    np.testing.assert_allclose(got_numbers, want_numbers, rtol=1e-12, atol=0)
+
+
 class TestLindbladGeneratorType:
     def test_requires_hermitian_hamiltonian(self):
         with pytest.raises(ValueError):
             LindbladGenerator(Q1, np.array([[0, 1], [0, 0]]), ())
+
+    def test_rejects_nan_hamiltonian(self):
+        with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+            LindbladGenerator(Q1, np.diag([np.nan, 0.0]), ())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_noise_operator(self, bad):
+        with pytest.raises(ValueError, match="noise operator 0 has non-finite"):
+            LindbladGenerator(Q1, None, (np.diag([bad, 0.0]),))
 
     def test_requires_some_content(self):
         with pytest.raises(ValueError):
@@ -270,6 +300,8 @@ class TestGasCertificate:
         [
             "amplitude_damping",
             "dephasing",
+            "rotating",
+            "slow_damping",
             "zero",
             "random_qubit_qutrit",
             "dicke",
@@ -288,7 +320,7 @@ class TestGasCertificate:
         cert = gas_certificate(gen, target)
         assert cert.certified == certified
         assert cert.spectrum.kernel_dim == kernel_dim
-        assert cert.messages == messages
+        assert_same_messages(cert.messages, messages)
         assert cert.spectrum.spectral_abscissa_nonzero == pytest.approx(
             abscissa, rel=1e-9
         )
@@ -495,6 +527,10 @@ class TestFmeGenerator:
         with pytest.raises(ValueError):
             fme_generator(None, None, LOWER, SX)
 
+    def test_rejects_nan_feedback(self):
+        with pytest.raises(ValueError, match="feedback is not Hermitian"):
+            fme_generator(None, None, np.diag([np.nan, 0.0]), LOWER)
+
 
 class TestSwitchedMap:
     def test_single_generator_schedule_is_plain_exponential(self):
@@ -509,6 +545,17 @@ class TestSwitchedMap:
         gen_b = LindbladGenerator(Q1, None, (SZ,))
         schedule = SwitchingSchedule(0.0, (gen_a, gen_b))
         np.testing.assert_allclose(switched_map(schedule), np.eye(4), atol=1e-12)
+
+    def test_nan_interval_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SwitchingSchedule(math.nan, (LindbladGenerator(Q1, None, (LOWER,)),))
+
+    def test_nan_cycle_map_fails_the_trace_check(self):
+        # An infinite interval turns the exponential into NaNs.
+        schedule = SwitchingSchedule(math.inf, (LindbladGenerator(Q1, None, (LOWER,)),))
+        with np.errstate(all="ignore"):
+            with pytest.raises(ArithmeticError, match="not trace preserving"):
+                switched_map(schedule)
 
     def test_cap_enforced(self):
         space = qubit_space(7)

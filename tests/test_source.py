@@ -24,3 +24,36 @@ def test_no_module_imports_warnings():
             if any(name.split(".")[0] == "warnings" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _adjoint_operand(node):
+    """X when ``node`` spells X^dag as ``X.conj().T``, ``np.conj(X).T`` or
+    ``X.T.conj()``; otherwise None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        call = node.value
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+            if call.func.attr == "conj":
+                return call.args[0] if call.args else call.func.value
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        inner = node.func.value
+        if node.func.attr == "conj" and isinstance(inner, ast.Attribute):
+            return inner.value if inner.attr == "T" else None
+    return None
+
+
+def test_only_check_hermitian_computes_the_asymmetry():
+    # max |A - A^dag| has one owner, so no Hermiticity check can drift from
+    # the NaN-safe comparison in tensor.check_hermitian.
+    owners = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        enclosing = {}  # node -> innermost enclosing function name
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                operand = _adjoint_operand(node.right)
+                if operand is not None and ast.dump(operand) == ast.dump(node.left):
+                    owners.append(f"{path.name}:{enclosing.get(id(node), '<module>')}")
+    assert owners == ["tensor.py:check_hermitian"]

@@ -53,6 +53,10 @@ class TestSubspaceType:
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_nan_frame(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(2, np.array([[np.nan], [0.0]]))
+
     def test_zero_dimensional_is_legal(self):
         sub = Subspace(3, np.zeros((3, 0)))
         assert sub.dim == 0
@@ -86,6 +90,10 @@ class TestSupport:
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
             support(np.zeros((3, 3)))
+
+    def test_nan_operator_rejected(self):
+        with pytest.raises(ValueError, match="operator is not Hermitian"):
+            support(np.diag([np.nan, 1.0]))
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(2)

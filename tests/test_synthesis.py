@@ -333,6 +333,11 @@ class TestRenormalizeGenerator:
         with pytest.raises(ValueError):
             renormalize_generator(np.zeros((2, 2)), [sx], psi)
 
+    def test_rejects_nan_operator(self):
+        psi = basis_state(qubit_space(1), 0)
+        with pytest.raises(ValueError, match="not an eigenvector"):
+            renormalize_generator(np.zeros((2, 2)), [np.full((2, 2), np.nan)], psi)
+
     def test_rejects_mismatched_shapes(self):
         psi = basis_state(qubit_space(1), 0)
         with pytest.raises(ValueError):

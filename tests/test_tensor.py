@@ -16,6 +16,7 @@ from qlstab.tensor import (
     apply_local,
     apply_local_unitary,
     basis_state,
+    check_hermitian,
     embed,
     embed_frame,
     make_dicke_4_2,
@@ -385,3 +386,19 @@ class TestLocalUnitary:
     def test_rejects_wrong_count(self):
         with pytest.raises(DimensionMismatchError):
             apply_local_unitary(make_ghz(2), [np.eye(2)])
+
+    def test_rejects_nan_unitary(self):
+        psi = basis_state(qubit_space(1), 0)
+        with pytest.raises(ValueError, match="subsystem 0 is not unitary"):
+            apply_local_unitary(psi, [np.array([[math.nan, 0], [0, 1]])])
+
+
+class TestCheckHermitian:
+    def test_bound_is_inclusive_and_a_nan_fails(self):
+        mat = np.array([[0.0, 1e-9], [0.0, 0.0]])
+        check_hermitian(mat, 1e-9, "block")
+        with pytest.raises(ValueError, match=r"^block is not Hermitian \(asymmetry"):
+            check_hermitian(mat, 5e-10, "block")
+        nan = np.diag([math.nan, 0.0])
+        with pytest.raises(ArithmeticError, match=r"\(asymmetry nan\)$"):
+            check_hermitian(nan, math.inf, "block", ArithmeticError)
