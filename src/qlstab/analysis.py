@@ -5,15 +5,23 @@ quasi-locally stabilizable (DQLS) for a fixed locality pattern exactly when
 the intersection of the embedded supports of its neighborhood-reduced states
 is the span of the target alone. That intersection is the kernel of the
 quasi-local parent Hamiltonian sum_k (I - P_k), one complement projector per
-neighborhood, so both share one per-neighborhood loop and the verdict is read
-off one eigendecomposition. The module also checks frustration-freeness and
-exposes the tensor-factor pre-reduction of a target state. Uncovered
-subsystems and borderline rank calls are returned as notes in
-``DqlsReport.warnings`` and ``ParentHamiltonian.warnings``; nothing here
-warns or captures a warning.
+neighborhood, so both share one per-neighborhood loop.
+
+An embedded support has the form X_k tensor H_rest, so the intersection is
+built one neighborhood at a time on the subsystems covered so far (the
+"intersection property" sweep of MPS parent Hamiltonians): the frame of the
+running intersection is widened by the identity on the neighborhood's new
+subsystems, the term I - P_k is applied to it, and the eigenvectors of the
+small Gram matrix below ``INTERSECT_TOL`` are kept. No D x D matrix is formed
+for the verdict; the frame is at most D x D when every support is full.
+
+The module also checks frustration-freeness and exposes the tensor-factor
+pre-reduction of a target state. Uncovered subsystems and borderline rank
+calls are returned as notes in ``DqlsReport.warnings`` and
+``ParentHamiltonian.warnings``; nothing here warns or captures a warning.
 
 Per-neighborhood work (reduced state, support) is independent and could run
-in parallel; the sum of the embedded terms is a sequential reduction.
+in parallel; the sweep and the parent-Hamiltonian sum are sequential.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .tensor import (
     apply_local,
     check_hermitian,
     embed,
+    embed_frame,
     partial_trace,
 )
 
@@ -75,7 +84,13 @@ class DqlsReport:
     collect coverage gaps and borderline numerical rank decisions; a verdict
     that was true only up to a borderline rank call is downgraded to false
     and flagged here; ``borderline`` records any such rank call. Each
-    intersection basis vector has its largest entry made real positive.
+    intersection basis vector is phase-fixed by ``_fix_phase``.
+
+    ``margins[k]`` belongs to the sweep step that applied neighborhood ``k``:
+    the smallest eigenvalue of that step's Gram matrix above the cutoff, the
+    squared sine of the closest principal angle between the running
+    intersection and the neighborhood's embedded support that the step
+    rejected; ``math.inf`` when the step rejected nothing.
     """
 
     verdict: bool
@@ -83,6 +98,7 @@ class DqlsReport:
     per_neighborhood: tuple[NeighborhoodAnalysis, ...]
     warnings: tuple[str, ...]
     borderline: bool
+    margins: tuple[float, ...] = ()
 
     @property
     def intersection_dim(self) -> int:
@@ -106,16 +122,53 @@ class ParentHamiltonian:
     warnings: tuple[str, ...] = ()
 
     def kernel(self) -> Subspace:
-        """Ground space: eigenvectors of the total below ``INTERSECT_TOL``."""
-        return _kernel(self.total)[1]
+        """Ground space: the common kernel of the terms, built by the
+        sequential sweep (Gram eigenvalues below ``INTERSECT_TOL``), not by
+        diagonalizing ``total``."""
+        return _sweep(self.space, self.terms)[0]
 
 
-def _kernel(total: np.ndarray) -> tuple[np.ndarray, Subspace]:
-    """Eigenvalues of a parent-Hamiltonian sum and its kernel: the eigenvectors
-    below ``INTERSECT_TOL``, each with its largest entry made real positive."""
-    evals, evecs = np.linalg.eigh((total + total.conj().T) / 2.0)
-    kernel = [_fix_phase(v) for v in evecs[:, evals < INTERSECT_TOL].T]
-    return evals, Subspace(total.shape[0], np.transpose(kernel))
+def _widen(frame: np.ndarray, covered: list[int], union: list[int], union_space):
+    """A frame on the sorted subsystems ``covered`` tensored with the identity
+    on the rest of the sorted ``union`` (whose space is ``union_space``), in
+    the union's subsystem order."""
+    if not covered:
+        return np.eye(union_space.dim, dtype=complex)
+    local = Neighborhood(tuple(union.index(a) for a in covered))
+    return embed_frame(frame, local, union_space)
+
+
+def _sweep(space: TensorSpace, terms: Sequence[QLOperator]):
+    """Common kernel of complement-projector terms, one neighborhood at a time.
+
+    Neighborhoods are taken in pattern order. Each step widens the running
+    frame by the identity on the new subsystems and keeps the eigenvectors of
+    its Gram matrix under the term below ``INTERSECT_TOL``. Returns the kernel
+    on the full space (uncovered subsystems tensored in as the identity, each
+    column phase-fixed), every step's Gram eigenvalues, and the per-term
+    margins of :class:`DqlsReport`.
+    """
+    covered: list[int] = []
+    frame = np.ones((1, 1), dtype=complex)
+    spectra: list[np.ndarray] = []
+    margins: list[float] = []
+    for term in terms:
+        hood = term.neighborhood
+        union = sorted(set(covered) | set(hood.indices))
+        union_space = TensorSpace(space.subspace_dims(union))
+        widened = _widen(frame, covered, union, union_space)
+        local = Neighborhood(tuple(union.index(a) for a in hood.indices))
+        applied = apply_local(QLOperator(local, term.block), union_space, widened)
+        gram = widened.conj().T @ applied
+        evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+        kept = evals < INTERSECT_TOL
+        margins.append(float(np.min(evals[~kept], initial=math.inf)))
+        spectra.append(evals)
+        frame = widened @ evecs[:, kept]
+        covered = union
+    frame = _widen(frame, covered, list(range(space.n_subsystems)), space)
+    kernel = Subspace(space.dim, np.transpose([_fix_phase(v) for v in frame.T]))
+    return kernel, np.concatenate(spectra), tuple(margins)
 
 
 def _coverage_notes(pattern: LocalityPattern) -> list[str]:
@@ -126,24 +179,20 @@ def _coverage_notes(pattern: LocalityPattern) -> list[str]:
 
 
 def _complement_terms(psi: PureState, pattern: LocalityPattern, rtol: float):
-    """Per-neighborhood supports, terms I - P_k, their embedded sum, rank notes."""
+    """Per-neighborhood supports, terms I - P_k and support rank notes."""
     if psi.space != pattern.space:
         raise DimensionMismatchError("state and pattern live on different spaces")
-    space = psi.space
     per: list[NeighborhoodAnalysis] = []
     terms: list[QLOperator] = []
     notes: list[str] = []
-    total = np.zeros((space.dim, space.dim), dtype=complex)
     for hood in pattern.neighborhoods:
         reduced = partial_trace(psi, hood)
         sup, hood_notes = subspaces.support(reduced, rtol)
         notes.extend(hood_notes)
         block = np.eye(reduced.space.dim, dtype=complex) - subspaces.projector(sup)
-        term = QLOperator(hood, block)
         per.append(NeighborhoodAnalysis(hood, reduced, sup))
-        terms.append(term)
-        total += embed(term, space)
-    return per, terms, total, notes
+        terms.append(QLOperator(hood, block))
+    return per, terms, notes
 
 
 def check_dqls(
@@ -153,10 +202,10 @@ def check_dqls(
     restricted to the pattern's neighborhoods.
 
     For each neighborhood the reduced state, its support, and the complement
-    term I - P_k embedded in the full space are computed. The intersection of
-    the embedded supports is the kernel of the sum of those terms (the parent
-    Hamiltonian; eigenvalues below ``INTERSECT_TOL``); the verdict is true
-    when that kernel is one-dimensional and contains the target.
+    term I - P_k are computed. The intersection of the embedded supports (the
+    kernel of the parent Hamiltonian) is built by the sequential sweep, each
+    step keeping Gram eigenvalues below ``INTERSECT_TOL``; the verdict is
+    true when that intersection is one-dimensional and contains the target.
 
     Args:
         psi: target pure state.
@@ -167,8 +216,8 @@ def check_dqls(
         DimensionMismatchError: if state and pattern live on different spaces.
     """
     notes = _coverage_notes(pattern)
-    per, terms, total, rank_notes = _complement_terms(psi, pattern, rtol)
-    evals, intersection = _kernel(total)
+    per, terms, rank_notes = _complement_terms(psi, pattern, rtol)
+    intersection, evals, margins = _sweep(psi.space, terms)
     rank_notes += subspaces._borderline(evals, INTERSECT_TOL, "intersection")
     borderline = bool(rank_notes)
     notes += [f"borderline rank decision: {note}" for note in rank_notes]
@@ -203,7 +252,9 @@ def check_dqls(
             "verdict downgraded to false: a rank decision fell at its "
             "tolerance boundary"
         )
-    return DqlsReport(verdict, intersection, tuple(per), tuple(notes), borderline)
+    return DqlsReport(
+        verdict, intersection, tuple(per), tuple(notes), borderline, margins
+    )
 
 
 def parent_hamiltonian(
@@ -216,7 +267,10 @@ def parent_hamiltonian(
     frustration-free ground state; the ground space is exactly the span of
     the target precisely when the stabilizability verdict is true.
     """
-    _, terms, total, notes = _complement_terms(psi, pattern, rtol)
+    _, terms, notes = _complement_terms(psi, pattern, rtol)
+    total = np.zeros((psi.space.dim, psi.space.dim), dtype=complex)
+    for term in terms:
+        total += embed(term, psi.space)
     residual = float(np.linalg.norm(total @ psi.amplitudes))
     if not residual <= ANNIHILATION_TOL:
         raise ArithmeticError(
@@ -246,9 +300,12 @@ def is_frustration_free(psi: PureState, terms: Sequence[QLOperator]) -> bool:
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Deterministic global phase: largest-magnitude entry made real positive."""
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
+    """Deterministic global phase: the first entry whose magnitude is within
+    ``ORTH_TOL`` of the largest is made real positive, so entries tied in
+    magnitude (graph states, GHZ) do not leave the choice to roundoff."""
+    mags = np.abs(vec)
+    k = int(np.argmax(mags >= mags.max() - ORTH_TOL))
+    phase = vec[k] / mags[k]
     return vec / phase
 
 

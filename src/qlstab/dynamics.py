@@ -93,9 +93,10 @@ class LindbladGenerator:
     """Hamiltonian plus noise operators defining a Lindblad generator.
 
     The Hamiltonian (if present) must be Hermitian and the noise operators
-    finite; at least one of Hamiltonian and noise operators must be supplied.
-    Units are hbar = 1: the Hamiltonian carries inverse time, noise operators
-    inverse square root of time.
+    finite, with a finite sum of L^dag L (an overflow raises
+    ``ArithmeticError``); at least one of Hamiltonian and noise operators
+    must be supplied. Units are hbar = 1: the Hamiltonian carries inverse
+    time, noise operators inverse square root of time.
     """
 
     space: TensorSpace
@@ -128,8 +129,13 @@ class LindbladGenerator:
         if ham is None and not ops:
             raise ValueError("a generator needs a Hamiltonian or noise operators")
         quad = np.zeros((d, d), dtype=complex)
-        for op in ops:
-            quad += op.conj().T @ op
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op in ops:
+                quad += op.conj().T @ op
+        if not np.isfinite(quad).all():
+            raise ArithmeticError(
+                "noise operators are too large: sum of L^dag L overflows"
+            )
         quad.flags.writeable = False
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "noise_ops", tuple(ops))
@@ -383,6 +389,8 @@ def gas_certificate(
     Raises:
         DimensionCapError: above ``dim_cap``; use a trajectory-based check
             instead, and report it as evidence rather than a certificate.
+        ArithmeticError: when the generator's real form overflows or its
+            spectrum reaches into the right half plane.
     """
     d = gen.space.dim
     if target.space != gen.space:
@@ -392,7 +400,10 @@ def gas_certificate(
             f"dimension {d} exceeds the dense spectral cap {dim_cap}; "
             "use trajectory evidence instead"
         )
-    real = _real_form(vectorize(gen), d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        real = _real_form(vectorize(gen), d)
+    if not np.isfinite(real).all():
+        raise ArithmeticError("generator is too large: its real form overflows")
     evals = np.linalg.eigvals(real).astype(complex, copy=False)
     worst = float(np.max(evals.real))
     if worst > RANK_MARGIN * EIG_TOL:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlstab import analysis, synthesis
 from qlstab.analysis import (
@@ -13,6 +15,7 @@ from qlstab.analysis import (
     parent_hamiltonian,
 )
 from qlstab.subspaces import (
+    INTERSECT_TOL,
     Subspace,
     equals,
     intersect,
@@ -141,6 +144,32 @@ class TestCheckDqls:
             assert report.intersection.contains(psi.amplitudes, tol=1e-8)
 
 
+def random_mps(dims, bond, rng):
+    """Random open-boundary matrix product state with the given bond dimension."""
+    psi = np.ones((1, 1), dtype=complex)
+    for site, d in enumerate(dims):
+        right = 1 if site == len(dims) - 1 else bond
+        shape = (psi.shape[1], d, right)
+        tensor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi = np.tensordot(psi, tensor, axes=([-1], [0])).reshape(-1, right)
+    psi = psi.reshape(-1)
+    return PureState(TensorSpace(dims), psi / np.linalg.norm(psi))
+
+
+def dense_intersection(psi, pattern):
+    """The dense route: embedded support frames intersected by ``intersect``."""
+    rho = psi.density_matrix()
+    embedded = [
+        Subspace(
+            psi.space.dim,
+            embed_frame(support(partial_trace(rho, hood))[0].frame, hood, psi.space),
+        )
+        for hood in pattern.neighborhoods
+    ]
+    oracle, _ = intersect(embedded)
+    return oracle, oracle.dim == 1 and equals(oracle, span(psi.amplitudes))
+
+
 def _oracle_fixtures():
     cases = []
     for n in range(3, 7):
@@ -170,6 +199,30 @@ def _oracle_fixtures():
     right = random_pure_state(TensorSpace((2, 3)), rng).amplitudes
     pairs = PureState(TensorSpace((3, 2, 2, 3)), np.kron(left, right))
     cases.append(("qutrit_pairs", pairs, [(0, 1), (1, 2), (2, 3)]))
+    chain8 = [(i, i + 1) for i in range(7)]
+    cases.append(
+        ("cluster8", make_graph_state(8, chain8), [(i, i + 1, i + 2) for i in range(6)])
+    )
+    cases.append(("ghz8_pairs", make_ghz(8), chain8))
+    cases.append(("w8", make_w(8), [tuple(range(7)), tuple(range(1, 8))]))
+    mps6 = random_mps((3,) * 6, 2, np.random.default_rng(17))
+    cases.append(("qutrit_mps6", mps6, [(i, i + 1, i + 2) for i in range(4)]))
+    # Non-contiguous neighborhoods: the sweep's frame spans subsystems that
+    # are not adjacent until the last neighborhood joins them.
+    interleaved = [(0, 4), (1, 5), (2, 6), (3, 7), (0, 1, 2, 3)]
+    cases.append(("interleaved_ghz8", make_ghz(8), interleaved))
+    bell = np.zeros((2, 2), dtype=complex)
+    bell[0, 0] = bell[1, 1] = 1 / math.sqrt(2)
+    # Bell pairs on (0, 4), (1, 5), (2, 6), (3, 7).
+    bells = np.einsum("ae,bf,cg,dh->abcdefgh", bell, bell, bell, bell)
+    cases.append(
+        ("interleaved_bells8", PureState(qubit_space(8), bells.reshape(-1)), interleaved)
+    )
+    full = random_pure_state(qubit_space(4), rng)
+    cases.append(("full_supports", full, [(0, 1), (2, 3), (1, 2)]))
+    cases.append(
+        ("duplicated", make_dicke_4_2(), [(0, 1, 2), (1, 2, 3), (0, 1, 2)])
+    )
     for k in range(4):
         n = int(rng.integers(3, 6))
         hole = int(rng.integers(n))
@@ -191,28 +244,42 @@ class TestDenseOracleAgreement:
 
     @pytest.mark.parametrize("psi, pattern", _oracle_fixtures())
     def test_matches_embedded_frame_intersection(self, psi, pattern):
-        rho = psi.density_matrix()
-        embedded = [
-            Subspace(
-                psi.space.dim,
-                embed_frame(
-                    support(partial_trace(rho, hood))[0].frame, hood, psi.space
-                ),
-            )
-            for hood in pattern.neighborhoods
-        ]
-        oracle, _ = intersect(embedded)
-        oracle_verdict = oracle.dim == 1 and equals(oracle, span(psi.amplitudes))
-
+        oracle, oracle_verdict = dense_intersection(psi, pattern)
         report = check_dqls(psi, pattern)
         assert report.verdict == oracle_verdict
         assert report.intersection_dim == oracle.dim
         np.testing.assert_allclose(
             projector(report.intersection), projector(oracle), atol=1e-9
         )
-        assert parent_hamiltonian(psi, pattern).kernel().dim == report.intersection_dim
+        ham = parent_hamiltonian(psi, pattern)
+        np.testing.assert_allclose(
+            projector(ham.kernel()), projector(oracle), atol=1e-9
+        )
+        # The dense eigendecomposition of the parent Hamiltonian agrees too.
+        dense_kernel = np.linalg.eigvalsh(ham.total) < INTERSECT_TOL
+        assert int(np.sum(dense_kernel)) == oracle.dim
         if pattern.uncovered():
             assert any("uncovered" in w for w in report.warnings)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_random_mixed_dimension_patterns(self, data):
+        dims = tuple(data.draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5)))
+        n = len(dims)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            psi = random_mps(dims, 2, rng)
+        else:
+            psi = random_pure_state(TensorSpace(dims), rng)
+        hood = st.sets(st.integers(0, n - 1), min_size=1).map(lambda h: tuple(sorted(h)))
+        pattern = pattern_of(psi.space, data.draw(st.lists(hood, min_size=1, max_size=4)))
+        oracle, oracle_verdict = dense_intersection(psi, pattern)
+        report = check_dqls(psi, pattern)
+        assert report.verdict == oracle_verdict
+        assert report.intersection_dim == oracle.dim
+        np.testing.assert_allclose(
+            projector(report.intersection), projector(oracle), atol=1e-9
+        )
 
 
 def _cluster5():
@@ -242,20 +309,31 @@ class TestPureTargetPipeline:
             )
 
     def test_each_neighborhood_embedded_once(self, monkeypatch):
+        """The verdict and synthesis paths embed nothing and diagonalize no
+        ambient-size matrix; only the parent Hamiltonian's dense total embeds
+        each term, once."""
         calls = []
+        sizes = []
+        eigh = np.linalg.eigh
 
         def counting_embed(op, space):
             calls.append(op.neighborhood)
             return embed(op, space)
 
+        def sized_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
         monkeypatch.setattr(analysis, "embed", counting_embed)
         monkeypatch.setattr(synthesis, "embed", counting_embed, raising=False)
+        monkeypatch.setattr(np.linalg, "eigh", sized_eigh)
         psi = _cluster5()
         pattern = pattern_of(psi.space, [(i, i + 1, i + 2) for i in range(3)])
         check_dqls(psi, pattern)
-        assert calls == list(pattern.neighborhoods)
-        calls.clear()
         synthesis.synthesize_stabilizers(psi, pattern)
+        assert calls == []
+        assert sizes and max(sizes) < psi.space.dim
+        parent_hamiltonian(psi, pattern)
         assert calls == list(pattern.neighborhoods)
 
     def test_no_full_space_density_matrix(self, monkeypatch):
@@ -267,6 +345,50 @@ class TestPureTargetPipeline:
         assert check_dqls(psi, pattern).verdict
         assert parent_hamiltonian(psi, pattern).kernel().dim == 1
         assert len(synthesis.synthesize_stabilizers(psi, pattern).operators) == 2
+
+
+class TestSweepDiagnostics:
+    def test_cluster5_basis_is_the_target(self):
+        psi = _cluster5()
+        pattern = pattern_of(psi.space, [(i, i + 1, i + 2) for i in range(3)])
+        basis = check_dqls(psi, pattern).intersection.frame[:, 0]
+        assert abs(np.vdot(psi.amplitudes, basis) - 1.0) < 1e-12
+
+    def test_phase_anchor_ignores_roundoff(self):
+        # Every cluster amplitude has the same magnitude; the anchor must not
+        # follow 1e-15 noise to an entry of the other sign.
+        psi = _cluster5().amplitudes
+        rng = np.random.default_rng(0)
+        noise = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        np.testing.assert_allclose(
+            analysis._fix_phase(-psi + 1e-15 * noise),
+            analysis._fix_phase(psi),
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "psi, hoods",
+        [
+            pytest.param(make_dicke_4_2(), [(0, 1, 2), (1, 2, 3)], id="dicke"),
+            pytest.param(_cluster5(), [(i, i + 1, i + 2) for i in range(3)], id="cluster5"),
+            pytest.param(
+                random_mps((3,) * 5, 2, np.random.default_rng(5)),
+                [(i, i + 1, i + 2) for i in range(3)],
+                id="mps5",
+            ),
+        ],
+    )
+    def test_margins_clear_the_cutoff(self, psi, hoods):
+        margins = check_dqls(psi, pattern_of(psi.space, hoods)).margins
+        assert len(margins) == len(hoods)
+        assert min(margins) >= 0.5
+
+    def test_repeated_neighborhood_rejects_nothing(self):
+        psi, _ = dicke_pattern()
+        pattern = pattern_of(psi.space, [(0, 1, 2), (1, 2, 3), (0, 1, 2)])
+        margins = check_dqls(psi, pattern).margins
+        assert margins[2] == math.inf
+        assert min(margins[:2]) >= 0.5
 
 
 class TestTieBreaking:

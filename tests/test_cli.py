@@ -475,6 +475,36 @@ class TestCertifySmallSystems:
         assert report["certified"] is False
         assert report["gap"] == "inf"
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (1e200, "noise operators are too large: sum of L^dag L overflows"),
+            (1e154, "generator is too large: its real form overflows"),
+        ],
+    )
+    def test_overflowing_operator_file_exits_7(
+        self, tmp_path, capsys, entry, message
+    ):
+        from qlstab.instances import write_operator_file
+
+        inst = write_instance(
+            tmp_path / "ghz2.json",
+            {"dims": [2, 2], "state": "ghz", "neighborhoods": [[0, 1]]},
+        )
+        ops_dir = tmp_path / "ops"
+        ops_dir.mkdir()
+        write_operator_file(
+            ops_dir / "noise_op_00.json",
+            np.array([[0.0, 0.0], [entry, 0.0]], dtype=complex),
+            {"kind": "noise_operator", "neighborhood": [0]},
+        )
+        code, report, err = run_cli(
+            capsys, ["certify", inst, "--operators", str(ops_dir)]
+        )
+        assert code == 7
+        assert report is None
+        assert err == f"error: numerical failure: {message}\n"
+
     def test_dephasing_operators_fail_certification(self, tmp_path, capsys):
         from qlstab.instances import write_operator_file
 

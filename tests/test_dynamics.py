@@ -185,6 +185,13 @@ class TestLindbladGeneratorType:
         with pytest.raises(ValueError, match="noise operator 0 has non-finite"):
             LindbladGenerator(Q1, None, (np.diag([bad, 0.0]),))
 
+    def test_rejects_overflowing_quadratic_term(self):
+        # Finite entries whose L^dag L overflows to inf fail as a numerical
+        # error, without numpy RuntimeWarnings (the suite turns those into
+        # errors).
+        with pytest.raises(ArithmeticError, match="sum of L\\^dag L overflows"):
+            LindbladGenerator(Q1, None, (np.array([[0.0, 0.0], [1e200, 0.0]]),))
+
     def test_requires_some_content(self):
         with pytest.raises(ValueError):
             LindbladGenerator(Q1, None, ())
