@@ -224,12 +224,20 @@ def check_dqls(
     for term in terms:
         applied = apply_local(term, psi.space, intersection.frame)
         worst = float(np.max(np.linalg.norm(applied, axis=0), initial=0.0))
-        if worst > ORTH_TOL:
+        if worst <= ORTH_TOL:
+            continue
+        failure = (
+            "intersection failed its containment check: a returned basis "
+            f"vector sits {worst:.3e} outside an input subspace"
+        )
+        if not borderline:
             raise ArithmeticError(
-                "intersection failed its containment check: a returned basis "
-                f"vector sits {worst:.3e} outside an input subspace "
-                "(ill-conditioned inputs near the rank threshold)"
+                f"{failure} (ill-conditioned inputs near the rank threshold)"
             )
+        # A rank call already sat at its tolerance boundary, so the verdict
+        # is indeterminate either way: report the failure instead of raising.
+        notes.append(f"{failure}, after a borderline rank decision")
+        break
 
     # The intersection provably contains the target; a violation means the
     # numerics failed outright, not that the state is unstabilizable.

@@ -21,7 +21,7 @@ amplitude pairs of length prod(dims).
 
 Operator matrix files are {"meta": {...}, "matrix": [[[re, im], ...], ...]},
 named ``{stem}_{k:02d}.json`` in operator order (``parent_term``,
-``noise_op``); this module owns their names, keys and reading back.
+``noise_op``); this module owns their names, keys, writing and reading back.
 """
 
 from __future__ import annotations
@@ -96,7 +96,10 @@ def pairs_to_array(pairs: Any, what: str = "value") -> np.ndarray:
         )
     for leaf in np.asarray(pairs, dtype=object).flat:
         _number(leaf, what)
-    return arr[..., 0] + 1j * arr[..., 1]
+    # Assigned, not summed as re + 1j * im, which turns -0.0 into 0.0.
+    out = np.empty(arr.shape[:-1], dtype=complex)
+    out.real, out.imag = arr[..., 0], arr[..., 1]
+    return out
 
 
 def array_to_pairs(arr: np.ndarray) -> list:
@@ -288,8 +291,39 @@ def load_instance(path: str | Path) -> ProblemInstance:
 
 
 def write_operator_file(path: str | Path, matrix: np.ndarray, meta: dict) -> None:
-    payload = {"meta": meta, "matrix": array_to_pairs(np.asarray(matrix, complex))}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    """Write ``{"meta": meta, "matrix": [[[re, im], ...], ...]}``.
+
+    The bytes equal ``json.dumps(payload, indent=1) + "\\n"``. Only ``meta``
+    goes through the encoder; the matrix is rendered one row at a time from
+    flat ``tolist()`` rows, each float by ``float.__repr__`` as the encoder
+    formats finite floats.
+
+    Raises:
+        ValueError: if the matrix is not two-dimensional and non-empty.
+        ArithmeticError: if an entry is NaN or infinite (which
+            :func:`read_operator_file` rejects); no file is opened.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or not matrix.size:
+        raise ValueError(
+            f"operator matrix must be 2-D and non-empty, got shape {matrix.shape}"
+        )
+    if not np.isfinite(matrix).all():
+        raise ArithmeticError(f"{path}: operator matrix entries must be finite")
+    rep = float.__repr__
+    # '{\n "meta": ...\n}' without its closing '\n}'.
+    head = json.dumps({"meta": meta}, indent=1)[:-2]
+    with open(path, "w") as out:
+        out.write(head + ',\n "matrix": [')
+        separator = "\n"
+        for row in matrix:
+            # Rows sit at depth 2, [re, im] pairs at depth 3, floats at depth 4.
+            pairs = map(",\n    ".join, zip(map(rep, row.real.tolist()),
+                                             map(rep, row.imag.tolist())))
+            body = "\n   ],\n   [\n    ".join(pairs)
+            out.write(f"{separator}  [\n   [\n    {body}\n   ]\n  ]")
+            separator = ",\n"
+        out.write("\n ]\n}\n")
 
 
 def read_operator_file(path: str | Path) -> tuple[np.ndarray, dict]:

@@ -2,10 +2,15 @@
 
 Everything here is deliberately written from first principles (digit
 arithmetic and explicit loops), not via the library's reshape/kron paths,
-so the tests compare two independent routes to the same values.
+so the tests compare two independent routes to the same values. The
+random matrix-product states are a fixture family shared by the same tests.
 """
 
+import json
+
 import numpy as np
+
+from qlstab.tensor import PureState, TensorSpace
 
 
 def digits_of(index, dims):
@@ -80,6 +85,26 @@ def haar_unitary(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_mps(dims, bond, rng):
+    """Random open-boundary matrix product state with the given bond dimension."""
+    psi = np.ones((1, 1), dtype=complex)
+    for site, d in enumerate(dims):
+        right = 1 if site == len(dims) - 1 else bond
+        shape = (psi.shape[1], d, right)
+        tensor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi = np.tensordot(psi, tensor, axes=([-1], [0])).reshape(-1, right)
+    psi = psi.reshape(-1)
+    return PureState(TensorSpace(dims), psi / np.linalg.norm(psi))
+
+
+def operator_file_oracle(matrix, meta):
+    """The text of an operator file by the standard-library encoder: the
+    nested [re, im] list of ``matrix`` under "matrix", dumped with indent 1."""
+    matrix = np.asarray(matrix, dtype=complex)
+    pairs = np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+    return json.dumps({"meta": meta, "matrix": pairs}, indent=1) + "\n"
 
 
 def cz_matrix_oracle(n, u, v):

@@ -43,7 +43,7 @@ from qlstab.tensor import (
     random_pure_state,
 )
 
-from oracles import haar_unitary
+from oracles import haar_unitary, random_mps
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -142,18 +142,6 @@ class TestCheckDqls:
                 )
             report = check_dqls(psi, pattern_of(space, hoods))
             assert report.intersection.contains(psi.amplitudes, tol=1e-8)
-
-
-def random_mps(dims, bond, rng):
-    """Random open-boundary matrix product state with the given bond dimension."""
-    psi = np.ones((1, 1), dtype=complex)
-    for site, d in enumerate(dims):
-        right = 1 if site == len(dims) - 1 else bond
-        shape = (psi.shape[1], d, right)
-        tensor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        psi = np.tensordot(psi, tensor, axes=([-1], [0])).reshape(-1, right)
-    psi = psi.reshape(-1)
-    return PureState(TensorSpace(dims), psi / np.linalg.norm(psi))
 
 
 def dense_intersection(psi, pattern):

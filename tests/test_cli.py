@@ -237,6 +237,33 @@ class TestExitCodes:
         assert report is None
         assert err.startswith("error: numerical failure: ")
 
+    def test_borderline_containment_failure_is_indeterminate(self, tmp_path, capsys):
+        # With --tolerance 1e-6 the singleton supports drop the 5e-9 Schmidt
+        # weight and the intersection misses them by 7.1e-5. The sweep's
+        # Gram eigenvalues of 5e-9 already sit in the borderline band, so
+        # the failure is a note; without that flag (the 1e-13 instance
+        # above) it still exits 7.
+        inst = two_qubit_instance(tmp_path, 5e-9)
+        argv = ["check-dqls", inst, "--tolerance", "1e-6"]
+        code, report, err = run_cli(capsys, argv)
+        assert code == 0
+        assert err == ""
+        assert report["verdict"] == "indeterminate"
+        assert report["intersection_dim"] == 1
+        notes = report["warnings"]
+        assert notes[0].startswith("borderline rank decision: intersection")
+        assert notes[1] == (
+            "intersection failed its containment check: a returned basis "
+            "vector sits 7.071e-05 outside an input subspace, after a "
+            "borderline rank decision"
+        )
+        assert notes[2].startswith("verdict downgraded to false")
+        argv = ["synthesize", inst, "--tolerance", "1e-6", "--out",
+                str(tmp_path / "ops")]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 4
+        assert "indeterminate because of a borderline rank decision" in err
+
 
     @pytest.mark.parametrize(
         "key, value, fragment",

@@ -1,13 +1,28 @@
-"""Instance parsing: any JSON-like value parses or fails with a format error."""
+"""Instance parsing: any JSON-like value parses or fails with a format error.
+Operator files: the writer's bytes equal the standard-library encoder's, and
+reading a file back returns the written matrix bit for bit."""
 
+import json
 import math
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qlstab.instances import InstanceFormatError, ProblemInstance, parse_instance
+from qlstab import instances
+from qlstab.cli import main
+from qlstab.instances import (
+    InstanceFormatError,
+    ProblemInstance,
+    parse_instance,
+    read_operator_file,
+    write_operator_file,
+)
 from qlstab.tensor import DimensionMismatchError
+
+from oracles import operator_file_oracle, random_mps
 
 # Scalars a JSON document can hold that are never a valid integer.
 ODD = st.one_of(
@@ -92,3 +107,125 @@ def test_parse_instance_returns_an_instance_or_a_format_error(data):
     assert np.all(np.isfinite(instance.state.amplitudes))
     for value in (instance.tolerance, instance.gain_scale):
         assert value is None or math.isfinite(value)
+
+
+# Finite doubles, with the ones whose text is easy to get wrong sampled often:
+# signed zeros, subnormals, the switch to exponent notation at 1e16 and
+# below 1e-4, and integral values (printed with ".0").
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+               -1e16, 9999999999999998.0, 1e-7, 1e-4, 1.0, -3.0, 1e22, 0.1]
+FLOAT = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**53), 2**53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+MATRIX = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(np.float64, (*shape, 2), elements=FLOAT)
+).map(lambda pairs: pairs.view(np.complex128)[..., 0])
+META = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(
+        st.one_of(st.integers(-9, 9), FLOAT, st.text(max_size=3), st.booleans()),
+        lambda inner: st.lists(inner, max_size=3),
+        max_leaves=5,
+    ),
+    max_size=4,
+)
+
+
+@given(MATRIX, META)
+def test_operator_file_bytes_equal_the_encoder(tmp_path_factory, matrix, meta):
+    path = tmp_path_factory.mktemp("ops") / "op.json"
+    write_operator_file(path, matrix, meta)
+    assert path.read_bytes() == operator_file_oracle(matrix, meta).encode()
+
+
+@given(MATRIX)
+@example(np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                   [complex(-0.0, -0.0), complex(-0.0, 1.0)]]))
+def test_operator_file_round_trip_keeps_every_bit(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("ops") / "op.json"
+    write_operator_file(path, matrix, {"kind": "test"})
+    back, meta = read_operator_file(path)
+    assert meta == {"kind": "test"}
+    assert back.shape == matrix.shape
+    assert back.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_non_finite_matrix_is_refused_before_the_file_opens(tmp_path, bad, imaginary):
+    matrix = np.eye(3, dtype=complex)
+    matrix[1, 2] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+    path = tmp_path / "op.json"
+    with pytest.raises(ArithmeticError, match="must be finite"):
+        write_operator_file(path, matrix, {})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0), (3,), (1, 1, 1)])
+def test_empty_or_non_matrix_is_refused(tmp_path, shape):
+    path = tmp_path / "op.json"
+    with pytest.raises(ValueError, match="2-D and non-empty"):
+        write_operator_file(path, np.zeros(shape, dtype=complex), {})
+    assert not path.exists()
+
+
+def test_matrix_skips_the_encoder_and_the_nested_pairs(tmp_path, monkeypatch):
+    dumps = json.dumps
+
+    def meta_only(obj, **kwargs):
+        assert "matrix" not in obj
+        return dumps(obj, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("array_to_pairs called")
+
+    monkeypatch.setattr(instances.json, "dumps", meta_only)
+    monkeypatch.setattr(instances, "array_to_pairs", refuse)
+    write_operator_file(tmp_path / "op.json", np.eye(4), {"kind": "test"})
+
+
+def _chain(n):
+    return [[i, i + 1] for i in range(n - 1)]
+
+
+def _mps_amplitudes():
+    psi = random_mps((3,) * 5, 2, np.random.default_rng(5))
+    return [[z.real, z.imag] for z in psi.amplitudes.tolist()]
+
+
+CLI_INSTANCES = {
+    "cluster7": {"dims": [2] * 7, "state": {"name": "graph", "edges": _chain(7)},
+                 "neighborhoods": [[i, i + 1, i + 2] for i in range(5)]},
+    # Wrap-around windows such as [0, 4, 5] are not contiguous.
+    "ring6": {"dims": [2] * 6,
+              "state": {"name": "graph", "edges": _chain(6) + [[5, 0]]},
+              "neighborhoods": [sorted({(i - 1) % 6, i, (i + 1) % 6})
+                                for i in range(6)]},
+    "qutrit_mps5": {"dims": [3] * 5, "state": _mps_amplitudes(),
+                    "neighborhoods": [[i, i + 1, i + 2] for i in range(3)]},
+    "ghz5": {"dims": [2] * 5, "state": "ghz", "neighborhoods": _chain(5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_INSTANCES))
+def test_cli_operator_files_equal_the_encoder(tmp_path, monkeypatch, capsys, name):
+    written = []
+    real_writer = instances.write_operator_file
+
+    def recording_writer(path, matrix, meta):
+        written.append((path, np.array(matrix), meta))
+        real_writer(path, matrix, meta)
+
+    monkeypatch.setattr(instances, "write_operator_file", recording_writer)
+    inst = tmp_path / f"{name}.json"
+    inst.write_text(json.dumps(CLI_INSTANCES[name]))
+    assert main(["parent-ham", str(inst), "--out", str(tmp_path / "ham")]) == 0
+    argv = ["synthesize", str(inst), "--out", str(tmp_path / "ops"), "--force"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    n_hoods = len(CLI_INSTANCES[name]["neighborhoods"])
+    assert len(written) == 2 * n_hoods + 1
+    for path, matrix, meta in written:
+        assert path.read_bytes() == operator_file_oracle(matrix, meta).encode()
