@@ -14,6 +14,7 @@ dimension cap exceeded, 6 integrator abort, 7 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,6 @@ from .instances import (
     InstanceFormatError,
     ProblemInstance,
     _tolerance,
-    array_to_pairs,
     load_instance,
     read_noise_operators,
     write_noise_operators,
@@ -66,51 +66,94 @@ __all__ = ["main", "run", "build_parser"]
 # Report rendering
 # ---------------------------------------------------------------------------
 
-def _round12(value):
-    """Recursively round floats to 12 significant digits for stable output.
+# A report is a tree of dicts, lists and scalars. Every float is rounded to
+# 12 significant digits, float(f"{v:.12g}"); NaN and infinities become the
+# strings "nan", "inf" and "-inf"; complex numbers are [re, im] pairs; tuples
+# and arrays are lists. JSON output is json.dumps(indent=2) of that rounded
+# tree, so a float prints as float.__repr__ of its rounded value. Text output
+# prints a float as f"{v:.12g}", which a 12-digit value survives unchanged.
+# Float and complex arrays are rendered row by row from tolist(), one string
+# per value, without building the rounded tree for them.
 
-    Non-finite values become strings so the emitted JSON stays standard.
-    """
-    if isinstance(value, bool):
+
+def _tree(value):
+    """The rounded report tree, with float and complex arrays of rank >= 1
+    left as arrays for the renderers."""
+    if isinstance(value, np.ndarray) and value.ndim and value.dtype.kind in "fc":
         return value
-    if isinstance(value, (int, str)) or value is None:
-        return value
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, float):
-        if not np.isfinite(value):
-            return str(value)
-        return float(f"{value:.12g}")
+        return float(f"{value:.12g}") if math.isfinite(value) else str(value)
     if isinstance(value, complex):
-        return [_round12(value.real), _round12(value.imag)]
+        return [_tree(value.real), _tree(value.imag)]
     if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
+        return {k: _tree(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
-    if isinstance(value, np.generic):
-        return _round12(value.item())
-    if isinstance(value, np.ndarray):
-        return _round12(value.tolist())
+        return [_tree(v) for v in value]
     return value
 
 
-def _render_text(value, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
+def _json_numbers(values: list[float]) -> list[str]:
+    """JSON tokens of the floats of a ``tolist()`` row."""
+    if all(map(math.isfinite, values)):
+        return [repr(float(f"{v:.12g}")) for v in values]
+    return [json.dumps(_tree(v)) for v in values]
+
+
+def _json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` of a rounded tree, entered at ``depth``."""
+    inner = "\n" + "  " * (depth + 1)
     if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_scalar_text(v)}")
-    elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar_text(v)}")
+        items = [f"{json.dumps(k)}: {_json(v, depth + 1)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
+        items = [_json(v, depth + 1) for v in value]
+        brackets = "[]"
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        items = _json_numbers(value.tolist())
+        brackets = "[]"
+    elif isinstance(value, np.ndarray):
+        # Each complex entry is a [re, im] list one level deeper.
+        pair = f"[{inner}  {{}},{inner}  {{}}{inner}]"
+        items = [
+            pair.format(re, im)
+            for re, im in zip(
+                _json_numbers(value.real.tolist()), _json_numbers(value.imag.tolist())
+            )
+        ]
+        brackets = "[]"
     else:
-        lines.append(f"{pad}{_scalar_text(value)}")
+        return json.dumps(value)
+    if not items:
+        return brackets
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}\n{'  ' * depth}{brackets[1]}"
+
+
+def _text(value, indent: int = 0) -> list[str]:
+    """Text lines of a rounded tree: "key: value" and "- item" lines, each
+    nested dict or list indented two spaces under its own "key:" or "-" line.
+    A line may hold several joined lines."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        entries = [(f"{pad}{k}:", v) for k, v in value.items()]
+    elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
+        entries = [(f"{pad}-", v) for v in value]
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        return [f"{pad}- {v:.12g}" for v in value.tolist()]
+    elif isinstance(value, np.ndarray):
+        pair = f"{pad}-\n{pad}  - {{:.12g}}\n{pad}  - {{:.12g}}"
+        return list(map(pair.format, value.real.tolist(), value.imag.tolist()))
+    else:
+        return [f"{pad}{_scalar_text(value)}"]
+    lines: list[str] = []
+    for head, v in entries:
+        if isinstance(v, (dict, list, np.ndarray)):
+            lines.append(head)
+            lines.extend(_text(v, indent + 1))
+        else:
+            lines.append(f"{head} {_scalar_text(v)}")
     return lines
 
 
@@ -121,11 +164,8 @@ def _scalar_text(v) -> str:
 
 
 def _emit(report: dict, fmt: str) -> None:
-    report = _round12(report)
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print("\n".join(_render_text(report)))
+    tree = _tree(report)
+    print(_json(tree) if fmt == "json" else "\n".join(_text(tree)))
 
 
 def _verdict_string(report: analysis.DqlsReport) -> str:
@@ -170,7 +210,7 @@ def _cmd_check_dqls(args, instance: ProblemInstance, rtol: float) -> dict:
     return {
         "verdict": _verdict_string(report),
         "intersection_dim": report.intersection_dim,
-        "intersection_basis": array_to_pairs(report.intersection.frame.T),
+        "intersection_basis": report.intersection.frame.T,
         "per_neighborhood": [
             {
                 "neighborhood": list(a.neighborhood.indices),
@@ -478,9 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call shares, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         # Each command returns its notes in the "warnings" field, its result's

@@ -26,6 +26,9 @@ import numpy as np
 NORM_TOL = 1e-9
 HERM_TOL = 1e-9
 PSD_TOL = 1e-9
+# Entries of the block of amplitude products that partial_trace forms and
+# sums at a time (1 MB of complex values).
+_TRACE_CHUNK = 2**16
 
 __all__ = [
     "NORM_TOL",
@@ -376,20 +379,51 @@ def partial_trace(rho: DensityMatrix | PureState, keep: Neighborhood) -> Density
     """Trace out every subsystem outside ``keep``.
 
     Returns the reduced state on the space whose dims are the kept
-    subsystems' dims in increasing index order. A pure state is traced as
-    its outer product, without validating that D x D matrix.
+    subsystems' dims in increasing index order. A pure state is traced from
+    its amplitudes in at most d_keep * D memory; |psi><psi| is never formed,
+    and the result has the same bits as tracing that outer product.
     """
-    keep_dims, _ = _factor_dims(keep, rho.space)
-    pure = isinstance(rho, PureState)
-    matrix = np.outer(rho.amplitudes, rho.amplitudes.conj()) if pure else rho.matrix
-    t = matrix.reshape(rho.space.dims * 2)
-    m = rho.space.n_subsystems
-    for a in sorted(keep.complement(m), reverse=True):
-        t = np.trace(t, axis1=a, axis2=a + m)
-        m -= 1
+    keep_dims, rest_dims = _factor_dims(keep, rho.space)
     d_keep = math.prod(keep_dims)
-    reduced = np.ascontiguousarray(t.reshape(d_keep, d_keep))
+    m = rho.space.n_subsystems
+    rest = keep.complement(m)
+    if isinstance(rho, PureState):
+        amps = np.moveaxis(rho.amplitudes.reshape(rho.space.dims),
+                           rest + keep.indices, range(m))
+        amps = amps.reshape(rest_dims + (d_keep,))
+        # The products psi_i conj(psi_j) that the outer product holds, one
+        # d_keep x d_keep block per rest index, are formed and summed in
+        # chunks of at most _TRACE_CHUNK entries over the leading rest
+        # indices, so each chunk stays in cache.
+        rows = _TRACE_CHUNK // d_keep**2
+        lead = 0
+        while lead < len(rest) and math.prod(rest_dims[lead:]) > rows:
+            lead += 1
+        sums = np.empty(rest_dims[:lead] + (d_keep, d_keep), dtype=complex)
+        for index in np.ndindex(*rest_dims[:lead]):
+            chunk = amps[index]
+            products = chunk[..., :, None] * chunk[..., None, :].conj()
+            sums[index] = _sum_out(products, len(rest) - lead)
+        reduced = _sum_out(sums, lead)
+    else:
+        t = rho.matrix.reshape(rho.space.dims * 2)
+        for a in reversed(rest):
+            t = np.trace(t, axis1=a, axis2=a + m)
+            m -= 1
+        reduced = np.ascontiguousarray(t.reshape(d_keep, d_keep))
     return DensityMatrix(TensorSpace(keep_dims), reduced)
+
+
+def _sum_out(t: np.ndarray, count: int) -> np.ndarray:
+    """Sum out the ``count`` axes before the last two of ``t``, the last one
+    first, each slice by slice in index order from +0.0: the additions that
+    np.trace makes when it traces the outer product."""
+    for _ in range(count):
+        acc = t[..., 0, :, :] + 0.0
+        for k in range(1, t.shape[-3]):
+            acc += t[..., k, :, :]
+        t = acc
+    return t
 
 
 def _factor_dims(neighborhood: Neighborhood, space: TensorSpace, block=None):

@@ -132,3 +132,77 @@ def vectorize_oracle(hamiltonian, noise_ops):
         quad += op.conj().T @ op
     out -= 0.5 * (np.kron(eye, quad) + np.kron(quad.T, eye))
     return out
+
+
+def partial_trace_oracle(psi, keep):
+    """Reduced state of a pure state by tracing its outer product |psi><psi|
+    one subsystem at a time with ``np.trace``, the last subsystem first."""
+    dims = psi.space.dims
+    t = np.outer(psi.amplitudes, psi.amplitudes.conj()).reshape(dims * 2)
+    m = len(dims)
+    for a in sorted(set(range(m)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=a, axis2=a + m)
+        m -= 1
+    d_keep = int(np.prod([dims[a] for a in keep]))
+    return np.ascontiguousarray(t.reshape(d_keep, d_keep))
+
+
+def round12_oracle(value):
+    """A report tree with floats rounded to 12 significant digits, non-finite
+    floats as strings, complex numbers as [re, im] and arrays as lists."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, str)) or value is None:
+        return value
+    if isinstance(value, float):
+        if not np.isfinite(value):
+            return str(value)
+        return float(f"{value:.12g}")
+    if isinstance(value, complex):
+        return [round12_oracle(value.real), round12_oracle(value.imag)]
+    if isinstance(value, dict):
+        return {k: round12_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round12_oracle(v) for v in value]
+    if isinstance(value, np.generic):
+        return round12_oracle(value.item())
+    if isinstance(value, np.ndarray):
+        return round12_oracle(value.tolist())
+    return value
+
+
+def _text_lines_oracle(value, indent=0):
+    pad = "  " * indent
+    lines = []
+    if isinstance(value, dict):
+        for k, v in value.items():
+            if isinstance(v, (dict, list)):
+                lines.append(f"{pad}{k}:")
+                lines.extend(_text_lines_oracle(v, indent + 1))
+            else:
+                lines.append(f"{pad}{k}: {_scalar_text_oracle(v)}")
+    elif isinstance(value, list):
+        for v in value:
+            if isinstance(v, (dict, list)):
+                lines.append(f"{pad}-")
+                lines.extend(_text_lines_oracle(v, indent + 1))
+            else:
+                lines.append(f"{pad}- {_scalar_text_oracle(v)}")
+    else:
+        lines.append(f"{pad}{_scalar_text_oracle(value)}")
+    return lines
+
+
+def _scalar_text_oracle(v):
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+def report_oracle(report, fmt):
+    """A CLI report as printed, by the standard-library encoder (``fmt`` "json",
+    indent 2) or the recursive text walk, over :func:`round12_oracle`."""
+    tree = round12_oracle(report)
+    if fmt == "json":
+        return json.dumps(tree, indent=2) + "\n"
+    return "\n".join(_text_lines_oracle(tree)) + "\n"

@@ -325,14 +325,28 @@ class TestPureTargetPipeline:
         assert calls == list(pattern.neighborhoods)
 
     def test_no_full_space_density_matrix(self, monkeypatch):
-        def refuse(self):
+        """Neither |psi><psi| nor any other outer product is formed: the
+        reduced states come from the amplitudes."""
+
+        def refuse(*args, **kwargs):
             raise AssertionError("built the D x D density matrix of a pure target")
 
+        ring6 = make_graph_state(6, [(i, (i + 1) % 6) for i in range(6)])
+        cases = [
+            (make_dicke_4_2(), [(0, 1, 2), (1, 2, 3)], 1),
+            (ring6, [sorted({(i - 1) % 6, i, (i + 1) % 6}) for i in range(6)], 1),
+            (random_mps((3,) * 5, 2, np.random.default_rng(4)),
+             [(i, i + 1, i + 2) for i in range(3)], 1),
+            (make_ghz(5), [(i, i + 1) for i in range(4)], 2),
+        ]
         monkeypatch.setattr(PureState, "density_matrix", refuse)
-        psi, pattern = dicke_pattern()
-        assert check_dqls(psi, pattern).verdict
-        assert parent_hamiltonian(psi, pattern).kernel().dim == 1
-        assert len(synthesis.synthesize_stabilizers(psi, pattern).operators) == 2
+        monkeypatch.setattr(np, "outer", refuse)
+        for psi, hoods, kernel_dim in cases:
+            pattern = pattern_of(psi.space, hoods)
+            assert check_dqls(psi, pattern).intersection_dim == kernel_dim
+            assert parent_hamiltonian(psi, pattern).kernel().dim == kernel_dim
+            stabilizers = synthesis.synthesize_stabilizers(psi, pattern, force=True)
+            assert len(stabilizers.operators) == len(hoods)
 
 
 class TestSweepDiagnostics:

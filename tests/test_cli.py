@@ -1,13 +1,24 @@
 """Command-line interface: verdicts, exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from qlstab import cli, instances
 from qlstab.cli import main
 from qlstab.instances import load_instance, read_operator_file
+
+from oracles import report_oracle
 
 
 def write_instance(path, data):
@@ -1001,3 +1012,145 @@ class TestFlagValidation:
         assert exc.value.code == 2
         assert captured.out == ""
         assert f"argument {flag}: " in captured.err
+
+
+# Floats whose rendering is easy to get wrong: signed zeros, non-finite
+# values (printed as strings), subnormals, the switch to exponent notation
+# (1e16, 1e-7 in repr; 1e12 in 12 significant digits) and integral floats.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                  -2.5e-320, 1e16, -1e16, 1e-7, 1e-5, 1e12, 123456789012.5,
+                  2.0, -3.0, 1.0 / 3.0, 0.1 + 0.2]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+COMPLEX = st.builds(complex, FLOATS, FLOATS)
+SHAPES = st.one_of(
+    st.tuples(st.integers(0, 4)), st.tuples(st.integers(0, 3), st.integers(0, 4))
+)
+ARRAYS = st.one_of(
+    arrays(np.float64, SHAPES, elements=FLOATS),
+    arrays(np.complex128, SHAPES, elements=COMPLEX),
+)
+SCALARS = st.one_of(
+    FLOATS, COMPLEX, st.integers(), st.booleans(), st.none(), st.text(max_size=5),
+    FLOATS.map(np.float64), st.integers(-5, 5).map(np.int64), st.booleans().map(np.bool_),
+)
+REPORTS = st.recursive(
+    st.one_of(SCALARS, ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def emitted(report, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(report, fmt)
+    return out.getvalue()
+
+
+class TestReportRendering:
+    """Reports print as json.dumps(indent=2), or the text walk, of the tree
+    rounded to 12 significant digits (tests/oracles.py::report_oracle)."""
+
+    @given(report=st.dictionaries(st.text(max_size=6), REPORTS, max_size=5))
+    @example(report={
+        "basis": np.array([[1 + 0j, -0.0 - 0.0j, complex(math.nan, -math.inf)]]),
+        "empty": np.zeros((0, 4), dtype=complex),
+        "one": np.array([[5e-324]]),
+        "values": np.array([1e16, 1e-7, 2.0, -0.0]),
+        "nested": {"list": [1.5, [np.array([1j]), {}], []], "pair": (1, True, None)},
+    })
+    def test_bytes_equal_the_old_route(self, report):
+        for fmt in ("json", "text"):
+            assert emitted(report, fmt) == report_oracle(report, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "command, instance",
+        [("check-dqls", dicke_instance), ("check-dqls", ghz3_instance),
+         ("certify", dicke_instance)],
+        ids=["check-dqls", "check-dqls-ghz3", "certify"],
+    )
+    def test_cli_reports_equal_the_old_route(self, tmp_path, capsys, monkeypatch,
+                                             command, instance, fmt):
+        reports = []
+        emit = cli._emit
+
+        def recording_emit(report, fmt):
+            reports.append(report)
+            emit(report, fmt)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        assert main([command, instance(tmp_path), "--output", fmt]) == 0
+        (report,) = reports
+        assert any(isinstance(v, np.ndarray) for v in report.values())
+        assert capsys.readouterr().out == report_oracle(report, fmt)
+
+    def test_check_dqls_builds_no_pair_lists(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("array_to_pairs called")
+
+        monkeypatch.setattr(instances, "array_to_pairs", refuse)
+        assert not hasattr(cli, "array_to_pairs")
+        code, report, _ = run_cli(capsys, ["check-dqls", ghz3_instance(tmp_path)])
+        assert code == 0
+        assert np.shape(report["intersection_basis"]) == (2, 8, 2)
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["check-dqls", "--tolerance", "1e-7", "--output", "text"],
+        ["synthesize", "--out", "ops", "--force", "--seed", "3"],
+        ["check-dqls"],
+        ["certify", "--operators", "ops"],
+        ["simulate", "--csv", "s.csv", "--t-final", "0.1", "--trajectories", "1"],
+        ["certify", "--dim-cap", "8", "--evidence-fallback", "--trajectories", "1",
+         "--t-final", "0.1", "--output", "text"],
+    ]
+
+    def _outputs(self, tmp_path, capsys):
+        inst = dicke_instance(tmp_path)
+        outputs = []
+        for argv in self.ARGVS:
+            words = [str(tmp_path / w) if w in ("ops", "s.csv") else w for w in argv]
+            assert main([words[0], inst, *words[1:]]) == 0
+            out = capsys.readouterr().out
+            # Timings differ from run to run; drop them.
+            outputs.append(out.split('"timings"')[0].split("timings:")[0])
+        return outputs
+
+    def test_shared_parser_gives_the_reports_of_fresh_parsers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        shared = self._outputs(tmp_path, capsys)
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert self._outputs(tmp_path, capsys) == shared
+
+    def test_main_builds_the_parser_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        inst = dicke_instance(tmp_path)
+        assert main(["check-dqls", inst]) == 0
+        assert main(["check-dqls", inst, "--output", "text"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_parser_is_not_built_at_import(self):
+        code = (
+            "import qlstab.cli as cli; "
+            "assert cli._parser.cache_info().currsize == 0"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,10 +1,15 @@
 """States, factories, embedding, and partial traces against brute-force oracles."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qlstab import tensor
 from qlstab.tensor import (
     DensityMatrix,
     DimensionMismatchError,
@@ -29,7 +34,14 @@ from qlstab.tensor import (
     random_pure_state,
 )
 
-from oracles import cz_matrix_oracle, embed_oracle, haar_unitary, ptrace_oracle
+from oracles import (
+    cz_matrix_oracle,
+    embed_oracle,
+    haar_unitary,
+    partial_trace_oracle,
+    ptrace_oracle,
+    random_mps,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -232,6 +244,70 @@ class TestPartialTrace:
         rho = make_dicke_4_2().density_matrix()
         red = partial_trace(rho, Neighborhood((0, 1, 2, 3)))
         np.testing.assert_allclose(red.matrix, rho.matrix)
+
+
+def _assert_traces_like_the_outer_product(psi, keep, chunk):
+    """``chunk`` replaces the number of products formed at a time, so small
+    states take the chunked route too."""
+    with mock.patch.object(tensor, "_TRACE_CHUNK", chunk):
+        red = partial_trace(psi, Neighborhood(keep))
+    expected = partial_trace_oracle(psi, keep)
+    assert red.matrix.shape == expected.shape
+    # Bits, not values: signed zeros and roundoff must match as well.
+    assert red.matrix.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _pure_states(draw):
+    """A pure state on 1-7 subsystems of dims 2 and 3: random amplitudes,
+    a random MPS, or a sparse real vector whose zeros carry either sign."""
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "mps", "sparse"]))
+    if kind == "mps":
+        return random_mps(dims, 2, rng)
+    if kind == "random":
+        return random_pure_state(TensorSpace(dims), rng)
+    d = math.prod(dims)
+    v = rng.standard_normal(d) * (rng.random(d) < 0.3)
+    v[rng.integers(d)] = 1.0
+    v = np.where(v == 0.0, np.copysign(0.0, rng.standard_normal(d)), v)
+    return PureState(TensorSpace(dims), v / np.linalg.norm(v))
+
+
+class TestPureStatePartialTrace:
+    """A pure state is traced from its amplitudes with the bits of tracing
+    |psi><psi| (tests/oracles.py::partial_trace_oracle)."""
+
+    @given(data=st.data())
+    def test_bytes_equal_the_outer_product_route(self, data):
+        psi = data.draw(_pure_states())
+        n = psi.space.n_subsystems
+        # At most four kept subsystems, so the validating eigvalsh stays
+        # small; the fixtures below keep every subset, the whole space too.
+        keep = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True)
+        )
+        chunk = data.draw(st.sampled_from([1, 8, 100, tensor._TRACE_CHUNK]))
+        _assert_traces_like_the_outer_product(psi, tuple(sorted(keep)), chunk)
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            make_graph_state(6, [(i, i + 1) for i in range(5)]),
+            make_ghz(6),
+            make_w(6),
+            random_mps((3,) * 5, 2, np.random.default_rng(8)),
+            random_mps((2, 3, 2, 3, 2), 3, np.random.default_rng(9)),
+        ],
+        ids=["cluster6", "ghz6", "w6", "qutrit_mps5", "mixed_mps5"],
+    )
+    def test_fixtures_match_on_every_keep(self, psi):
+        n = psi.space.n_subsystems
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(range(n), size):
+                for chunk in (16, tensor._TRACE_CHUNK):
+                    _assert_traces_like_the_outer_product(psi, keep, chunk)
 
 
 class TestEmbed:
