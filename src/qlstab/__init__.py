@@ -33,13 +33,10 @@ from .tensor import (
 )
 from .subspaces import (
     Subspace,
-    complement,
     complete_frame,
     equals,
-    full_space,
     intersect,
     projector,
-    span,
     support,
 )
 from .analysis import (

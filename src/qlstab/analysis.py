@@ -21,14 +21,14 @@ calls are returned as notes in ``DqlsReport.warnings`` and
 ``ParentHamiltonian.warnings``; nothing here warns or captures a warning.
 
 Per-neighborhood work (reduced state, support) is independent and could run
-in parallel; the sweep and the parent-Hamiltonian sum are sequential.
+in parallel; the sweep is sequential.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ from .tensor import (
     TensorSpace,
     apply_local,
     check_hermitian,
-    embed,
     embed_frame,
     partial_trace,
 )
@@ -111,20 +110,19 @@ class ParentHamiltonian:
 
     Each term's block is the orthogonal projector onto the complement of the
     reduced-state support on its neighborhood, so every term is a Hermitian
-    idempotent and the total is positive semidefinite. ``warnings`` holds the
+    idempotent and their sum is positive semidefinite. No D x D matrix is
+    held; the terms are the Hamiltonian. ``warnings`` holds the
     uncovered-subsystems note, if any, then the borderline support rank
     calls in neighborhood order.
     """
 
     space: TensorSpace
     terms: tuple[QLOperator, ...]
-    total: np.ndarray = field(repr=False)
     warnings: tuple[str, ...] = ()
 
     def kernel(self) -> Subspace:
         """Ground space: the common kernel of the terms, built by the
-        sequential sweep (Gram eigenvalues below ``INTERSECT_TOL``), not by
-        diagonalizing ``total``."""
+        sequential sweep (Gram eigenvalues below ``INTERSECT_TOL``)."""
         return _sweep(self.space, self.terms)[0]
 
 
@@ -276,16 +274,14 @@ def parent_hamiltonian(
     the target precisely when the stabilizability verdict is true.
     """
     _, terms, notes = _complement_terms(psi, pattern, rtol)
-    total = np.zeros((psi.space.dim, psi.space.dim), dtype=complex)
-    for term in terms:
-        total += embed(term, psi.space)
-    residual = float(np.linalg.norm(total @ psi.amplitudes))
+    applied = sum(apply_local(term, psi.space, psi.amplitudes) for term in terms)
+    residual = float(np.linalg.norm(applied))
     if not residual <= ANNIHILATION_TOL:
         raise ArithmeticError(
             f"parent Hamiltonian fails to annihilate the target ({residual:.3e})"
         )
     notes = _coverage_notes(pattern) + notes
-    return ParentHamiltonian(psi.space, tuple(terms), total, tuple(notes))
+    return ParentHamiltonian(psi.space, tuple(terms), tuple(notes))
 
 
 def is_frustration_free(psi: PureState, terms: Sequence[QLOperator]) -> bool:

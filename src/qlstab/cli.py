@@ -8,7 +8,8 @@ except for the "timings" section of the report.
 
 Exit codes: 0 success, 2 unparseable input, 3 dimension mismatch,
 4 refusal to synthesize for an unstabilizable target, 5 dense-path
-dimension cap exceeded, 6 integrator abort, 7 numerical failure.
+dimension cap exceeded or an array too large to allocate, 6 integrator
+abort, 7 numerical failure.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ _EXITS = (
     (DimensionMismatchError, EXIT_DIMENSION, "dimension mismatch: "),
     (synthesis.NotStabilizableError, EXIT_NOT_STABILIZABLE, ""),
     (dynamics.DimensionCapError, EXIT_DIM_CAP, ""),
+    (MemoryError, EXIT_DIM_CAP, "out of memory: "),
     (dynamics.IntegrationError, EXIT_INTEGRATION, "integrator aborted: "),
     (ArithmeticError, EXIT_NUMERICAL, "numerical failure: "),
 )

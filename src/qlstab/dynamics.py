@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.linalg import expm
 
 from .subspaces import RANK_MARGIN, complete_frame
 from .synthesis import INVARIANCE_TOL, StabilizerSet
@@ -621,6 +620,10 @@ def switched_map(schedule: SwitchingSchedule) -> np.ndarray:
     generators, each propagated for ``tau``. Trace preservation is checked
     on a handful of deterministic random states.
     """
+    # Imported here, not at module level, so that processes which never
+    # build a switched cycle map do not pay for loading scipy.linalg.
+    from scipy.linalg import expm
+
     space = schedule.generators[0].space
     d = space.dim
     if d > DEFAULT_DIM_CAP:

@@ -42,6 +42,7 @@ from .tensor import (
     PureState,
     QLOperator,
     TensorSpace,
+    embed,
     make_dicke_4_2,
     make_ghz,
     make_graph_state,
@@ -54,7 +55,6 @@ __all__ = [
     "parse_instance",
     "load_instance",
     "pairs_to_array",
-    "array_to_pairs",
     "write_operator_file",
     "read_operator_file",
     "write_parent_hamiltonian",
@@ -100,13 +100,6 @@ def pairs_to_array(pairs: Any, what: str = "value") -> np.ndarray:
     out = np.empty(arr.shape[:-1], dtype=complex)
     out.real, out.imag = arr[..., 0], arr[..., 1]
     return out
-
-
-def array_to_pairs(arr: np.ndarray) -> list:
-    """Inverse of :func:`pairs_to_array`."""
-    arr = np.asarray(arr, dtype=complex)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
 
 
 def _require(data: dict, key: str):
@@ -357,14 +350,18 @@ def _write_operators(directory: Path, stem, kind, operators, extras, dims) -> li
 
 def write_parent_hamiltonian(directory: str | Path, ham) -> list[str]:
     """Write a :class:`~qlstab.analysis.ParentHamiltonian` as one
-    ``parent_term_{k:02d}.json`` per term, then ``parent_total.json``."""
+    ``parent_term_{k:02d}.json`` per term, then ``parent_total.json``: the
+    dense sum of the embedded terms, formed here and only here."""
     directory, dims = Path(directory), ham.space.dims
     extras = [{}] * len(ham.terms)
     kind = "parent_hamiltonian_term"
     files = _write_operators(directory, "parent_term", kind, ham.terms, extras, dims)
+    total = np.zeros((ham.space.dim, ham.space.dim), dtype=complex)
+    for term in ham.terms:
+        total += embed(term, ham.space)
     path = directory / "parent_total.json"
     meta = {"kind": "parent_hamiltonian_total", "dims": list(dims)}
-    write_operator_file(path, ham.total, meta)
+    write_operator_file(path, total, meta)
     return files + [str(path)]
 
 

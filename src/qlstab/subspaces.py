@@ -32,11 +32,8 @@ __all__ = [
     "INTERSECT_TOL",
     "SUPPORT_RTOL",
     "Subspace",
-    "full_space",
-    "span",
     "support",
     "projector",
-    "complement",
     "complete_frame",
     "intersect",
     "equals",
@@ -96,29 +93,6 @@ class Subspace:
     def dim(self) -> int:
         return self.frame.shape[1]
 
-    def contains(self, vector: np.ndarray, tol: float = ORTH_TOL) -> bool:
-        """Whether a vector lies in the subspace up to ``tol`` (by residual)."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        if v.shape != (self.ambient_dim,):
-            raise DimensionMismatchError("vector length does not match ambient dim")
-        residual = v - self.frame @ (self.frame.conj().T @ v)
-        return float(np.linalg.norm(residual)) <= tol * max(1.0, np.linalg.norm(v))
-
-
-def full_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
-
-
-def span(vectors: np.ndarray, rtol: float = 1e-12) -> Subspace:
-    """Orthonormal frame for the span of the given columns (via SVD)."""
-    v = np.array(vectors, dtype=complex)
-    if v.ndim == 1:
-        v = v.reshape(-1, 1)
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace(v.shape[0], np.zeros((v.shape[0], 0)))
-    return Subspace(v.shape[0], u[:, s > rtol * s[0]])
-
 
 def support(rho, rtol: float = SUPPORT_RTOL) -> tuple[Subspace, list[str]]:
     """Span of the eigenvectors of a PSD operator with non-negligible eigenvalue.
@@ -172,12 +146,6 @@ def complete_frame(frame: np.ndarray, ambient_dim: int) -> np.ndarray:
     stacked = np.hstack([frame, np.eye(ambient_dim, dtype=complex)])
     q, _ = np.linalg.qr(stacked)
     return np.hstack([frame, q[:, k:ambient_dim]])
-
-
-def complement(sub: Subspace) -> Subspace:
-    """Orthogonal complement, dimension ambient_dim - dim."""
-    basis = complete_frame(sub.frame, sub.ambient_dim)
-    return Subspace(sub.ambient_dim, basis[:, sub.dim:])
 
 
 def intersect(

@@ -61,23 +61,39 @@ def ptrace_oracle(mat, dims, keep):
 
 
 def embed_oracle(block, dims, hood):
-    """Neighborhood-operator embedding by explicit matrix elements."""
-    n = len(dims)
+    """Neighborhood-operator embedding by explicit matrix elements: entry
+    (i, j) is block[bi, bj] when i and j agree on every digit outside the
+    neighborhood, where bi and bj index their neighborhood digits; every
+    other entry is zero."""
     hood = sorted(hood)
-    rest = [a for a in range(n) if a not in hood]
     dims_hood = [dims[a] for a in hood]
     d = int(np.prod(dims))
     out = np.zeros((d, d), dtype=complex)
     for i in range(d):
         gi = digits_of(i, dims)
-        for j in range(d):
-            gj = digits_of(j, dims)
-            if any(gi[a] != gj[a] for a in rest):
-                continue
-            bi = index_of([gi[a] for a in hood], dims_hood)
-            bj = index_of([gj[a] for a in hood], dims_hood)
-            out[i, j] = block[bi, bj]
+        bi = index_of([gi[a] for a in hood], dims_hood)
+        for bj in range(int(np.prod(dims_hood))):
+            gj = list(gi)
+            for a, g in zip(hood, digits_of(bj, dims_hood)):
+                gj[a] = g
+            out[i, index_of(gj, dims)] = block[bi, bj]
     return out
+
+
+def parent_total_oracle(ham):
+    """The dense D x D parent Hamiltonian: the sum of the terms of ``ham``
+    embedded by :func:`embed_oracle`, in term order, from a zero matrix."""
+    total = np.zeros((ham.space.dim, ham.space.dim), dtype=complex)
+    for term in ham.terms:
+        total += embed_oracle(term.block, ham.space.dims, term.neighborhood.indices)
+    return total
+
+
+def residual_oracle(sub, vector):
+    """Norm of the part of ``vector`` outside the subspace ``sub``:
+    |v - F F^dagger v| for its orthonormal frame F."""
+    frame = sub.frame
+    return float(np.linalg.norm(vector - frame @ (frame.conj().T @ vector)))
 
 
 def haar_unitary(d, rng):

@@ -46,7 +46,7 @@ from qlstab.tensor import (
     random_pure_state,
 )
 
-from oracles import haar_unitary, ptrace_oracle
+from oracles import haar_unitary, parent_total_oracle, ptrace_oracle
 
 
 @contextmanager
@@ -182,16 +182,16 @@ def test_criterion_05_parent_hamiltonian_loop_closure():
             ("product", product, pattern_of(product.space, [(0,), (1,), (2,), (3,)]), True)
         )
         for _, state, pattern, _ in passing:
-            ham = parent_hamiltonian(state, pattern)
-            assert float(np.linalg.norm(ham.total @ state.amplitudes)) <= 1e-8
-            evals, evecs = np.linalg.eigh(ham.total)
+            total = parent_total_oracle(parent_hamiltonian(state, pattern))
+            assert float(np.linalg.norm(total @ state.amplitudes)) <= 1e-8
+            evals, evecs = np.linalg.eigh(total)
             kernel_dim = int(np.sum(evals < 1e-8))
             assert kernel_dim == 1
             overlap = abs(np.vdot(evecs[:, 0], state.amplitudes))
             assert abs(overlap - 1.0) <= 1e-8
         ghz = make_ghz(3)
         ham = parent_hamiltonian(ghz, pattern_of(ghz.space, [(0, 1), (1, 2)]))
-        evals = np.linalg.eigvalsh(ham.total)
+        evals = np.linalg.eigvalsh(parent_total_oracle(ham))
         assert int(np.sum(evals < 1e-8)) == 2
 
 

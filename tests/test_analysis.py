@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlstab import analysis, synthesis
+from qlstab import analysis, instances, synthesis
 from qlstab.analysis import (
     check_dqls,
     factorize_pure_state,
@@ -16,11 +16,11 @@ from qlstab.analysis import (
 )
 from qlstab.subspaces import (
     INTERSECT_TOL,
+    ORTH_TOL,
     Subspace,
     equals,
     intersect,
     projector,
-    span,
     support,
 )
 from qlstab.tensor import (
@@ -43,7 +43,13 @@ from qlstab.tensor import (
     random_pure_state,
 )
 
-from oracles import haar_unitary, random_mps
+from oracles import (
+    haar_unitary,
+    operator_file_oracle,
+    parent_total_oracle,
+    random_mps,
+    residual_oracle,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -72,15 +78,17 @@ class TestCheckDqls:
         report = check_dqls(w, pattern_of(w.space, [(0, 1, 2), (1, 2, 3)]))
         assert not report.verdict
         # The intersection keeps both the all-zeros state and the target.
-        assert report.intersection.contains(basis_state(w.space, 0).amplitudes)
-        assert report.intersection.contains(w.amplitudes)
+        zeros = basis_state(w.space, 0).amplitudes
+        assert residual_oracle(report.intersection, zeros) <= ORTH_TOL
+        assert residual_oracle(report.intersection, w.amplitudes) <= ORTH_TOL
 
     def test_dicke_passes(self):
         psi, pattern = dicke_pattern()
         report = check_dqls(psi, pattern)
         assert report.verdict
         assert report.intersection_dim == 1
-        assert equals(report.intersection, span(psi.amplitudes))
+        target = Subspace(psi.space.dim, psi.amplitudes.reshape(-1, 1))
+        assert equals(report.intersection, target)
 
     def test_product_state_with_singletons(self):
         psi = basis_state(qubit_space(4), 0)
@@ -141,7 +149,7 @@ class TestCheckDqls:
                     tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
                 )
             report = check_dqls(psi, pattern_of(space, hoods))
-            assert report.intersection.contains(psi.amplitudes, tol=1e-8)
+            assert residual_oracle(report.intersection, psi.amplitudes) <= 1e-8
 
 
 def dense_intersection(psi, pattern):
@@ -155,7 +163,8 @@ def dense_intersection(psi, pattern):
         for hood in pattern.neighborhoods
     ]
     oracle, _ = intersect(embedded)
-    return oracle, oracle.dim == 1 and equals(oracle, span(psi.amplitudes))
+    target = Subspace(psi.space.dim, psi.amplitudes.reshape(-1, 1))
+    return oracle, oracle.dim == 1 and equals(oracle, target)
 
 
 def _oracle_fixtures():
@@ -231,7 +240,7 @@ class TestDenseOracleAgreement:
     """check_dqls against the explicit embedded-frame intersection route."""
 
     @pytest.mark.parametrize("psi, pattern", _oracle_fixtures())
-    def test_matches_embedded_frame_intersection(self, psi, pattern):
+    def test_matches_embedded_frame_intersection(self, psi, pattern, tmp_path):
         oracle, oracle_verdict = dense_intersection(psi, pattern)
         report = check_dqls(psi, pattern)
         assert report.verdict == oracle_verdict
@@ -243,9 +252,15 @@ class TestDenseOracleAgreement:
         np.testing.assert_allclose(
             projector(ham.kernel()), projector(oracle), atol=1e-9
         )
-        # The dense eigendecomposition of the parent Hamiltonian agrees too.
-        dense_kernel = np.linalg.eigvalsh(ham.total) < INTERSECT_TOL
+        # The dense eigendecomposition of the parent Hamiltonian agrees too,
+        # and parent_total.json holds that dense sum byte for byte.
+        total = parent_total_oracle(ham)
+        dense_kernel = np.linalg.eigvalsh(total) < INTERSECT_TOL
         assert int(np.sum(dense_kernel)) == oracle.dim
+        instances.write_parent_hamiltonian(tmp_path, ham)
+        meta = {"kind": "parent_hamiltonian_total", "dims": list(psi.space.dims)}
+        written = (tmp_path / "parent_total.json").read_text()
+        assert written == operator_file_oracle(total, meta)
         if pattern.uncovered():
             assert any("uncovered" in w for w in report.warnings)
 
@@ -296,10 +311,10 @@ class TestPureTargetPipeline:
                 partial_trace(psi, hood).matrix, partial_trace(rho, hood).matrix
             )
 
-    def test_each_neighborhood_embedded_once(self, monkeypatch):
-        """The verdict and synthesis paths embed nothing and diagonalize no
-        ambient-size matrix; only the parent Hamiltonian's dense total embeds
-        each term, once."""
+    def test_each_neighborhood_embedded_once(self, monkeypatch, tmp_path):
+        """The verdict, parent-Hamiltonian and synthesis paths embed nothing
+        and diagonalize no ambient-size matrix; only the writer of
+        parent_total.json embeds each term, once."""
         calls = []
         sizes = []
         eigh = np.linalg.eigh
@@ -312,16 +327,20 @@ class TestPureTargetPipeline:
             sizes.append(np.shape(a)[-1])
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(analysis, "embed", counting_embed)
+        monkeypatch.setattr(analysis, "embed", counting_embed, raising=False)
         monkeypatch.setattr(synthesis, "embed", counting_embed, raising=False)
+        monkeypatch.setattr(instances, "embed", counting_embed)
         monkeypatch.setattr(np.linalg, "eigh", sized_eigh)
         psi = _cluster5()
         pattern = pattern_of(psi.space, [(i, i + 1, i + 2) for i in range(3)])
         check_dqls(psi, pattern)
         synthesis.synthesize_stabilizers(psi, pattern)
+        ham = parent_hamiltonian(psi, pattern)
+        ham.kernel()
+        assert is_frustration_free(psi, ham.terms)
         assert calls == []
         assert sizes and max(sizes) < psi.space.dim
-        parent_hamiltonian(psi, pattern)
+        instances.write_parent_hamiltonian(tmp_path, ham)
         assert calls == list(pattern.neighborhoods)
 
     def test_no_full_space_density_matrix(self, monkeypatch):
@@ -478,8 +497,8 @@ class TestBorderlineNotesAsData:
         # complement projectors, 1 - cos(theta) ~ 1e-7, sits just above the
         # 1e-8 intersection cutoff.
         theta = math.sqrt(2e-7)
-        lines = [span(np.array([1.0, 0.0])),
-                 span(np.array([math.cos(theta), math.sin(theta)]))]
+        lines = [Subspace(2, np.array([[1.0], [0.0]])),
+                 Subspace(2, np.array([[math.cos(theta)], [math.sin(theta)]]))]
         sub, notes = intersect(lines)
         assert sub.dim == 0
         assert len(notes) == 1
@@ -528,7 +547,7 @@ class TestParentHamiltonian:
     def test_dicke_kernel_is_target_span(self):
         psi, pattern = dicke_pattern()
         ham = parent_hamiltonian(psi, pattern)
-        evals, evecs = np.linalg.eigh(ham.total)
+        evals, evecs = np.linalg.eigh(parent_total_oracle(ham))
         kernel_dim = int(np.sum(evals < 1e-8))
         assert kernel_dim == 1
         assert abs(abs(np.vdot(evecs[:, 0], psi.amplitudes)) - 1.0) < 1e-8
@@ -536,7 +555,7 @@ class TestParentHamiltonian:
     def test_ghz3_kernel_dimension_two(self):
         ghz = make_ghz(3)
         ham = parent_hamiltonian(ghz, pattern_of(ghz.space, [(0, 1), (1, 2)]))
-        evals = np.linalg.eigvalsh(ham.total)
+        evals = np.linalg.eigvalsh(parent_total_oracle(ham))
         assert int(np.sum(evals < 1e-8)) == 2
 
     def test_full_neighborhood_gives_rank_one_projector(self):
@@ -544,7 +563,7 @@ class TestParentHamiltonian:
         psi = random_pure_state(qubit_space(2), rng)
         ham = parent_hamiltonian(psi, pattern_of(psi.space, [(0, 1)]))
         expected = np.eye(4) - np.outer(psi.amplitudes, psi.amplitudes.conj())
-        np.testing.assert_allclose(ham.total, expected, atol=1e-10)
+        np.testing.assert_allclose(parent_total_oracle(ham), expected, atol=1e-10)
 
     def test_terms_are_projectors_and_annihilate_target(self):
         psi, pattern = dicke_pattern()

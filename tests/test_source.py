@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qlstab
@@ -57,3 +60,15 @@ def test_only_check_hermitian_computes_the_asymmetry():
                 if operand is not None and ast.dump(operand) == ast.dump(node.left):
                     owners.append(f"{path.name}:{enclosing.get(id(node), '<module>')}")
     assert owners == ["tensor.py:check_hermitian"]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # Only switched_map needs scipy.linalg; every other process would pay
+    # its import time and memory for nothing.
+    env = dict(os.environ, PYTHONPATH=str(Path(qlstab.__file__).parents[1]))
+    probe = "import sys, qlstab.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"

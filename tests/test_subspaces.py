@@ -1,17 +1,15 @@
-"""Subspace algebra: supports, complements, intersections, projector identities."""
+"""Subspace algebra: supports, frame completions, intersections, projector identities."""
 
 import numpy as np
 import pytest
 
 from qlstab.subspaces import (
+    ORTH_TOL,
     Subspace,
-    complement,
     complete_frame,
     equals,
-    full_space,
     intersect,
     projector,
-    span,
     support,
 )
 from qlstab.tensor import (
@@ -26,7 +24,7 @@ from qlstab.tensor import (
     random_pure_state,
 )
 
-from oracles import haar_unitary, ptrace_oracle
+from oracles import haar_unitary, ptrace_oracle, residual_oracle
 
 
 def no_notes(result):
@@ -62,18 +60,13 @@ class TestSubspaceType:
         assert sub.dim == 0
         np.testing.assert_allclose(projector(sub), np.zeros((3, 3)))
 
-    def test_contains(self):
-        sub = coordinate_span(3, [0, 1])
-        assert sub.contains(np.array([1.0, 2.0, 0.0]))
-        assert not sub.contains(np.array([0.0, 0.0, 1.0]))
-
 
 class TestSupport:
     def test_pure_state_support_is_its_span(self):
         psi = make_ghz(3)
         sub = no_notes(support(psi.density_matrix()))
         assert sub.dim == 1
-        assert sub.contains(psi.amplitudes)
+        assert residual_oracle(sub, psi.amplitudes) <= ORTH_TOL
 
     def test_maximally_mixed_support_is_everything(self):
         d = 6
@@ -110,27 +103,26 @@ class TestSupport:
         assert notes[0].startswith("support rank decision is borderline")
 
 
+def completion(sub):
+    """The orthogonal complement of ``sub``: the columns that
+    ``complete_frame`` appends to its frame."""
+    basis = complete_frame(sub.frame, sub.ambient_dim)
+    return Subspace(sub.ambient_dim, basis[:, sub.dim:])
+
+
 class TestComplementAndProjector:
-    def test_complement_of_full_space_is_zero(self):
-        assert complement(full_space(4)).dim == 0
-
-    def test_complement_of_axis(self):
-        sub = complement(coordinate_span(2, [0]))
-        assert sub.dim == 1
-        assert equals(sub, coordinate_span(2, [1]))
-
     def test_double_complement_recovers_projector(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             sub = random_subspace(6, int(rng.integers(0, 7)), rng)
-            back = complement(complement(sub))
+            back = completion(completion(sub))
             np.testing.assert_allclose(projector(back), projector(sub), atol=1e-10)
 
     def test_complement_projector_identity(self):
         rng = np.random.default_rng(8)
         sub = random_subspace(5, 2, rng)
         np.testing.assert_allclose(
-            projector(complement(sub)), np.eye(5) - projector(sub), atol=1e-9
+            projector(completion(sub)), np.eye(5) - projector(sub), atol=1e-9
         )
 
     def test_projector_is_hermitian_idempotent(self):
@@ -141,7 +133,7 @@ class TestComplementAndProjector:
         np.testing.assert_allclose(p @ p, p, atol=1e-9)
 
     def test_full_space_projector_is_identity(self):
-        np.testing.assert_allclose(projector(full_space(3)), np.eye(3))
+        np.testing.assert_allclose(projector(Subspace(3, np.eye(3))), np.eye(3))
 
     def test_complete_frame_is_unitary_and_keeps_input(self):
         rng = np.random.default_rng(10)
@@ -162,7 +154,7 @@ class TestIntersect:
     def test_with_full_space_is_identity(self):
         rng = np.random.default_rng(14)
         sub = random_subspace(5, 3, rng)
-        out = no_notes(intersect([sub, full_space(5)]))
+        out = no_notes(intersect([sub, Subspace(5, np.eye(5))]))
         assert equals(out, sub)
 
     def test_coordinate_planes(self):
@@ -185,7 +177,7 @@ class TestIntersect:
             embedded.append(Subspace(16, frame))
         out = no_notes(intersect(embedded))
         assert out.dim == 1
-        assert equals(out, span(psi.amplitudes))
+        assert equals(out, Subspace(16, psi.amplitudes.reshape(-1, 1)))
 
     def test_disjoint_subspaces_intersect_to_zero(self):
         halves = [coordinate_span(4, [0, 1]), coordinate_span(4, [2, 3])]
@@ -194,7 +186,7 @@ class TestIntersect:
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            intersect([full_space(2), full_space(3)])
+            intersect([Subspace(2, np.eye(2)), Subspace(3, np.eye(3))])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
