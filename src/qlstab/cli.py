@@ -307,7 +307,9 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
         trajectory = dynamics.evolve(
             gen, rho0, args.t_final, args.dt, record_every=10**9
         )
-        finals.append(dynamics.fidelity(instance.state, trajectory[-1][1]))
+        for _, final in trajectory:
+            pass
+        finals.append(dynamics.fidelity(instance.state, final))
     supported = all(f > 1.0 - EVIDENCE_FIDELITY for f in finals)
     return {
         "mode": "evidence",
@@ -337,7 +339,9 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
     else:
         gen = dynamics.stabilizer_generator(stabilizers, instance.space)
     target_rho = instance.state.density_matrix()
-    rows: list[tuple] = []
+    # CSV lines are formatted as each snapshot arrives, so no past state is
+    # kept; the file is written only once every trajectory has finished.
+    lines: list[str] = []
     finals = []
     for traj_id in range(args.trajectories):
         if args.mixed:
@@ -353,28 +357,20 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
                 gen, rho0, args.t_final, args.dt, record_every=args.record_every
             )
         for t, state in trajectory:
-            rows.append(
-                (
-                    traj_id,
-                    t,
-                    dynamics.fidelity(instance.state, state),
-                    dynamics.trace_distance(state, target_rho),
-                    dynamics.purity(state),
-                )
-            )
-        finals.append(dynamics.fidelity(instance.state, trajectory[-1][1]))
+            fid = dynamics.fidelity(instance.state, state)
+            dist = dynamics.trace_distance(state, target_rho)
+            pur = dynamics.purity(state)
+            lines.append(f"{traj_id},{t:.12g},{fid:.12g},{dist:.12g},{pur:.12g}\n")
+        finals.append(fid)
     csv_path = Path(args.csv)
     with csv_path.open("w") as fh:
         fh.write("trajectory_id,t,fidelity,trace_distance,purity\n")
-        for row in rows:
-            fh.write(
-                f"{row[0]},{row[1]:.12g},{row[2]:.12g},{row[3]:.12g},{row[4]:.12g}\n"
-            )
+        fh.writelines(lines)
     out = {
         "mode": "switched" if args.switched else "simultaneous",
         "trajectories": args.trajectories,
         "csv": str(csv_path),
-        "rows": len(rows),
+        "rows": len(lines),
         "final_fidelities": finals,
         "min_final_fidelity": min(finals),
         "warnings": notes,

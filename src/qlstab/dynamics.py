@@ -24,6 +24,7 @@ single trajectory is inherently sequential.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -101,6 +102,8 @@ class LindbladGenerator:
     space: TensorSpace
     hamiltonian: np.ndarray | None = field(repr=False, default=None)
     noise_ops: tuple[np.ndarray, ...] = field(repr=False, default=())
+    _stack: np.ndarray = field(repr=False, init=False)
+    _adjoints: np.ndarray = field(repr=False, init=False)
     _quad: np.ndarray = field(repr=False, init=False)
 
     def __post_init__(self):
@@ -114,31 +117,36 @@ class LindbladGenerator:
                 )
             check_hermitian(ham, HERM_TOL * max(1.0, np.abs(ham).max()), "Hamiltonian")
             ham.flags.writeable = False
-        ops = []
-        for k, op in enumerate(self.noise_ops):
-            op = np.array(op, dtype=complex)
+        ops = tuple(self.noise_ops)
+        n = len(ops)
+        # Noise operators L_0 .. L_{n-1}, then sum_k L_k^dag L_k, in one stack.
+        stack = np.zeros((n + 1, d, d), dtype=complex)
+        for k, op in enumerate(ops):
+            op = np.asarray(op, dtype=complex)
             if op.shape != (d, d):
                 raise DimensionMismatchError(
                     f"noise operator {k} shape {op.shape} does not match dim {d}"
                 )
             if not np.isfinite(op).all():
                 raise ValueError(f"noise operator {k} has non-finite entries")
-            op.flags.writeable = False
-            ops.append(op)
-        if ham is None and not ops:
+            stack[k] = op
+        if ham is None and not n:
             raise ValueError("a generator needs a Hamiltonian or noise operators")
-        quad = np.zeros((d, d), dtype=complex)
+        conj = stack[:n].conj()
         with np.errstate(over="ignore", invalid="ignore"):
-            for op in ops:
-                quad += op.conj().T @ op
-        if not np.isfinite(quad).all():
+            for k in range(n):
+                stack[n] += conj[k].T @ stack[k]
+        if not np.isfinite(stack[n]).all():
             raise ArithmeticError(
                 "noise operators are too large: sum of L^dag L overflows"
             )
-        quad.flags.writeable = False
+        stack.flags.writeable = False
+        conj.flags.writeable = False
         object.__setattr__(self, "hamiltonian", ham)
-        object.__setattr__(self, "noise_ops", tuple(ops))
-        object.__setattr__(self, "_quad", quad)
+        object.__setattr__(self, "noise_ops", tuple(stack[:n]))
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_adjoints", conj.transpose(0, 2, 1))
+        object.__setattr__(self, "_quad", stack[n])
 
     def norm_bound(self) -> float:
         """Upper bound on the generator's induced norm, for step-size choice."""
@@ -251,12 +259,16 @@ def apply_generator(gen: LindbladGenerator, rho) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {mat.shape} does not match generator dim {d}"
         )
+    # One batched product per factor: L_k rho and (sum L^dag L) rho, then
+    # (L_k rho) L_k^dag; each slice is the same matrix product as one at a time.
+    left = gen._stack @ mat
+    jumps = left[:-1] @ gen._adjoints
     out = np.zeros((d, d), dtype=complex)
     if gen.hamiltonian is not None:
         out += -1j * (gen.hamiltonian @ mat - mat @ gen.hamiltonian)
-    for op in gen.noise_ops:
-        out += op @ mat @ op.conj().T
-    out -= 0.5 * (gen._quad @ mat + mat @ gen._quad)
+    for jump in jumps:
+        out += jump
+    out -= 0.5 * (left[-1] + mat @ gen._quad)
     return out
 
 
@@ -516,7 +528,7 @@ def evolve(
     t_final: float,
     dt: float | None = None,
     record_every: int = 1,
-) -> list[tuple[float, DensityMatrix]]:
+) -> Iterator[tuple[float, DensityMatrix]]:
     """Fixed-step 4th-order integration of the master equation.
 
     The requested step is shrunk so an integer number of steps lands exactly
@@ -525,7 +537,10 @@ def evolve(
     is renormalized. Trace drift beyond the guard aborts with a step-size
     diagnostic.
 
-    Returns a list of (time, state) pairs.
+    Returns an iterator of (time, state) pairs that integrates as it is
+    consumed and holds only the current state. Invalid arguments raise
+    here; ``IntegrationError`` is raised during iteration, at the step
+    that fails.
     """
     if rho0.space != gen.space:
         raise DimensionMismatchError("state and generator live on different spaces")
@@ -537,21 +552,30 @@ def evolve(
         dt = _default_dt(gen)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    trajectory: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
     if t_final == 0.0:
-        return trajectory
+        return iter([(0.0, rho0)])
     steps = max(1, math.ceil(t_final / dt - 1e-12))
-    dt_eff = t_final / steps
+    return _integrate(gen, rho0, steps, t_final / steps, record_every)
+
+
+def _integrate(
+    gen: LindbladGenerator,
+    rho0: DensityMatrix,
+    steps: int,
+    dt_eff: float,
+    record_every: int,
+) -> Iterator[tuple[float, DensityMatrix]]:
+    yield 0.0, rho0
     mat = rho0.matrix.astype(complex)
     for k in range(1, steps + 1):
         mat = _rk4_step(gen, mat, dt_eff)
-        peak = float(np.max(np.abs(mat)))
+        peak = float(np.abs(mat).max())
         if not peak <= DIVERGENCE_LIMIT:
             raise IntegrationError(
                 f"solution diverged (max entry {peak:.3e}) at "
                 f"t={k * dt_eff:.6g} (dt={dt_eff:.3e}); reduce the step size"
             )
-        drift = abs(np.trace(mat) - 1.0)
+        drift = abs(mat.trace() - 1.0)
         if drift > TRACE_DRIFT_LIMIT:
             raise IntegrationError(
                 f"trace drifted by {drift:.3e} at t={k * dt_eff:.6g} "
@@ -559,13 +583,13 @@ def evolve(
             )
         if k % record_every == 0 or k == steps:
             try:
-                trajectory.append((k * dt_eff, _snapshot(gen.space, mat)))
+                snapshot = _snapshot(gen.space, mat)
             except ValueError as exc:
                 raise IntegrationError(
                     f"snapshot at t={k * dt_eff:.6g} failed validation "
                     f"({exc}); reduce the step size"
                 ) from exc
-    return trajectory
+            yield k * dt_eff, snapshot
 
 
 def fme_generator(
@@ -672,8 +696,10 @@ def simulate_switched(
     for _ in range(cycles):
         for gen in schedule.generators:
             if schedule.tau > 0.0:
+                # Run the segment; ``state`` ends as its final snapshot.
                 segment = evolve(gen, state, schedule.tau, dt, record_every=10**9)
-                state = segment[-1][1]
+                for _, state in segment:
+                    pass
             t += schedule.tau
             out.append((t, state))
     return out

@@ -150,6 +150,26 @@ def vectorize_oracle(hamiltonian, noise_ops):
     return out
 
 
+def apply_generator_oracle(gen, rho):
+    """The Lindblad generator on a matrix, one operator at a time: zeros, then
+    -i[H, rho], then L_k rho L_k^dag in order, then -(1/2){Q, rho} with
+    Q = sum_k L_k^dag L_k accumulated from zeros. Each product is the same
+    two-operand matrix product as in the library's batched kernel, so the
+    two agree to the last bit."""
+    mat = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho, complex)
+    d = gen.space.dim
+    quad = np.zeros((d, d), dtype=complex)
+    for op in gen.noise_ops:
+        quad += op.conj().T @ op
+    out = np.zeros((d, d), dtype=complex)
+    if gen.hamiltonian is not None:
+        out += -1j * (gen.hamiltonian @ mat - mat @ gen.hamiltonian)
+    for op in gen.noise_ops:
+        out += op @ mat @ op.conj().T
+    out -= 0.5 * (quad @ mat + mat @ quad)
+    return out
+
+
 def partial_trace_oracle(psi, keep):
     """Reduced state of a pure state by tracing its outer product |psi><psi|
     one subsystem at a time with ``np.trace``, the last subsystem first."""

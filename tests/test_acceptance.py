@@ -280,7 +280,7 @@ def test_criterion_08_convergence_dynamics():
         rng = np.random.default_rng(78)
         for _ in range(20):
             rho0 = random_pure_state(psi.space, rng).density_matrix()
-            trajectory = evolve(gen, rho0, 40.0, dt=0.01, record_every=10**9)
+            trajectory = list(evolve(gen, rho0, 40.0, dt=0.01, record_every=10**9))
             assert fidelity(psi, trajectory[-1][1]) > 1.0 - 1e-6
 
         q1 = TensorSpace((2,))

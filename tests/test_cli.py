@@ -1,12 +1,15 @@
 """Command-line interface: verdicts, exit codes, file outputs, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +17,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qlstab import cli
+from qlstab import cli, dynamics
 from qlstab.cli import main
 from qlstab.instances import load_instance, read_operator_file
 
-from oracles import report_oracle
+from oracles import apply_generator_oracle, report_oracle
 
 
 def write_instance(path, data):
@@ -744,6 +747,129 @@ class TestSimulateCommand:
         lines = csv_path.read_text().strip().splitlines()
         # header + (2 segments * 3 cycles + initial) per trajectory
         assert len(lines) == 1 + 2 * 7
+
+
+def cluster5_instance(tmp_path):
+    """Linear 5-qubit cluster state with sliding 3-site windows."""
+    return write_instance(
+        tmp_path / "cluster5.json",
+        {
+            "dims": [2] * 5,
+            "state": {"name": "graph", "edges": [[a, a + 1] for a in range(4)]},
+            "neighborhoods": [[a, a + 1, a + 2] for a in range(3)],
+        },
+    )
+
+
+def load_benchmark_workloads():
+    """The benchmark's workload module, whose call-count formula the traced
+    benchmark runs check."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        # Registered before it runs: its dataclasses resolve their module.
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named ``dynamics`` module globals and count their calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(dynamics, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    return counts
+
+
+class TestSimulateStreaming:
+    @pytest.mark.parametrize("instance", [dicke_instance, cluster5_instance],
+                             ids=["dicke", "cluster5"])
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["--t-final", "0.3", "--dt", "0.01"],
+            ["--switched", "--tau", "0.1", "--cycles", "2", "--dt", "0.01"],
+        ],
+        ids=["plain", "switched"],
+    )
+    def test_csv_bytes_match_per_operator_oracle(
+        self, tmp_path, capsys, monkeypatch, instance, words
+    ):
+        inst = instance(tmp_path)
+        argv = ["simulate", inst, "--trajectories", "2", *words]
+        assert main(argv + ["--csv", str(tmp_path / "fast.csv")]) == 0
+        calls = []
+
+        def oracle(gen, rho):
+            calls.append(1)
+            return apply_generator_oracle(gen, rho)
+
+        monkeypatch.setattr(dynamics, "apply_generator", oracle)
+        assert main(argv + ["--csv", str(tmp_path / "oracle.csv")]) == 0
+        capsys.readouterr()
+        assert calls
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "oracle.csv").read_bytes()
+        assert fast.count(b"\n") > 3
+
+    def test_memory_does_not_grow_with_recorded_steps(self, tmp_path, capsys):
+        # Each recorded step may add its CSV line, never its 16 D^2-byte state.
+        inst = dicke_instance(tmp_path)
+        snapshot = 16 * 16**2
+
+        def peak(t_final):
+            argv = ["simulate", inst, "--csv", str(tmp_path / "t.csv"),
+                    "--t-final", t_final, "--dt", "0.01", "--trajectories", "1"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak("0.1")
+        short, long = peak("0.5"), peak("2.0")
+        assert (long - short) / 150 < snapshot / 8
+
+    def test_call_counts_follow_the_benchmark_formula(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The traced benchmark counts calls to these module globals; a path
+        # that bypasses them must fail here, not only in a traced run.
+        workloads = load_benchmark_workloads()
+        insts = workloads.instances(0)
+        workloads.write_instances(insts, tmp_path)
+        commands = [c for c in workloads.PROBE if c.kind == "simulate"]
+        assert {c.sim["switched"] for c in commands} == {False, True}
+        for cmd in commands:
+            with monkeypatch.context() as patch:
+                counts = count_calls(patch, "evolve", "apply_generator")
+                assert main(cmd.argv(tmp_path, tmp_path, 0)) == 0
+            capsys.readouterr()
+            segments = workloads._segments(
+                cmd, len(insts[cmd.instance]["neighborhoods"])
+            )
+            assert counts == {
+                "evolve": len(segments),
+                "apply_generator": 4 * sum(segments),
+            }, cmd.label
+
+        counts = count_calls(monkeypatch, "evolve", "apply_generator")
+        argv = ["certify", str(tmp_path / "dicke.json"), "--dim-cap", "8",
+                "--evidence-fallback", "--trajectories", "2", "--t-final", "0.2",
+                "--dt", "0.01"]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 0 and report["mode"] == "evidence"
+        steps = workloads._steps(0.2, 0.01)
+        assert counts == {"evolve": 2, "apply_generator": 2 * 4 * steps}
 
 
 class TestDeterminism:

@@ -2,9 +2,12 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qlstab.dynamics import (
@@ -45,7 +48,7 @@ from qlstab.tensor import (
     random_pure_state,
 )
 
-from oracles import haar_unitary, vectorize_oracle
+from oracles import apply_generator_oracle, haar_unitary, vectorize_oracle
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -225,6 +228,40 @@ class TestApplyGenerator:
             out = apply_generator(gen, rho)
             assert abs(np.trace(out)) < 1e-12
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
+
+    @given(
+        dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2),
+        n_ops=st.integers(0, 4),
+        with_ham=st.booleans(),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_per_operator_oracle(
+        self, dims, n_ops, with_ham, transposed, seed
+    ):
+        space = TensorSpace(tuple(dims))
+        rng = np.random.default_rng(seed)
+        gen = random_generator(space, rng, n_ops, with_ham or n_ops == 0)
+        d = space.dim
+        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if transposed:
+            mat = mat.T
+        out = apply_generator(gen, mat)
+        assert out.tobytes() == apply_generator_oracle(gen, mat).tobytes()
+
+    def test_operators_are_read_only_views_of_one_stack(self):
+        rng = np.random.default_rng(3)
+        gen = random_generator(TensorSpace((2, 3)), rng, n_ops=3)
+        stack_ = gen._stack
+        assert stack_.shape == (4, 6, 6)
+        for k, op in enumerate(gen.noise_ops):
+            assert op.base is stack_
+            np.testing.assert_array_equal(op, stack_[k])
+        assert gen._quad.base is stack_
+        for arr in (*gen.noise_ops, gen._quad, gen._adjoints):
+            assert not arr.flags.writeable
+        for op, adj in zip(gen.noise_ops, gen._adjoints):
+            np.testing.assert_array_equal(adj, op.conj().T)
 
 
 class TestVectorize:
@@ -484,7 +521,7 @@ class TestEvolve:
     def test_zero_time_returns_initial_only(self):
         gen = LindbladGenerator(Q1, None, (LOWER,))
         rho0 = DensityMatrix(Q1, np.diag([0.5, 0.5]))
-        traj = evolve(gen, rho0, 0.0)
+        traj = list(evolve(gen, rho0, 0.0))
         assert len(traj) == 1
         assert traj[0][0] == 0.0
 
@@ -492,7 +529,51 @@ class TestEvolve:
         gen = LindbladGenerator(Q1, None, (4.0 * LOWER,))
         rho0 = DensityMatrix(Q1, np.diag([0.0, 1.0]))
         with pytest.raises(IntegrationError, match="reduce the step size"):
-            evolve(gen, rho0, 10.0, dt=0.5)
+            list(evolve(gen, rho0, 10.0, dt=0.5))
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"t_final": -1.0}, "t_final must be non-negative"),
+            ({"t_final": math.nan}, "NaN"),
+            ({"record_every": 0}, "record_every must be >= 1"),
+            ({"dt": 0.0}, "dt must be positive"),
+            ({"dt": -0.01}, "dt must be positive"),
+            (
+                {"rho0": DensityMatrix(TensorSpace((3,)), np.eye(3) / 3)},
+                "different spaces",
+            ),
+        ],
+        ids=["negative-t", "nan-t", "record-every-0", "dt-0", "dt-negative", "space"],
+    )
+    def test_argument_errors_raise_at_the_call(self, kwargs, error):
+        # Nothing is iterated: the checks must not wait for the first snapshot.
+        gen = LindbladGenerator(Q1, None, (LOWER,))
+        args = {"rho0": DensityMatrix(Q1, np.diag([0.0, 1.0])), "t_final": 1.0}
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=error):
+            evolve(gen, **args)
+
+    def test_iteration_holds_one_snapshot(self):
+        # The traced peak of iterating the trajectory must not grow with the
+        # number of recorded snapshots (16 D^2 bytes each).
+        psi, stabs = dicke_generator()
+        gen = stabilizer_generator(stabs, psi.space)
+        rho0 = psi.density_matrix()
+        snapshot = 16 * psi.space.dim**2
+
+        def peak(t_final):
+            tracemalloc.start()
+            try:
+                for _ in evolve(gen, rho0, t_final, dt=0.01):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.1)
+        short, long = peak(0.5), peak(2.0)
+        assert (long - short) / 150 < snapshot / 10
 
     def test_snapshots_keep_trace_and_hermiticity(self):
         rng = np.random.default_rng(5)
@@ -596,7 +677,7 @@ class TestSimulateSwitched:
         rho0 = random_density_matrix(Q1, rng)
         schedule = SwitchingSchedule(0.5, (gen,))
         switched = simulate_switched(schedule, rho0, 4, dt=0.01)
-        direct = evolve(gen, rho0, 2.0, dt=0.01, record_every=50)
+        direct = list(evolve(gen, rho0, 2.0, dt=0.01, record_every=50))
         np.testing.assert_allclose(
             switched[-1][1].matrix, direct[-1][1].matrix, atol=1e-8
         )
