@@ -62,7 +62,6 @@ from .dynamics import (
     IntegrationError,
     InvarianceDiagnostics,
     LindbladGenerator,
-    SpectrumReport,
     SwitchingSchedule,
     apply_generator,
     check_invariance,

@@ -288,10 +288,10 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
         return {
             "mode": "certificate",
             "certified": cert.certified,
-            "kernel_dim": cert.spectrum.kernel_dim,
-            "spectral_abscissa_nonzero": cert.spectrum.spectral_abscissa_nonzero,
-            "gap": cert.spectrum.gap,
-            "eigenvalues": cert.spectrum.eigenvalues,
+            "kernel_dim": cert.kernel_dim,
+            "spectral_abscissa_nonzero": -cert.gap,
+            "gap": cert.gap,
+            "eigenvalues": cert.eigenvalues,
             "warnings": notes + list(cert.messages),
             "timings": {"certificate_s": certificate_s},
         }

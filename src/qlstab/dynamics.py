@@ -58,7 +58,6 @@ __all__ = [
     "DimensionCapError",
     "IntegrationError",
     "LindbladGenerator",
-    "SpectrumReport",
     "GasCertificate",
     "InvarianceDiagnostics",
     "SwitchingSchedule",
@@ -159,30 +158,21 @@ class LindbladGenerator:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectrumReport:
-    """Spectrum of a vectorized generator with its kernel/gap summary.
-
-    ``spectral_abscissa_nonzero`` is the largest real part among eigenvalues
-    classified as nonzero; ``gap`` is its negation. Eigenvalues with modulus
-    at most the classification tolerance count as the kernel.
-    """
-
-    eigenvalues: np.ndarray = field(repr=False)
-    kernel_dim: int
-    spectral_abscissa_nonzero: float
-    gap: float
-
-
-@dataclass(frozen=True, eq=False)
 class GasCertificate:
     """Spectral global-asymptotic-stability verdict for a target state.
 
-    ``steady_state`` is the trace-one stationary state, set only when the
-    kernel is one-dimensional (None otherwise).
+    ``eigenvalues`` is the generator's spectrum sorted by real, then
+    imaginary part. Eigenvalues of modulus at most ``EIG_TOL`` count as the
+    kernel, of dimension ``kernel_dim``; ``gap`` is minus the largest real
+    part among the others (``inf`` when there are none). ``steady_state`` is
+    the trace-one stationary state, set only when the kernel is
+    one-dimensional (None otherwise).
     """
 
     certified: bool
-    spectrum: SpectrumReport
+    eigenvalues: np.ndarray = field(repr=False)
+    kernel_dim: int
+    gap: float
     steady_state: np.ndarray | None = field(repr=False, default=None)
     messages: tuple[str, ...] = ()
 
@@ -236,12 +226,9 @@ def stack(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat).reshape(-1, order="F")
 
 
-def unstack(vec: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`stack`."""
-    vec = np.asarray(vec)
-    if dim is None:
-        dim = int(round(math.sqrt(vec.size)))
-    return vec.reshape((dim, dim), order="F")
+def unstack(vec: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`stack` for a ``dim`` x ``dim`` matrix."""
+    return np.asarray(vec).reshape((dim, dim), order="F")
 
 
 def _state_matrix(rho) -> np.ndarray:
@@ -362,23 +349,6 @@ def _steady_state(real: np.ndarray, d: int) -> np.ndarray | None:
     return unstack(_from_real(vec), d)
 
 
-def _classify_spectrum(evals: np.ndarray, tol: float) -> SpectrumReport:
-    zero_mask = np.abs(evals) <= tol
-    kernel_dim = int(np.count_nonzero(zero_mask))
-    nonzero = evals[~zero_mask]
-    if nonzero.size:
-        abscissa = float(np.max(nonzero.real))
-    else:
-        abscissa = -math.inf
-    order = np.lexsort((evals.imag, evals.real))
-    return SpectrumReport(
-        eigenvalues=evals[order],
-        kernel_dim=kernel_dim,
-        spectral_abscissa_nonzero=abscissa,
-        gap=-abscissa,
-    )
-
-
 def gas_certificate(
     gen: LindbladGenerator, target: PureState, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> GasCertificate:
@@ -422,7 +392,10 @@ def gas_certificate(
             f"generator spectrum reaches into the right half plane ({worst:.3e}); "
             "the input is not a valid dissipative generator"
         )
-    report = _classify_spectrum(evals, EIG_TOL)
+    zero_mask = np.abs(evals) <= EIG_TOL
+    kernel_dim = int(np.count_nonzero(zero_mask))
+    nonzero = evals[~zero_mask]
+    gap = -float(np.max(nonzero.real)) if nonzero.size else math.inf
     messages: list[str] = []
     near = [
         complex(z)
@@ -433,7 +406,7 @@ def gas_certificate(
         messages.append(
             f"eigenvalue real parts near the classification threshold: {near}"
         )
-    certified = report.kernel_dim == 1
+    certified = kernel_dim == 1
     steady = None
     if certified:
         steady = _steady_state(real, d)
@@ -449,7 +422,7 @@ def gas_certificate(
                 )
                 certified = False
     else:
-        messages.append(f"kernel dimension is {report.kernel_dim}, need exactly 1")
+        messages.append(f"kernel dimension is {kernel_dim}, need exactly 1")
     rotating = [
         complex(z)
         for z in evals
@@ -458,7 +431,10 @@ def gas_certificate(
     if rotating:
         messages.append(f"rotating invariant structure: eigenvalues {rotating}")
         certified = False
-    return GasCertificate(certified, report, steady, tuple(messages))
+    order = np.lexsort((evals.imag, evals.real))
+    return GasCertificate(
+        certified, evals[order], kernel_dim, gap, steady, tuple(messages)
+    )
 
 
 def check_invariance(gen: LindbladGenerator, psi: PureState) -> InvarianceDiagnostics:
@@ -677,32 +653,37 @@ def simulate_switched(
     rho0: DensityMatrix,
     cycles: int,
     dt: float | None = None,
-) -> list[tuple[float, DensityMatrix]]:
+) -> Iterator[tuple[float, DensityMatrix]]:
     """Integrate the cyclically switched evolution for whole cycles.
 
     The active generator has cyclic index (floor(t / tau) mod M); each
     segment is integrated with :func:`evolve` and only segment boundaries
-    are recorded. Returns (time, state) pairs with times k * tau,
-    k = 0 .. M * cycles.
+    are recorded. Returns an iterator of (time, state) pairs with times
+    k * tau, k = 0 .. M * cycles, that integrates as it is consumed and
+    holds only the current state. Invalid arguments raise here.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    space = schedule.generators[0].space
-    if rho0.space != space:
+    if rho0.space != schedule.generators[0].space:
         raise DimensionMismatchError("state and schedule live on different spaces")
-    out: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
-    state = rho0
-    t = 0.0
-    for _ in range(cycles):
-        for gen in schedule.generators:
-            if schedule.tau > 0.0:
-                # Run the segment; ``state`` ends as its final snapshot.
-                segment = evolve(gen, state, schedule.tau, dt, record_every=10**9)
-                for _, state in segment:
-                    pass
-            t += schedule.tau
-            out.append((t, state))
-    return out
+    if dt is not None and dt <= 0:
+        raise ValueError("dt must be positive")
+
+    def boundaries() -> Iterator[tuple[float, DensityMatrix]]:
+        yield 0.0, rho0
+        state = rho0
+        t = 0.0
+        for _ in range(cycles):
+            for gen in schedule.generators:
+                if schedule.tau > 0.0:
+                    # Run the segment; ``state`` ends as its final snapshot.
+                    segment = evolve(gen, state, schedule.tau, dt, record_every=10**9)
+                    for _, state in segment:
+                        pass
+                t += schedule.tau
+                yield t, state
+
+    return boundaries()
 
 
 def stabilizer_generator(

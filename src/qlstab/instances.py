@@ -17,7 +17,8 @@ Example instance::
 
 ``state`` may be a name ("ghz", "w", "psi_t"), an object such as
 {"name": "graph", "edges": [[0, 1], [1, 2]]}, or a list of [re, im]
-amplitude pairs of length prod(dims).
+amplitude pairs of length prod(dims), bare or as the object
+{"amplitudes": [[re, im], ...]}.
 
 Operator matrix files are {"meta": {...}, "matrix": [[[re, im], ...], ...]},
 named ``{stem}_{k:02d}.json`` in operator order (``parent_term``,

@@ -17,12 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import DensityMatrix, DimensionMismatchError, check_hermitian
+from .tensor import DensityMatrix, DimensionMismatchError
 
 ORTH_TOL = 1e-9
 INTERSECT_TOL = 1e-8
 SUPPORT_RTOL = 1e-10
-OPERATOR_RTOL = 1e-8
 # Rank decisions whose eigenvalues sit within this factor of the cutoff are
 # reported, so borderline verdicts stay auditable.
 RANK_MARGIN = 100.0
@@ -94,29 +93,19 @@ class Subspace:
         return self.frame.shape[1]
 
 
-def support(rho, rtol: float = SUPPORT_RTOL) -> tuple[Subspace, list[str]]:
-    """Span of the eigenvectors of a PSD operator with non-negligible eigenvalue.
+def support(
+    rho: DensityMatrix, rtol: float = SUPPORT_RTOL
+) -> tuple[Subspace, list[str]]:
+    """Span of the eigenvectors of a state with non-negligible eigenvalue.
 
-    The threshold is relative to the largest eigenvalue, so scaling the
-    operator cannot change the result. Returns the support and its notes:
-    one note listing the eigenvalues within a factor ``RANK_MARGIN`` of the
-    cutoff, if any. The zero operator has no support and is an error.
-
-    Accepts a :class:`DensityMatrix` or any Hermitian PSD ndarray.
+    The threshold is relative to the largest eigenvalue. Returns the support
+    and its notes: one note listing the eigenvalues within a factor
+    ``RANK_MARGIN`` of the cutoff, if any. ``DensityMatrix`` has already
+    checked that the state is Hermitian, positive and of unit trace.
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
+    mat = rho.matrix
     evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    lam_max = float(evals[-1])
-    if lam_max <= 0.0:
-        raise ValueError("the zero (or negative) operator has no support")
-    check_hermitian(mat, OPERATOR_RTOL * max(1.0, lam_max), "operator")
-    if float(evals[0]) < -OPERATOR_RTOL * lam_max:
-        raise ValueError(
-            f"operator is not positive semidefinite (eigenvalue {evals[0]:.3e})"
-        )
-    cutoff = rtol * lam_max
+    cutoff = rtol * float(evals[-1])
     notes = _borderline(evals, cutoff, "support")
     return Subspace(mat.shape[0], evecs[:, evals > cutoff]), notes
 
@@ -148,17 +137,15 @@ def complete_frame(frame: np.ndarray, ambient_dim: int) -> np.ndarray:
     return np.hstack([frame, q[:, k:ambient_dim]])
 
 
-def intersect(
-    subspaces: Sequence[Subspace], tol: float = INTERSECT_TOL
-) -> tuple[Subspace, list[str]]:
+def intersect(subspaces: Sequence[Subspace]) -> tuple[Subspace, list[str]]:
     """Intersection of subspaces as the kernel of the summed complement projectors.
 
     The kernel of sum_k (I - P_k) is extracted as the eigenspace of
-    eigenvalues below ``tol``; this treats all inputs symmetrically instead
+    eigenvalues below ``INTERSECT_TOL``; this treats all inputs symmetrically instead
     of iterating pairwise intersections. Every returned column is checked to
     lie in each input subspace within ``ORTH_TOL``. Returns the intersection
     and its notes: one note listing the eigenvalues within a factor
-    ``RANK_MARGIN`` of ``tol``, if any.
+    ``RANK_MARGIN`` of ``INTERSECT_TOL``, if any.
     """
     subs = list(subspaces)
     if not subs:
@@ -173,8 +160,8 @@ def intersect(
     for s in subs:
         accum -= projector(s)
     evals, evecs = np.linalg.eigh((accum + accum.conj().T) / 2.0)
-    notes = _borderline(evals, tol, "intersection")
-    frame = evecs[:, evals < tol]
+    notes = _borderline(evals, INTERSECT_TOL, "intersection")
+    frame = evecs[:, evals < INTERSECT_TOL]
     for s in subs:
         if frame.shape[1] == 0:
             break
@@ -189,8 +176,8 @@ def intersect(
     return Subspace(d, frame), notes
 
 
-def equals(a: Subspace, b: Subspace, tol: float = ORTH_TOL) -> bool:
-    """Whether two subspaces coincide: spectral-norm projector distance <= tol."""
+def equals(a: Subspace, b: Subspace) -> bool:
+    """Whether two subspaces coincide: spectral-norm projector distance <= ORTH_TOL."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
@@ -198,4 +185,4 @@ def equals(a: Subspace, b: Subspace, tol: float = ORTH_TOL) -> bool:
     if a.dim != b.dim:
         # Unequal dimensions force projector distance >= 1.
         return False
-    return float(np.linalg.norm(projector(a) - projector(b), 2)) <= tol
+    return float(np.linalg.norm(projector(a) - projector(b), 2)) <= ORTH_TOL

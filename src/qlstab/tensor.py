@@ -375,43 +375,35 @@ def apply_local_unitary(
     return PureState(psi.space, v)
 
 
-def partial_trace(rho: DensityMatrix | PureState, keep: Neighborhood) -> DensityMatrix:
+def partial_trace(psi: PureState, keep: Neighborhood) -> DensityMatrix:
     """Trace out every subsystem outside ``keep``.
 
     Returns the reduced state on the space whose dims are the kept
-    subsystems' dims in increasing index order. A pure state is traced from
-    its amplitudes in at most d_keep * D memory; |psi><psi| is never formed,
+    subsystems' dims in increasing index order. The state is traced from its
+    amplitudes in at most d_keep * D memory; |psi><psi| is never formed,
     and the result has the same bits as tracing that outer product.
     """
-    keep_dims, rest_dims = _factor_dims(keep, rho.space)
+    keep_dims, rest_dims = _factor_dims(keep, psi.space)
     d_keep = math.prod(keep_dims)
-    m = rho.space.n_subsystems
+    m = psi.space.n_subsystems
     rest = keep.complement(m)
-    if isinstance(rho, PureState):
-        amps = np.moveaxis(rho.amplitudes.reshape(rho.space.dims),
-                           rest + keep.indices, range(m))
-        amps = amps.reshape(rest_dims + (d_keep,))
-        # The products psi_i conj(psi_j) that the outer product holds, one
-        # d_keep x d_keep block per rest index, are formed and summed in
-        # chunks of at most _TRACE_CHUNK entries over the leading rest
-        # indices, so each chunk stays in cache.
-        rows = _TRACE_CHUNK // d_keep**2
-        lead = 0
-        while lead < len(rest) and math.prod(rest_dims[lead:]) > rows:
-            lead += 1
-        sums = np.empty(rest_dims[:lead] + (d_keep, d_keep), dtype=complex)
-        for index in np.ndindex(*rest_dims[:lead]):
-            chunk = amps[index]
-            products = chunk[..., :, None] * chunk[..., None, :].conj()
-            sums[index] = _sum_out(products, len(rest) - lead)
-        reduced = _sum_out(sums, lead)
-    else:
-        t = rho.matrix.reshape(rho.space.dims * 2)
-        for a in reversed(rest):
-            t = np.trace(t, axis1=a, axis2=a + m)
-            m -= 1
-        reduced = np.ascontiguousarray(t.reshape(d_keep, d_keep))
-    return DensityMatrix(TensorSpace(keep_dims), reduced)
+    amps = np.moveaxis(psi.amplitudes.reshape(psi.space.dims),
+                       rest + keep.indices, range(m))
+    amps = amps.reshape(rest_dims + (d_keep,))
+    # The products psi_i conj(psi_j) that the outer product holds, one
+    # d_keep x d_keep block per rest index, are formed and summed in chunks
+    # of at most _TRACE_CHUNK entries over the leading rest indices, so each
+    # chunk stays in cache.
+    rows = _TRACE_CHUNK // d_keep**2
+    lead = 0
+    while lead < len(rest) and math.prod(rest_dims[lead:]) > rows:
+        lead += 1
+    sums = np.empty(rest_dims[:lead] + (d_keep, d_keep), dtype=complex)
+    for index in np.ndindex(*rest_dims[:lead]):
+        chunk = amps[index]
+        products = chunk[..., :, None] * chunk[..., None, :].conj()
+        sums[index] = _sum_out(products, len(rest) - lead)
+    return DensityMatrix(TensorSpace(keep_dims), _sum_out(sums, lead))
 
 
 def _sum_out(t: np.ndarray, count: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from qlstab.tensor import PureState, TensorSpace
+from qlstab.tensor import DensityMatrix, PureState, TensorSpace
 
 
 def digits_of(index, dims):
@@ -170,17 +170,26 @@ def apply_generator_oracle(gen, rho):
     return out
 
 
-def partial_trace_oracle(psi, keep):
-    """Reduced state of a pure state by tracing its outer product |psi><psi|
-    one subsystem at a time with ``np.trace``, the last subsystem first."""
-    dims = psi.space.dims
-    t = np.outer(psi.amplitudes, psi.amplitudes.conj()).reshape(dims * 2)
+def partial_trace_oracle(state, keep):
+    """Reduced state on the subsystems ``keep`` by tracing the density matrix
+    one subsystem at a time with ``np.trace``, the last subsystem first. A
+    ``PureState`` is traced from its outer product |psi><psi|, a
+    ``DensityMatrix`` from its matrix."""
+    dims = state.space.dims
+    if isinstance(state, PureState):
+        mat = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        mat = state.matrix
+    t = mat.reshape(dims * 2)
     m = len(dims)
     for a in sorted(set(range(m)) - set(keep), reverse=True):
         t = np.trace(t, axis1=a, axis2=a + m)
         m -= 1
-    d_keep = int(np.prod([dims[a] for a in keep]))
-    return np.ascontiguousarray(t.reshape(d_keep, d_keep))
+    keep_dims = tuple(dims[a] for a in sorted(keep))
+    d_keep = int(np.prod(keep_dims))
+    return DensityMatrix(
+        TensorSpace(keep_dims), np.ascontiguousarray(t.reshape(d_keep, d_keep))
+    )
 
 
 def round12_oracle(value):

@@ -324,14 +324,14 @@ class TestGasCertificate:
         gen = LindbladGenerator(Q1, None, (LOWER,))
         cert = gas_certificate(gen, basis_state(Q1, 0))
         assert cert.certified
-        assert cert.spectrum.kernel_dim == 1
-        assert cert.spectrum.gap == pytest.approx(0.5, abs=1e-9)
+        assert cert.kernel_dim == 1
+        assert cert.gap == pytest.approx(0.5, abs=1e-9)
 
     def test_dephasing_fails(self):
         gen = LindbladGenerator(Q1, None, (SZ,))
         cert = gas_certificate(gen, basis_state(Q1, 0))
         assert not cert.certified
-        assert cert.spectrum.kernel_dim >= 2
+        assert cert.kernel_dim >= 2
 
     def test_no_steady_state_without_a_unique_kernel(self):
         gen = LindbladGenerator(Q1, None, (SZ,))
@@ -363,12 +363,9 @@ class TestGasCertificate:
         )
         cert = gas_certificate(gen, target)
         assert cert.certified == certified
-        assert cert.spectrum.kernel_dim == kernel_dim
+        assert cert.kernel_dim == kernel_dim
         assert_same_messages(cert.messages, messages)
-        assert cert.spectrum.spectral_abscissa_nonzero == pytest.approx(
-            abscissa, rel=1e-9
-        )
-        assert cert.spectrum.gap == pytest.approx(-abscissa, rel=1e-9)
+        assert -cert.gap == pytest.approx(abscissa, rel=1e-9)
         if kernel_dim == 1:
             np.testing.assert_allclose(cert.steady_state, steady, rtol=0, atol=1e-10)
 
@@ -381,7 +378,7 @@ class TestGasCertificate:
         assert real.flags.c_contiguous
         for _ in range(5):
             vec = rng.standard_normal(space.dim**2)
-            direct = stack(apply_generator(gen, unstack(_from_real(vec))))
+            direct = stack(apply_generator(gen, unstack(_from_real(vec), space.dim)))
             np.testing.assert_allclose(
                 _from_real(real @ vec), direct, rtol=0, atol=1e-12
             )
@@ -404,8 +401,8 @@ class TestGasCertificate:
         gen = stabilizer_generator(stabs, psi.space)
         cert = gas_certificate(gen, psi)
         assert cert.certified
-        assert cert.spectrum.kernel_dim == 1
-        assert cert.spectrum.gap > 0
+        assert cert.kernel_dim == 1
+        assert cert.gap > 0
         np.testing.assert_allclose(
             cert.steady_state, psi.density_matrix().matrix, atol=1e-7
         )
@@ -676,11 +673,56 @@ class TestSimulateSwitched:
         gen = LindbladGenerator(Q1, None, (LOWER,))
         rho0 = random_density_matrix(Q1, rng)
         schedule = SwitchingSchedule(0.5, (gen,))
-        switched = simulate_switched(schedule, rho0, 4, dt=0.01)
+        switched = list(simulate_switched(schedule, rho0, 4, dt=0.01))
         direct = list(evolve(gen, rho0, 2.0, dt=0.01, record_every=50))
         np.testing.assert_allclose(
             switched[-1][1].matrix, direct[-1][1].matrix, atol=1e-8
         )
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"cycles": 0}, "cycles must be >= 1"),
+            ({"dt": 0.0}, "dt must be positive"),
+            ({"dt": -0.01}, "dt must be positive"),
+            (
+                {"rho0": DensityMatrix(TensorSpace((3,)), np.eye(3) / 3)},
+                "different spaces",
+            ),
+        ],
+        ids=["cycles-0", "dt-0", "dt-negative", "space"],
+    )
+    def test_argument_errors_raise_at_the_call(self, kwargs, error):
+        # Nothing is iterated: the checks must not wait for the first segment.
+        schedule = SwitchingSchedule(0.5, (LindbladGenerator(Q1, None, (LOWER,)),))
+        args = {"rho0": DensityMatrix(Q1, np.diag([0.0, 1.0])), "cycles": 2}
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=error):
+            simulate_switched(schedule, **args)
+
+    def test_iteration_holds_one_boundary_state(self):
+        # The traced peak of iterating the switched trajectory must not grow
+        # with the number of segment boundaries (16 D^2 bytes each).
+        psi, stabs = dicke_generator()
+        schedule = SwitchingSchedule(
+            0.05, tuple(stabilizer_generators(stabs, psi.space))
+        )
+        rho0 = psi.density_matrix()
+        snapshot = 16 * psi.space.dim**2
+
+        def peak(cycles):
+            tracemalloc.start()
+            try:
+                for _ in simulate_switched(schedule, rho0, cycles, dt=0.01):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        short, long = peak(5), peak(25)
+        extra = (25 - 5) * len(schedule.generators)
+        assert (long - short) / extra < snapshot / 10
 
     def test_whole_cycle_trace_distance_contraction(self):
         rng = np.random.default_rng(8)

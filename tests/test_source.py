@@ -1,12 +1,15 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import qlstab
+import qlstab.cli
+from qlstab import analysis, tensor
 
 SOURCES = sorted(Path(qlstab.__file__).parent.glob("*.py"))
 
@@ -72,3 +75,31 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         check=True,
     )
     assert out.stdout == "False\n"
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # The benchmark's tracer rebinds its target names by lookup, so a traced
+    # function that is renamed or deleted must fail here, not only in a
+    # traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass resolves its module
+    try:
+        spec.loader.exec_module(module)
+        original = tensor.partial_trace
+        tracer = module.Tracer()
+        tracer.install()
+        try:
+            assert tensor.partial_trace is not original
+            psi = tensor.make_dicke_4_2()
+            hoods = (tensor.Neighborhood((0, 1, 2)), tensor.Neighborhood((1, 2, 3)))
+            analysis.check_dqls(psi, tensor.LocalityPattern(psi.space, hoods))
+        finally:
+            tracer.uninstall()
+        assert tensor.partial_trace is original
+        assert analysis.partial_trace is original
+        assert tracer.stats["analysis.check_dqls"].calls == 1
+        assert tracer.stats["tensor.partial_trace"].calls == 2
+    finally:
+        del sys.modules[spec.name]
