@@ -265,9 +265,11 @@ def vectorize(gen: LindbladGenerator) -> np.ndarray:
     Satisfies unstack(vectorize(gen) @ stack(rho)) == apply_generator(gen,
     rho). With the drift K = -iH - (1/2) sum_k L_k^dag L_k the generator is
     rho -> K rho + rho K^dag + sum_k L_k rho L_k^dag, so its matrix is
-    I kron K + conj(K) kron I plus conj(L) kron L per noise operator. The
-    two drift terms are added block by block through a (d, d, d, d) view of
-    the output; only the noise terms form a D^2 x D^2 Kronecker product.
+    I kron K + conj(K) kron I plus conj(L) kron L per noise operator. Every
+    term is added through a (d, d, d, d) view of the output: the drift
+    block by block, each Kronecker product one block row (D x D^2) at a
+    time, so no D^2 x D^2 temporary is formed. Each entry receives the same
+    products, in the same order, as adding whole Kronecker products.
     """
     d = gen.space.dim
     drift = -0.5 * gen._quad
@@ -280,14 +282,10 @@ def vectorize(gen: LindbladGenerator) -> np.ndarray:
         blocks[i, :, i, :] += drift
         blocks[:, i, :, i] += drift_conj
     for op in gen.noise_ops:
-        out += np.kron(op.conj(), op)
+        op_conj = op.conj()
+        for a in range(d):
+            blocks[a] += op_conj[a, None, :, None] * op[:, None, :]
     return out
-
-
-def _hermitian_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked indices of the entries (i, j) and (j, i), i < j, of a d x d matrix."""
-    i, j = np.triu_indices(d, 1)
-    return i + j * d, j + i * d
 
 
 def _real_form(lhat: np.ndarray, d: int) -> np.ndarray:
@@ -296,31 +294,37 @@ def _real_form(lhat: np.ndarray, d: int) -> np.ndarray:
     T is the unitary that maps stack(X) to real coordinates: X_ii stays on
     its diagonal slot, sqrt(2) Re X_ij goes to slot (i, j) and sqrt(2) Im X_ij
     to slot (j, i), for i < j. For Hermitian X these coordinates are real, so
-    the result is real and has the spectrum of ``lhat``. ``lhat`` is
-    overwritten: its rows, then its columns, are mixed pairwise in place,
-    with at most two half-size temporaries alive at a time.
+    the result is real and has the spectrum of ``lhat``. ``lhat`` must be
+    C-contiguous, as :func:`vectorize` returns it, and is overwritten: its
+    rows, then its columns, are mixed pairwise in place through views, one
+    first index i at a time, so the only full-size allocation is the real
+    result.
     """
-    upper, lower = _hermitian_pairs(d)
     scale = 1.0 / math.sqrt(2.0)
     # Rows mix by T, columns by T^dag: (a, b) -> (a + b, +-i (a - b)) / sqrt 2.
-    for view, phase in ((lhat, -1j), (lhat.T, 1j)):
-        a = view[upper]
-        b = view[lower]
-        a += b
-        b *= -2.0
-        b += a
-        a *= scale
-        b *= phase * scale
-        view[upper] = a
-        view[lower] = b
-        del a, b
+    # view[q, p] is the row (column) at the stacked slot p + q d of X, so for
+    # j > i, a holds the slots (i, j) and b the slots (j, i).
+    rows = lhat.reshape(d, d, -1)
+    cols = lhat.reshape(-1, d, d).transpose(1, 2, 0)
+    for view, phase in ((rows, -1j), (cols, 1j)):
+        for i in range(d - 1):
+            a = view[i + 1 :, i]
+            b = view[i, i + 1 :]
+            a += b
+            b *= -2.0
+            b += a
+            a *= scale
+            b *= phase * scale
     return np.ascontiguousarray(lhat.real)
 
 
 def _from_real(vec: np.ndarray) -> np.ndarray:
     """Inverse of the coordinate map of :func:`_real_form`: T^dag vec."""
     vec = np.asarray(vec)
-    upper, lower = _hermitian_pairs(math.isqrt(vec.size))
+    d = math.isqrt(vec.size)
+    # Stacked slots of the entries (i, j) and (j, i), i < j.
+    i, j = np.triu_indices(d, 1)
+    upper, lower = i + j * d, j + i * d
     out = vec.astype(complex)
     scale = 1.0 / math.sqrt(2.0)
     out[upper] = scale * (vec[upper] + 1j * vec[lower])
@@ -632,7 +636,9 @@ def switched_map(schedule: SwitchingSchedule) -> np.ndarray:
         )
     total = np.eye(d * d, dtype=complex)
     for gen in schedule.generators:
-        total = expm(schedule.tau * vectorize(gen)) @ total
+        lhat = vectorize(gen)
+        lhat *= schedule.tau
+        total = expm(lhat) @ total
     rng = np.random.default_rng(0)
     for _ in range(3):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

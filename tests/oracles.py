@@ -3,6 +3,9 @@
 Everything here is deliberately written from first principles (digit
 arithmetic and explicit loops), not via the library's reshape/kron paths,
 so the tests compare two independent routes to the same values. The
+byte oracles (those whose docstrings promise the library's last bit)
+instead keep a plainer whole-array route with the same floating-point
+operations, so a test can hold a faster route to the same bits. The
 random matrix-product states are a fixture family shared by the same tests.
 """
 
@@ -148,6 +151,49 @@ def vectorize_oracle(hamiltonian, noise_ops):
         quad += op.conj().T @ op
     out -= 0.5 * (np.kron(eye, quad) + np.kron(quad.T, eye))
     return out
+
+
+def vectorize_kron_oracle(gen):
+    """The column-stacking generator matrix with one whole Kronecker product
+    per noise operator: zeros, then the drift K = -iH - (1/2) sum_k L_k^dag L_k
+    as I kron K + conj(K) kron I block by block, then conj(L_k) kron L_k added
+    in operator order. Each entry gets the same products in the same order
+    as the library's row-at-a-time build, so the two agree to the last bit."""
+    d = gen.space.dim
+    drift = -0.5 * gen._quad
+    if gen.hamiltonian is not None:
+        drift = drift - 1j * gen.hamiltonian
+    out = np.zeros((d * d, d * d), dtype=complex)
+    blocks = out.reshape(d, d, d, d)
+    for i in range(d):
+        blocks[i, :, i, :] += drift
+        blocks[:, i, :, i] += drift.conj()
+    for op in gen.noise_ops:
+        out += np.kron(op.conj(), op)
+    return out
+
+
+def real_form_oracle(lhat, d):
+    """Real form T lhat T^dag of a superoperator by whole-array pair mixing:
+    the rows at the stacked slots of (i, j) and (j, i), i < j, are gathered
+    into two arrays, mixed as (a, b) -> (a + b, -i (a - b)) / sqrt 2 and
+    written back; then the columns the same way with phase +i. Each element
+    sees the same operations as in the library's in-place chunks."""
+    lhat = np.array(lhat, dtype=complex)
+    i, j = np.triu_indices(d, 1)
+    upper, lower = i + j * d, j + i * d
+    scale = 1.0 / np.sqrt(2.0)
+    for view, phase in ((lhat, -1j), (lhat.T, 1j)):
+        a = view[upper]
+        b = view[lower]
+        a += b
+        b *= -2.0
+        b += a
+        a *= scale
+        b *= phase * scale
+        view[upper] = a
+        view[lower] = b
+    return np.ascontiguousarray(lhat.real)
 
 
 def apply_generator_oracle(gen, rho):

@@ -862,6 +862,22 @@ class TestSimulateStreaming:
                 "apply_generator": 4 * sum(segments),
             }, cmd.label
 
+        # One superoperator build per certify command, as the formula counts;
+        # the probe's certify reads the operator files its synthesize writes.
+        synth, certify = (
+            next(c for c in workloads.PROBE if c.kind == kind)
+            for kind in ("synthesize", "certify")
+        )
+        assert main(synth.argv(tmp_path, tmp_path, 0)) == 0
+        with monkeypatch.context() as patch:
+            counts = count_calls(patch, "vectorize")
+            assert main(certify.argv(tmp_path, tmp_path, 0)) == 0
+        capsys.readouterr()
+        assert counts == {"vectorize": 1}
+        certifies = [c for c in workloads.commands("certify") if c.kind == "certify"]
+        formula = workloads.expected_counts("certify", insts)["dynamics.vectorize"]
+        assert formula == len(certifies)
+
         counts = count_calls(monkeypatch, "evolve", "apply_generator")
         argv = ["certify", str(tmp_path / "dicke.json"), "--dim-cap", "8",
                 "--evidence-fallback", "--trajectories", "2", "--t-final", "0.2",

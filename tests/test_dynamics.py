@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -48,7 +48,13 @@ from qlstab.tensor import (
     random_pure_state,
 )
 
-from oracles import apply_generator_oracle, haar_unitary, vectorize_oracle
+from oracles import (
+    apply_generator_oracle,
+    haar_unitary,
+    real_form_oracle,
+    vectorize_kron_oracle,
+    vectorize_oracle,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -117,6 +123,16 @@ def eig_certificate(gen, target, tol=EIG_TOL, state_tol=1e-7):
         messages.append(f"rotating invariant structure: eigenvalues {rotating}")
         certified = False
     return certified, kernel_dim, abscissa, steady, tuple(messages)
+
+
+def traced_peak(fn):
+    """Peak traced memory, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _synthesized(psi, hoods, **kwargs):
@@ -300,6 +316,23 @@ class TestVectorize:
         via_vec = unstack(lhat @ stack(mat), space.dim)
         assert float(np.max(np.abs(direct - via_vec))) <= 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "dims", [(2,), (3,), (2, 3), (2, 2, 2), (3, 3), (2, 2, 2, 2, 2)]
+    )
+    @pytest.mark.parametrize("with_ham", [True, False], ids=["ham", "no-ham"])
+    # A shrunk seed says nothing more, and each D = 32 replay costs 0.1 s.
+    @settings(max_examples=8, phases=(Phase.generate,))
+    @given(n_ops=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_whole_array_oracles(self, dims, with_ham, n_ops, seed):
+        space = TensorSpace(dims)
+        rng = np.random.default_rng(seed)
+        n_ops = max(n_ops, 0 if with_ham else 1)
+        gen = random_generator(space, rng, n_ops, with_ham)
+        lhat = vectorize(gen)
+        assert lhat.tobytes() == vectorize_kron_oracle(gen).tobytes()
+        oracle = real_form_oracle(lhat, space.dim)
+        assert _real_form(lhat, space.dim).tobytes() == oracle.tobytes()
+
     def test_pure_hamiltonian_spectrum_is_imaginary(self):
         rng = np.random.default_rng(2)
         raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -368,6 +401,15 @@ class TestGasCertificate:
         assert -cert.gap == pytest.approx(abscissa, rel=1e-9)
         if kernel_dim == 1:
             np.testing.assert_allclose(cert.steady_state, steady, rtol=0, atol=1e-10)
+
+    def test_memory_stays_at_one_superoperator_and_its_real_form(self):
+        # One superoperator takes 16 D^4 bytes and the certificate adds only
+        # its real form (half that); a full-size temporary in either build
+        # step would lift a peak to about twice one superoperator.
+        gen, target = _oracle_fixture("cluster5")
+        full = 16 * gen.space.dim**4
+        assert traced_peak(lambda: vectorize(gen)) < 1.1 * full
+        assert traced_peak(lambda: gas_certificate(gen, target)) < 1.6 * full
 
     def test_real_form_acts_as_the_generator(self):
         rng = np.random.default_rng(5)
@@ -624,6 +666,16 @@ class TestSwitchedMap:
         schedule = SwitchingSchedule(0.7, (gen,))
         total = switched_map(schedule)
         np.testing.assert_allclose(total, expm(0.7 * vectorize(gen)), atol=1e-12)
+
+    def test_cycle_map_bits_match_scaling_a_copy(self):
+        psi, stabs = dicke_generator()
+        gens = tuple(stabilizer_generators(stabs, psi.space))
+        for tau in (0.7, 1.0):
+            expected = np.eye(psi.space.dim**2, dtype=complex)
+            for gen in gens:
+                expected = expm(tau * vectorize(gen)) @ expected
+            total = switched_map(SwitchingSchedule(tau, gens))
+            assert total.tobytes() == expected.tobytes()
 
     def test_zero_interval_is_identity(self):
         gen_a = LindbladGenerator(Q1, None, (LOWER,))
