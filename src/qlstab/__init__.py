@@ -44,7 +44,6 @@ from .analysis import (
     NeighborhoodAnalysis,
     ParentHamiltonian,
     check_dqls,
-    factorize_pure_state,
     is_frustration_free,
     parent_hamiltonian,
 )
@@ -52,7 +51,6 @@ from .synthesis import (
     NotStabilizableError,
     StabilizerSet,
     gains_for,
-    renormalize_generator,
     synthesize_block,
     synthesize_stabilizers,
 )
@@ -67,7 +65,6 @@ from .dynamics import (
     check_invariance,
     evolve,
     fidelity,
-    fme_generator,
     gas_certificate,
     purity,
     simulate_switched,

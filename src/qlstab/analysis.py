@@ -15,9 +15,8 @@ subsystems, the term I - P_k is applied to it, and the eigenvectors of the
 small Gram matrix below ``INTERSECT_TOL`` are kept. No D x D matrix is formed
 for the verdict; the frame is at most D x D when every support is full.
 
-The module also checks frustration-freeness and exposes the tensor-factor
-pre-reduction of a target state. Uncovered subsystems and borderline rank
-calls are returned as notes in ``DqlsReport.warnings`` and
+The module also checks frustration-freeness. Uncovered subsystems and
+borderline rank calls are returned as notes in ``DqlsReport.warnings`` and
 ``ParentHamiltonian.warnings``; nothing here warns or captures a warning.
 
 Per-neighborhood work (reduced state, support) is independent and could run
@@ -26,7 +25,6 @@ in parallel; the sweep is sequential.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,7 +49,6 @@ from .tensor import (
 )
 
 ANNIHILATION_TOL = 1e-8
-PURITY_TOL = 1e-9
 
 __all__ = [
     "ANNIHILATION_TOL",
@@ -61,7 +58,6 @@ __all__ = [
     "check_dqls",
     "parent_hamiltonian",
     "is_frustration_free",
-    "factorize_pure_state",
 ]
 
 
@@ -312,41 +308,3 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     phase = vec[k] / mags[k]
     return vec / phase
 
-
-def factorize_pure_state(psi: PureState) -> list[tuple[tuple[int, ...], PureState]]:
-    """Finest tensor factorization of a pure state across subsystem subsets.
-
-    A subset splits off exactly when its reduced state is pure (purity
-    deficit at most ``PURITY_TOL``); searching subsets in size order yields
-    minimal factors, so no returned factor has further product structure.
-    Factors come back ordered by their smallest subsystem index, each with a
-    deterministic global phase. The purity is sum(s**4) over the singular
-    values s of the amplitudes reshaped to (subset dim, rest dim), and the
-    factor is the top left singular vector; no D x D matrix is formed.
-    """
-    space = psi.space
-    amplitudes = psi.amplitudes.reshape(space.dims)
-    remaining = list(range(space.n_subsystems))
-    factors: list[tuple[tuple[int, ...], PureState]] = []
-    while remaining:
-        anchor = remaining[0]
-        rest = remaining[1:]
-        found: tuple[tuple[int, ...], np.ndarray] | None = None
-        for size in range(1, len(remaining) + 1):
-            for combo in itertools.combinations(rest, size - 1):
-                subset = tuple(sorted((anchor,) + combo))
-                d_subset = math.prod(space.subspace_dims(subset))
-                matrix = np.moveaxis(amplitudes, subset, range(len(subset)))
-                matrix = matrix.reshape(d_subset, -1)
-                u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-                if 1.0 - float(np.sum(s**4)) <= PURITY_TOL:
-                    found = subset, u[:, 0]
-                    break
-            if found is not None:
-                break
-        assert found is not None
-        subset, vec = found
-        sub_space = TensorSpace(space.subspace_dims(subset))
-        factors.append((subset, PureState(sub_space, _fix_phase(vec))))
-        remaining = [a for a in remaining if a not in subset]
-    return factors

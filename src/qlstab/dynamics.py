@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .subspaces import RANK_MARGIN, complete_frame
-from .synthesis import INVARIANCE_TOL, StabilizerSet
+from .synthesis import StabilizerSet
 from .tensor import (
     DensityMatrix,
     DimensionMismatchError,
@@ -51,6 +51,7 @@ DIVERGENCE_LIMIT = 10.0
 SNAPSHOT_HERM_TOL = 1e-7
 SNAPSHOT_TRACE_TOL = 1e-7
 SNAPSHOT_PSD_TOL = 1e-5
+INVARIANCE_TOL = 1e-9
 
 __all__ = [
     "EIG_TOL",
@@ -68,7 +69,6 @@ __all__ = [
     "gas_certificate",
     "check_invariance",
     "evolve",
-    "fme_generator",
     "switched_map",
     "simulate_switched",
     "stabilizer_generator",
@@ -570,51 +570,6 @@ def _integrate(
                     f"({exc}); reduce the step size"
                 ) from exc
             yield k * dt_eff, snapshot
-
-
-def fme_generator(
-    hamiltonian: np.ndarray | None,
-    control: np.ndarray | None,
-    feedback: np.ndarray,
-    measurement: np.ndarray,
-    space: TensorSpace | None = None,
-) -> LindbladGenerator:
-    """Generator of the deterministic feedback master equation.
-
-    Continuous measurement of ``measurement`` with proportional feedback
-    through the Hermitian ``feedback`` Hamiltonian yields a Lindblad
-    generator with effective Hamiltonian H + Hc + (1/2)(F M + M^dag F) and
-    single noise operator M - iF. Hermiticity of the assembled Hamiltonian
-    is verified. If no space is given, a single-subsystem space of the
-    matrix dimension is used.
-    """
-    m = np.asarray(measurement, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"measurement operator must be square, got {m.shape}")
-    d = m.shape[0]
-    f = np.asarray(feedback, dtype=complex)
-    pieces = []
-    for name, x in (("hamiltonian", hamiltonian), ("control", control), ("feedback", f)):
-        if x is None:
-            continue
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (d, d):
-            raise DimensionMismatchError(f"{name} shape {x.shape} != ({d}, {d})")
-        check_hermitian(x, HERM_TOL * max(1.0, np.abs(x).max()), name)
-        if name != "feedback":
-            pieces.append(x)
-    ham = sum(pieces, np.zeros((d, d), dtype=complex))
-    ham = ham + 0.5 * (f @ m + m.conj().T @ f)
-    bound = HERM_TOL * max(1.0, np.abs(ham).max())
-    check_hermitian(ham, bound, "assembled feedback Hamiltonian", ArithmeticError)
-    noise = m - 1j * f
-    if space is None:
-        space = TensorSpace((d,))
-    elif space.dim != d:
-        raise DimensionMismatchError(
-            f"space dimension {space.dim} does not match matrices of size {d}"
-        )
-    return LindbladGenerator(space, (ham + ham.conj().T) / 2.0, (noise,))
 
 
 def switched_map(schedule: SwitchingSchedule) -> np.ndarray:

@@ -7,10 +7,6 @@ annihilated, one gain couples the first complement direction into the
 support, and the remaining gains form a superdiagonal shift chain through
 the complement. That shape leaves the support as the only invariant
 subspace, so the dynamics funnel everything into it.
-
-Also provides the generator renormalization that shifts noise operators by
-their eigenvalue on a common eigenvector and compensates with a Hamiltonian
-correction, leaving the generator's action unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from .tensor import (
     apply_local,
 )
 
-INVARIANCE_TOL = 1e-9
 # Default multiplier on the per-policy gains. Relaxation rates grow
 # quadratically with the gains, and the unit-gain combined generator for the
 # two-neighborhood 4-qubit fixtures relaxes with a gap near 0.11, far too
@@ -45,7 +40,6 @@ __all__ = [
     "gains_for",
     "synthesize_block",
     "synthesize_stabilizers",
-    "renormalize_generator",
 ]
 
 
@@ -195,41 +189,3 @@ def synthesize_stabilizers(
         tuple(operators), tuple(all_gains), tuple(residuals), tuple(notes)
     )
 
-
-def renormalize_generator(
-    hamiltonian: np.ndarray, noise_ops: Sequence[np.ndarray], psi: PureState
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Shift noise operators so they annihilate a common eigenvector.
-
-    Requires the target to be a common eigenvector of every noise operator.
-    Each operator is replaced by itself minus its eigenvalue times the
-    identity, and the Hamiltonian picks up the compensating correction
-    (i/2) * sum_k (conj(l_k) L_k - l_k L_k^dagger), which leaves the full
-    generator's action on every state unchanged. The 1/2 coefficient is the
-    one fixed by direct expansion of the dissipator and is verified by the
-    generator-equality tests; a coefficient of 1 (which also circulates in
-    the literature) fails that check by exactly a factor of two.
-    """
-    d = psi.space.dim
-    ham = np.asarray(hamiltonian, dtype=complex)
-    if ham.shape != (d, d):
-        raise ValueError(f"Hamiltonian shape {ham.shape} does not match dim {d}")
-    shifted: list[np.ndarray] = []
-    correction = np.zeros((d, d), dtype=complex)
-    for k, op in enumerate(noise_ops):
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (d, d):
-            raise ValueError(f"noise operator {k} shape {op.shape} != ({d}, {d})")
-        eigval = complex(np.vdot(psi.amplitudes, op @ psi.amplitudes))
-        residual = float(np.linalg.norm(op @ psi.amplitudes - eigval * psi.amplitudes))
-        if not residual <= INVARIANCE_TOL:
-            raise ValueError(
-                f"target is not an eigenvector of noise operator {k} "
-                f"(residual {residual:.3e})"
-            )
-        shifted.append(op - eigval * np.eye(d))
-        correction += np.conj(eigval) * op - eigval * op.conj().T
-    new_ham = ham + 0.5j * correction
-    # The correction is anti-Hermitian times i, so this is exact up to roundoff.
-    new_ham = (new_ham + new_ham.conj().T) / 2.0
-    return new_ham, shifted

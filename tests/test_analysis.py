@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qlstab import analysis, instances, synthesis
 from qlstab.analysis import (
     check_dqls,
-    factorize_pure_state,
     is_frustration_free,
     parent_hamiltonian,
 )
@@ -629,84 +628,3 @@ class TestFrustrationFree:
         with pytest.raises(ValueError, match="term 0 is not Hermitian"):
             is_frustration_free(make_ghz(2), [term])
 
-
-class TestFactorization:
-    def test_product_basis_state_splits_completely(self):
-        psi = basis_state(qubit_space(2), 1)  # |01>
-        factors = factorize_pure_state(psi)
-        assert [idx for idx, _ in factors] == [(0,), (1,)]
-        np.testing.assert_allclose(np.abs(factors[0][1].amplitudes), [1, 0])
-        np.testing.assert_allclose(np.abs(factors[1][1].amplitudes), [0, 1])
-
-    def test_ghz_is_one_block(self):
-        factors = factorize_pure_state(make_ghz(3))
-        assert [idx for idx, _ in factors] == [(0, 1, 2)]
-
-    def test_bell_times_zero(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / math.sqrt(2)
-        amps = np.kron(bell, np.array([1.0, 0.0]))
-        psi = PureState(qubit_space(3), amps)
-        factors = factorize_pure_state(psi)
-        assert [idx for idx, _ in factors] == [(0, 1), (2,)]
-        np.testing.assert_allclose(
-            np.abs(factors[0][1].amplitudes), np.abs(bell), atol=1e-12
-        )
-
-    def test_purity_of_marginals_oracle(self):
-        # Every returned factor must have a pure marginal, and unions of
-        # partial factors must not (checked on an entangled-pair product).
-        rng = np.random.default_rng(6)
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / math.sqrt(2)
-        single = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        single /= np.linalg.norm(single)
-        psi = PureState(qubit_space(3), np.kron(single, bell))
-        factors = factorize_pure_state(psi)
-        assert [idx for idx, _ in factors] == [(0,), (1, 2)]
-
-    def test_reconstruction_up_to_phase(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        a /= np.linalg.norm(a)
-        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b /= np.linalg.norm(b)
-        psi = PureState(qubit_space(3), np.kron(a, b))
-        factors = factorize_pure_state(psi)
-        rebuilt = np.array([1.0 + 0j])
-        for _, factor in factors:
-            rebuilt = np.kron(rebuilt, factor.amplitudes)
-        assert abs(abs(np.vdot(rebuilt, psi.amplitudes)) - 1.0) < 1e-10
-
-    def test_non_contiguous_factors_without_density_matrix(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        pair = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        trits = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        pair /= np.linalg.norm(pair)
-        trits /= np.linalg.norm(trits)
-        amps = np.einsum("ik,jl->ijkl", pair, trits).reshape(-1)
-        psi = PureState(TensorSpace((2, 3, 2, 3)), amps)
-        rho = psi.density_matrix()
-
-        def refuse(self):
-            raise AssertionError("built the D x D density matrix of a pure target")
-
-        monkeypatch.setattr(PureState, "density_matrix", refuse)
-        factors = factorize_pure_state(psi)
-        assert [idx for idx, _ in factors] == [(0, 2), (1, 3)]
-        for (idx, factor), block in zip(factors, (pair, trits)):
-            assert abs(abs(np.vdot(factor.amplitudes, block.reshape(-1))) - 1) < 1e-12
-            np.testing.assert_allclose(
-                np.outer(factor.amplitudes, factor.amplitudes.conj()),
-                partial_trace_oracle(rho, idx).matrix,
-                atol=1e-12,
-            )
-
-    def test_two_entangled_blocks(self):
-        ghz = make_ghz(2).amplitudes
-        bell = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-        psi = PureState(qubit_space(4), np.kron(ghz, bell))
-        factors = factorize_pure_state(psi)
-        assert [idx for idx, _ in factors] == [(0, 1), (2, 3)]
-        for _, factor in factors:
-            assert factor.space.dim == 4

@@ -20,7 +20,6 @@ from qlstab.dynamics import (
     check_invariance,
     evolve,
     fidelity,
-    fme_generator,
     gas_certificate,
     purity,
     simulate_switched,
@@ -497,14 +496,6 @@ class TestCheckInvariance:
         # Breaking the cancellation must break invariance.
         broken = LindbladGenerator(space, 2 * ham, (op,))
         assert not check_invariance(broken, psi).invariant
-        # After renormalization the shifted operator annihilates the target
-        # and the compensated generator remains invariant.
-        from qlstab.synthesis import renormalize_generator
-
-        new_ham, new_ops = renormalize_generator(ham, [op], psi)
-        assert np.linalg.norm(new_ops[0] @ psi.amplitudes) < 1e-10
-        reno = LindbladGenerator(space, new_ham, tuple(new_ops))
-        assert check_invariance(reno, psi).invariant
 
     def test_routes_agree_on_random_generators(self):
         rng = np.random.default_rng(4)
@@ -623,40 +614,6 @@ class TestEvolve:
         for _, state in traj:
             assert abs(np.trace(state.matrix) - 1.0) < 1e-7
             assert np.max(np.abs(state.matrix - state.matrix.conj().T)) < 1e-7
-
-
-class TestFmeGenerator:
-    def test_feedback_off_reduces_to_measurement(self):
-        ham = SZ
-        control = np.zeros((2, 2))
-        gen = fme_generator(ham, control, np.zeros((2, 2)), LOWER)
-        np.testing.assert_allclose(gen.hamiltonian, SZ, atol=1e-12)
-        np.testing.assert_allclose(gen.noise_ops[0], LOWER)
-
-    def test_two_level_assembly_by_hand(self):
-        gen = fme_generator(None, None, SX, LOWER)
-        np.testing.assert_allclose(gen.noise_ops[0], LOWER - 1j * SX)
-        upper = LOWER.conj().T
-        expected = 0.5 * (SX @ LOWER + upper @ SX)
-        np.testing.assert_allclose(gen.hamiltonian, expected, atol=1e-12)
-
-    def test_trace_preserving(self):
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        f = (raw + raw.conj().T) / 2
-        gen = fme_generator(None, None, f, m, space=TensorSpace((3,)))
-        for _ in range(5):
-            rho = random_density_matrix(TensorSpace((3,)), rng)
-            assert abs(np.trace(apply_generator(gen, rho))) < 1e-12
-
-    def test_rejects_non_hermitian_feedback(self):
-        with pytest.raises(ValueError):
-            fme_generator(None, None, LOWER, SX)
-
-    def test_rejects_nan_feedback(self):
-        with pytest.raises(ValueError, match="feedback is not Hermitian"):
-            fme_generator(None, None, np.diag([np.nan, 0.0]), LOWER)
 
 
 class TestSwitchedMap:

@@ -32,6 +32,58 @@ def test_no_module_imports_warnings():
     assert offenders == []
 
 
+def _module(path):
+    return qlstab if path.stem == "__init__" else importlib.import_module(f"qlstab.{path.stem}")
+
+
+def _public_names(path):
+    return getattr(_module(path), "__all__", ())
+
+
+def test_every_all_entry_resolves():
+    # A stale entry breaks ``from qlstab.<module> import *``.
+    missing = [
+        f"{path.stem}.{name}" for path in SOURCES for name in _public_names(path)
+        if not hasattr(_module(path), name)
+    ]
+    assert missing == []
+
+
+def test_package_reexports_only_module_public_names():
+    exported = {name for path in SOURCES for name in _public_names(path)}
+    reexports = {
+        name for name, value in vars(qlstab).items()
+        if not name.startswith("_") and not isinstance(value, type(qlstab))
+    }
+    assert reexports
+    assert sorted(reexports - exported) == []
+
+
+def test_no_module_imports_an_unused_name():
+    # The package's __init__ exists to re-export, so it is exempt; elsewhere
+    # a name counts as used when the code reads it or ``__all__`` lists it.
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(_public_names(path))
+        unused += [
+            f"{path.name}:{line}:{name}" for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []
+
+
 def _adjoint_operand(node):
     """X when ``node`` spells X^dag as ``X.conj().T``, ``np.conj(X).T`` or
     ``X.T.conj()``; otherwise None."""

@@ -1,4 +1,4 @@
-"""Noise-operator synthesis: block structure, spectra, renormalization."""
+"""Noise-operator synthesis: block structure, spectra, residuals."""
 
 import json
 import math
@@ -11,7 +11,6 @@ from qlstab.cli import main
 from qlstab.instances import load_instance
 from qlstab.dynamics import (
     LindbladGenerator,
-    apply_generator,
     gas_certificate,
     stabilizer_generator,
     vectorize,
@@ -20,7 +19,6 @@ from qlstab.subspaces import Subspace
 from qlstab.synthesis import (
     NotStabilizableError,
     gains_for,
-    renormalize_generator,
     synthesize_block,
     synthesize_stabilizers,
 )
@@ -310,72 +308,3 @@ class TestReportedResiduals:
             float(f"{r:.12g}") for r in stabs.residuals
         ]
 
-
-class TestRenormalizeGenerator:
-    def test_sigma_z_shift(self):
-        psi = basis_state(qubit_space(1), 0)
-        ham, ops = renormalize_generator(np.zeros((2, 2)), [SZ], psi)
-        np.testing.assert_allclose(ops[0], SZ - np.eye(2))
-        assert np.linalg.norm(ops[0] @ psi.amplitudes) < 1e-12
-        np.testing.assert_allclose(ham, np.zeros((2, 2)), atol=1e-12)
-
-    def test_already_dark_operators_unchanged(self):
-        psi = basis_state(qubit_space(1), 0)
-        lower = np.array([[0, 1], [0, 0]], dtype=complex)
-        ham_in = SZ.copy()
-        ham, ops = renormalize_generator(ham_in, [lower], psi)
-        np.testing.assert_allclose(ops[0], lower)
-        np.testing.assert_allclose(ham, ham_in)
-
-    def test_rejects_non_eigenvector(self):
-        psi = basis_state(qubit_space(1), 0)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            renormalize_generator(np.zeros((2, 2)), [sx], psi)
-
-    def test_rejects_nan_operator(self):
-        psi = basis_state(qubit_space(1), 0)
-        with pytest.raises(ValueError, match="not an eigenvector"):
-            renormalize_generator(np.zeros((2, 2)), [np.full((2, 2), np.nan)], psi)
-
-    def test_rejects_mismatched_shapes(self):
-        psi = basis_state(qubit_space(1), 0)
-        with pytest.raises(ValueError):
-            renormalize_generator(np.zeros((3, 3)), [SZ], psi)
-        with pytest.raises(ValueError):
-            renormalize_generator(np.zeros((2, 2)), [np.zeros((3, 3))], psi)
-
-    def test_generator_action_is_preserved(self):
-        # Engineered common eigenvector, then compare the full generator on
-        # random states. The 1/2 compensation coefficient is what makes the
-        # actions match; doubling it must break the match.
-        rng = np.random.default_rng(5)
-        space = qubit_space(2)
-        psi = random_pure_state(space, rng)
-        proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        comp = np.eye(4) - proj
-        ops = []
-        for _ in range(3):
-            ell = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            ops.append(ell * proj + comp @ mat @ comp + comp @ mat @ proj * 0)
-        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ham = (raw + raw.conj().T) / 2
-        new_ham, new_ops = renormalize_generator(ham, ops, psi)
-        for op in new_ops:
-            assert np.linalg.norm(op @ psi.amplitudes) < 1e-9
-        before = LindbladGenerator(space, ham, tuple(ops))
-        after = LindbladGenerator(space, new_ham, tuple(new_ops))
-        doubled = LindbladGenerator(space, 2 * new_ham - ham, tuple(new_ops))
-        worst_match = 0.0
-        worst_doubled = 0.0
-        for _ in range(20):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            rho = g @ g.conj().T
-            rho /= np.trace(rho).real
-            diff = apply_generator(before, rho) - apply_generator(after, rho)
-            worst_match = max(worst_match, float(np.linalg.norm(diff)))
-            diff2 = apply_generator(before, rho) - apply_generator(doubled, rho)
-            worst_doubled = max(worst_doubled, float(np.linalg.norm(diff2)))
-        assert worst_match < 1e-8
-        assert worst_doubled > 1e-3
