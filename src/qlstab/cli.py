@@ -74,8 +74,9 @@ __all__ = ["main", "run", "build_parser"]
 # and arrays are lists. JSON output is json.dumps(indent=2) of that rounded
 # tree, so a float prints as float.__repr__ of its rounded value. Text output
 # prints a float as f"{v:.12g}", which a 12-digit value survives unchanged.
-# Float and complex arrays are rendered row by row from tolist(), one string
-# per value, without building the rounded tree for them.
+# Float and complex arrays are rendered row by row without building the
+# rounded tree for them: each row's floats (a complex row's through its
+# interleaved real view) are formatted by "%.12g" in one %-operation.
 
 
 def _tree(value):
@@ -96,11 +97,26 @@ def _tree(value):
     return value
 
 
-def _json_numbers(values: list[float]) -> list[str]:
-    """JSON tokens of the floats of a ``tolist()`` row."""
-    if all(map(math.isfinite, values)):
-        return [repr(float(f"{v:.12g}")) for v in values]
-    return [json.dumps(_tree(v)) for v in values]
+def _floats(row: np.ndarray) -> tuple[float, ...]:
+    """The values of a 1-D float array, or the real and imaginary parts,
+    interleaved, of a complex one."""
+    if row.dtype.kind == "c":
+        row = np.ascontiguousarray(row).view(row.real.dtype)
+    return tuple(row.tolist())
+
+
+def _json_numbers(row: np.ndarray) -> list[str]:
+    """JSON tokens of the values of a 1-D float or complex array (interleaved).
+
+    The tokens are f"{v:.12g}". One in positional form with a fraction already
+    equals float.__repr__ of its rounded value; integral and exponent-form
+    tokens ("0", "-0", "1e-05") are passed through float and repr.
+    """
+    values = _floats(row)
+    tokens = ("%.12g " * len(values) % values).split()
+    if not np.isfinite(row).all():
+        return [json.dumps(_tree(float(t))) for t in tokens]
+    return [t if "." in t and "e" not in t else repr(float(t)) for t in tokens]
 
 
 def _json(value, depth: int = 0) -> str:
@@ -112,18 +128,13 @@ def _json(value, depth: int = 0) -> str:
     elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
         items = [_json(v, depth + 1) for v in value]
         brackets = "[]"
-    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
-        items = _json_numbers(value.tolist())
-        brackets = "[]"
     elif isinstance(value, np.ndarray):
-        # Each complex entry is a [re, im] list one level deeper.
-        pair = f"[{inner}  {{}},{inner}  {{}}{inner}]"
-        items = [
-            pair.format(re, im)
-            for re, im in zip(
-                _json_numbers(value.real.tolist()), _json_numbers(value.imag.tolist())
-            )
-        ]
+        items = _json_numbers(value)
+        if value.dtype.kind == "c" and items:
+            # Each complex entry is a [re, im] list one level deeper; all are
+            # filled in by one %-operation.
+            pair = f"[{inner}  %s,{inner}  %s{inner}]"
+            items = [("," + inner).join([pair] * len(value)) % tuple(items)]
         brackets = "[]"
     else:
         return json.dumps(value)
@@ -142,11 +153,14 @@ def _text(value, indent: int = 0) -> list[str]:
         entries = [(f"{pad}{k}:", v) for k, v in value.items()]
     elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
         entries = [(f"{pad}-", v) for v in value]
-    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
-        return [f"{pad}- {v:.12g}" for v in value.tolist()]
     elif isinstance(value, np.ndarray):
-        pair = f"{pad}-\n{pad}  - {{:.12g}}\n{pad}  - {{:.12g}}"
-        return list(map(pair.format, value.real.tolist(), value.imag.tolist()))
+        # One line per float, or three per complex entry, filled in by one
+        # %-operation.
+        if value.dtype.kind == "f":
+            entry = f"{pad}- %.12g"
+        else:
+            entry = f"{pad}-\n{pad}  - %.12g\n{pad}  - %.12g"
+        return ["\n".join([entry] * len(value)) % _floats(value)] if len(value) else []
     else:
         return [f"{pad}{_scalar_text(value)}"]
     lines: list[str] = []
@@ -166,6 +180,8 @@ def _scalar_text(v) -> str:
 
 
 def _emit(report: dict, fmt: str) -> None:
+    """Print the report, rendered in full first, so that a failure while
+    rendering prints nothing."""
     tree = _tree(report)
     print(_json(tree) if fmt == "json" else "\n".join(_text(tree)))
 
@@ -530,14 +546,15 @@ def main(argv=None) -> int:
         # first; nothing in qlstab warns, so stderr carries errors only.
         instance, rtol = _load(args)
         fields = args.func(args, instance, rtol)
+        report = _base_report(args, instance, rtol)
+        report.update(fields)
+        report.setdefault("timings", {})["total_s"] = time.perf_counter() - started
+        # Rendering a large report can run out of memory too.
+        _emit(report, args.output)
     except tuple(row[0] for row in _EXITS) as exc:
         code, prefix = next((c, p) for cls, c, p in _EXITS if isinstance(exc, cls))
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
-    report = _base_report(args, instance, rtol)
-    report.update(fields)
-    report.setdefault("timings", {})["total_s"] = time.perf_counter() - started
-    _emit(report, args.output)
     return EXIT_OK
 
 

@@ -95,8 +95,12 @@ def pairs_to_array(pairs: Any, what: str = "value") -> np.ndarray:
         raise InstanceFormatError(
             f"{what}: expected [re, im] pairs, got shape {arr.shape}"
         )
-    for leaf in np.asarray(pairs, dtype=object).flat:
-        _number(leaf, what)
+    leaves = np.asarray(pairs, dtype=object)
+    # One pass over the leaf types; JSON numbers are int or float. Any other
+    # type gets the per-leaf check, which names the first offending leaf.
+    if not set(map(type, leaves.flat)) <= {float, int}:
+        for leaf in leaves.flat:
+            _number(leaf, what)
     # Assigned, not summed as re + 1j * im, which turns -0.0 into 0.0.
     out = np.empty(arr.shape[:-1], dtype=complex)
     out.real, out.imag = arr[..., 0], arr[..., 1]

@@ -1172,13 +1172,18 @@ class TestFlagValidation:
 # Floats whose rendering is easy to get wrong: signed zeros, non-finite
 # values (printed as strings), subnormals, the switch to exponent notation
 # (1e16, 1e-7 in repr; 1e12 in 12 significant digits) and integral floats.
+# Values where the 12-digit text switches between positional, integral and
+# exponent form: 999999999999.5 rounds to 1e+12, 9.99999999999995e-5 to
+# 0.0001.
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                   -2.5e-320, 1e16, -1e16, 1e-7, 1e-5, 1e12, 123456789012.5,
-                  2.0, -3.0, 1.0 / 3.0, 0.1 + 0.2]
+                  2.0, -3.0, 1.0 / 3.0, 0.1 + 0.2, 999999999999.5, 1e15 + 0.5,
+                  9.99999999999995e15, 1e-4, 9.99999999999995e-5, 0.0001234]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 COMPLEX = st.builds(complex, FLOATS, FLOATS)
+# Rows of up to 64 entries, so that one row mixes every kind of token.
 SHAPES = st.one_of(
-    st.tuples(st.integers(0, 4)), st.tuples(st.integers(0, 3), st.integers(0, 4))
+    st.tuples(st.integers(0, 64)), st.tuples(st.integers(0, 3), st.integers(0, 64))
 )
 ARRAYS = st.one_of(
     arrays(np.float64, SHAPES, elements=FLOATS),
@@ -1243,6 +1248,49 @@ class TestReportRendering:
         (report,) = reports
         assert any(isinstance(v, np.ndarray) for v in report.values())
         assert capsys.readouterr().out == report_oracle(report, fmt)
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           max_size=64))
+    @example(values=[v for v in SPECIAL_FLOATS if math.isfinite(v)])
+    def test_json_tokens_are_the_repr_of_the_rounded_value(self, values):
+        row = np.array(values, dtype=float)
+        expected = [repr(float(f"{v:.12g}")) for v in values]
+        assert cli._json_numbers(row) == expected
+        assert cli._json_numbers(row.astype(complex))[0::2] == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_cluster12_report_equals_the_old_route(self, tmp_path, capsys, monkeypatch,
+                                                   fmt):
+        reports = []
+        emit = cli._emit
+
+        def recording_emit(report, fmt):
+            reports.append(report)
+            emit(report, fmt)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        n = 12
+        inst = write_instance(tmp_path / "cluster12.json", {
+            "dims": [2] * n,
+            "state": {"name": "graph", "edges": [[i, i + 1] for i in range(n - 1)]},
+            "neighborhoods": [[i, i + 1, i + 2] for i in range(n - 2)],
+        })
+        assert main(["check-dqls", inst, "--output", fmt]) == 0
+        (report,) = reports
+        assert report["intersection_basis"].shape == (1, 2**n)
+        assert capsys.readouterr().out == report_oracle(report, fmt)
+
+    @pytest.mark.parametrize("fmt, renderer", [("json", "_json"), ("text", "_text")])
+    def test_out_of_memory_while_rendering_exits_5(self, tmp_path, capsys, monkeypatch,
+                                                   fmt, renderer):
+        def exhausted(*args):
+            raise MemoryError("rendering")
+
+        monkeypatch.setattr(cli, renderer, exhausted)
+        assert main(["check-dqls", ghz3_instance(tmp_path), "--output", fmt]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: rendering\n"
 
     def test_check_dqls_builds_no_pair_lists(self, tmp_path, capsys):
         code, report, _ = run_cli(capsys, ["check-dqls", ghz3_instance(tmp_path)])

@@ -225,3 +225,89 @@ def test_cli_operator_files_equal_the_encoder(tmp_path, monkeypatch, capsys, nam
     assert len(written) == 2 * n_hoods + 1
     for path, matrix, meta in written:
         assert path.read_bytes() == operator_file_oracle(matrix, meta).encode()
+
+
+def _nest(leaves, shape):
+    """The flat ``leaves`` as nested lists of ``shape``."""
+    for size in reversed(shape[1:]):
+        leaves = [leaves[i:i + size] for i in range(0, len(leaves), size)]
+    return leaves
+
+
+def _amplitudes_error(leaves):
+    """The message of parsing 8 amplitudes (16 leaves) as a 3-qubit state."""
+    data = {"dims": [2, 2, 2], "state": _nest(leaves, (8, 2)),
+            "neighborhoods": [[0, 1], [1, 2]]}
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(data)
+    return str(info.value)
+
+
+def _matrix_error(tmp_path, leaves):
+    """The message of reading a 3 x 3 operator file (18 leaves)."""
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"meta": {}, "matrix": _nest(leaves, (3, 3, 2))}))
+    with pytest.raises(InstanceFormatError) as info:
+        read_operator_file(path)
+    return str(info.value)
+
+
+class TestPairsToArrayLeaves:
+    """Amplitude and operator-file leaves are checked by their set of types;
+    a leaf that is not an int or a float still gets the message that names
+    the first offending leaf in flat order."""
+
+    @staticmethod
+    def _messages(tmp_path, bad, where):
+        """(what, message) of an amplitude list and of an operator matrix
+        whose leaf at ``where`` (first, middle or last) is ``bad``."""
+        for size, error, what in ((16, _amplitudes_error, "state amplitudes"),
+                                  (18, lambda v: _matrix_error(tmp_path, v), "matrix")):
+            leaves = [0.5] * size
+            leaves[{"first": 0, "middle": size // 2 - 1, "last": -1}[where]] = bad
+            yield what, error(leaves)
+
+    @pytest.mark.parametrize("bad", [True, "1.5", None], ids=["bool", "string", "none"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_bad_leaf_is_named(self, tmp_path, bad, where):
+        for what, message in self._messages(tmp_path, bad, where):
+            assert message == f"{what}: expected a number, got {bad!r}"
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_nested_list_leaf_is_not_a_pair(self, tmp_path, where):
+        for what, message in self._messages(tmp_path, [0.5], where):
+            assert message.startswith(
+                f"{what}: expected [re, im] pairs: setting an array element with a "
+                "sequence."
+            )
+
+    def test_first_of_several_bad_leaves_is_named(self, tmp_path):
+        leaves = [0.5] * 18
+        leaves[3], leaves[9], leaves[17] = None, "2", False
+        assert _matrix_error(tmp_path, leaves) == "matrix: expected a number, got None"
+        assert _amplitudes_error(leaves[:16]) == (
+            "state amplitudes: expected a number, got None"
+        )
+
+    def test_int_and_float_leaves_are_accepted(self, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"matrix": [[[1, 0], [0.5, -2]], [[0, 0.0], [-0.0, 3]]]}))
+        matrix, _ = read_operator_file(path)
+        assert matrix.tobytes() == np.array(
+            [[1, 0.5 - 2j], [0, complex(-0.0, 3)]]
+        ).tobytes()
+        amps = [[0, 0]] * 7 + [[1, -0.0]]
+        state = parse_instance({"dims": [2, 2, 2], "state": amps,
+                                "neighborhoods": [[0, 1], [1, 2]]}).state
+        assert state.amplitudes.tolist() == [0j] * 7 + [complex(1, -0.0)]
+
+    def test_all_number_leaves_skip_the_per_leaf_check(self, tmp_path, monkeypatch):
+        def refuse(value, what):
+            raise AssertionError("per-leaf check ran")
+
+        monkeypatch.setattr(instances, "_number", refuse)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"matrix": _nest([0.25, 1] * 9, (3, 3, 2))}))
+        assert read_operator_file(path)[0].shape == (3, 3)
+        with pytest.raises(AssertionError, match="per-leaf check ran"):
+            instances.pairs_to_array([[0.5, True]])
