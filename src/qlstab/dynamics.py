@@ -241,7 +241,7 @@ def apply_generator(gen: LindbladGenerator, rho) -> np.ndarray:
     Output is traceless, and Hermitian for Hermitian input.
     """
     mat = _state_matrix(rho)
-    d = gen.space.dim
+    d = gen._stack.shape[-1]
     if mat.shape != (d, d):
         raise DimensionMismatchError(
             f"state shape {mat.shape} does not match generator dim {d}"

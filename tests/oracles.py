@@ -99,6 +99,24 @@ def residual_oracle(sub, vector):
     return float(np.linalg.norm(vector - frame @ (frame.conj().T @ vector)))
 
 
+def density_matrix_oracle(mat, herm_tol, trace_tol, psd_tol):
+    """The message ``DensityMatrix`` raises for ``mat``, or None if it
+    accepts: Hermiticity, then the trace, then positivity, decided from the
+    smallest eigenvalue of the Hermitian part that ``eigvalsh`` computes
+    (the check before the Cholesky certificate, kept here as its oracle)."""
+    mat = np.array(mat, dtype=complex)
+    asym = float(np.max(np.abs(mat - mat.conj().T)))
+    if not asym <= herm_tol:
+        return f"matrix is not Hermitian (asymmetry {asym:.3e})"
+    tr = np.trace(mat)
+    if not abs(tr - 1.0) <= trace_tol:
+        return f"trace {tr!r} is not 1 within {trace_tol}"
+    lam_min = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+    if not lam_min >= -psd_tol:
+        return f"matrix has negative eigenvalue {lam_min:.3e}"
+    return None
+
+
 def haar_unitary(d, rng):
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -888,6 +888,50 @@ class TestSimulateStreaming:
         assert counts == {"evolve": 2, "apply_generator": 2 * 4 * steps}
 
 
+def count_eigvalsh(monkeypatch):
+    """Count calls of ``np.linalg.eigvalsh``, which every module looks up
+    on ``np.linalg`` when it calls it."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestPositivityFastPath:
+    """States are validated by the Cholesky certificate, so the only dense
+    eigendecompositions left are the ones whose values are used."""
+
+    def test_simulate_takes_one_eigvalsh_per_row(self, tmp_path, capsys, monkeypatch):
+        csv_path = tmp_path / "out.csv"
+        argv = ["simulate", dicke_instance(tmp_path), "--t-final", "0.25",
+                "--dt", "0.0025", "--trajectories", "2", "--csv", str(csv_path)]
+        calls = count_eigvalsh(monkeypatch)
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        rows = len(csv_path.read_text().strip().splitlines()) - 1
+        # Per trajectory the initial state and 100 steps; each row's trace
+        # distance takes the only eigvalsh.
+        assert rows == 2 * 101
+        assert len(calls) == rows
+
+    def test_check_dqls_on_wide_windows_takes_none(self, tmp_path, capsys, monkeypatch):
+        inst = write_instance(
+            tmp_path / "w9.json",
+            {"dims": [2] * 9, "state": "w",
+             "neighborhoods": [list(range(8)), list(range(1, 9))]},
+        )
+        calls = count_eigvalsh(monkeypatch)
+        code, report, _ = run_cli(capsys, ["check-dqls", inst])
+        assert code == 0
+        assert (report["verdict"], report["intersection_dim"]) == ("false", 2)
+        assert calls == []
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical_outputs(self, tmp_path, capsys):
         inst = dicke_instance(tmp_path)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlstab import tensor
+from qlstab import dynamics, tensor
 from qlstab.tensor import (
     DensityMatrix,
     DimensionMismatchError,
@@ -36,6 +36,7 @@ from qlstab.tensor import (
 
 from oracles import (
     cz_matrix_oracle,
+    density_matrix_oracle,
     embed_oracle,
     haar_unitary,
     partial_trace_oracle,
@@ -108,6 +109,127 @@ class TestTypes:
         psi = make_ghz(2)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+
+# (herm_tol, trace_tol, psd_tol) of a fresh state and of an integrator snapshot.
+TOLERANCES = [
+    (tensor.HERM_TOL, tensor.NORM_TOL, tensor.PSD_TOL),
+    (dynamics.SNAPSHOT_HERM_TOL, dynamics.SNAPSHOT_TRACE_TOL, dynamics.SNAPSHOT_PSD_TOL),
+]
+# Smallest eigenvalues to plant, as multiples of psd_tol: either side of the
+# tolerance and of the certificate's shift psd_tol/2, and well below both.
+TOL_MULTIPLES = [-2.0, -(1 + 1e-6), -(1 - 1e-6), -0.5 * (1 + 1e-6), -0.5 * (1 - 1e-6)]
+# Smallest eigenvalues to plant as they are: clearly positive semidefinite.
+PSD_VALUES = [-1e-17, 0.0, 1e-3]
+
+
+def _planted(n, lam_min, rng):
+    """Unit-trace Hermitian n x n matrix with smallest eigenvalue ``lam_min``
+    (up to rounding) in a Haar-random basis; for n = 1 the matrix [[1]]."""
+    if n == 1:
+        return np.ones((1, 1), dtype=complex)
+    rest = rng.random(n - 1) + 0.1
+    evals = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+    u = haar_unitary(n, rng)
+    return (u * evals) @ u.conj().T
+
+
+def _with_defect(mat, defect, tols):
+    """``mat`` made to fail the Hermiticity or trace check by ten times its
+    tolerance, or unchanged."""
+    herm_tol, trace_tol, _ = tols
+    mat = mat.copy()
+    if defect == "asymmetric":
+        mat[0, -1] += 10j * herm_tol
+    elif defect == "trace":
+        mat *= 1.0 + 10.0 * trace_tol
+    return mat
+
+
+def _assert_validates_like_the_oracle(mat, tols):
+    herm_tol, trace_tol, psd_tol = tols
+    expected = density_matrix_oracle(mat, herm_tol, trace_tol, psd_tol)
+    space = TensorSpace((mat.shape[0],))
+    if expected is None:
+        DensityMatrix(space, mat, herm_tol=herm_tol, trace_tol=trace_tol,
+                      psd_tol=psd_tol)
+    else:
+        with pytest.raises(ValueError) as info:
+            DensityMatrix(space, mat, herm_tol=herm_tol, trace_tol=trace_tol,
+                          psd_tol=psd_tol)
+        assert str(info.value) == expected
+
+
+def _no_eigvalsh(*args, **kwargs):
+    raise AssertionError("eigvalsh called")
+
+
+class TestPositivityCertificate:
+    """``DensityMatrix`` decides positivity by a Cholesky certificate first;
+    it must accept and reject exactly as the eigvalsh check
+    (tests/oracles.py::density_matrix_oracle), with the same message."""
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 16, 32, 64]),
+        tols=st.sampled_from(TOLERANCES),
+        planted=st.sampled_from([("multiple", m) for m in TOL_MULTIPLES]
+                                + [("value", v) for v in PSD_VALUES]),
+        defect=st.sampled_from([None, "asymmetric", "trace"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decision_and_message_match_the_oracle(self, n, tols, planted, defect, seed):
+        kind, x = planted
+        lam_min = x * tols[2] if kind == "multiple" else x
+        mat = _with_defect(_planted(n, lam_min, np.random.default_rng(seed)),
+                           defect, tols)
+        # The certificate alone, at every n (a space needs n >= 2): it never
+        # accepts a matrix that the oracle's positivity check rejects.
+        if defect is None and tensor._cholesky_certifies(mat, np.trace(mat), tols[2]):
+            assert density_matrix_oracle(mat, *tols) is None
+        if n >= 2:
+            _assert_validates_like_the_oracle(mat, tols)
+
+    @pytest.mark.parametrize("tols", TOLERANCES, ids=["state", "snapshot"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32, 64])
+    def test_clear_cases_take_no_eigendecomposition(self, n, tols, monkeypatch):
+        rng = np.random.default_rng(n)
+        mats = [_planted(n, v, rng) for v in PSD_VALUES]
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        for mat in mats:
+            assert tensor._cholesky_certifies(mat, np.trace(mat), tols[2])
+            if n >= 2:
+                herm_tol, trace_tol, psd_tol = tols
+                DensityMatrix(TensorSpace((n,)), mat, herm_tol=herm_tol,
+                              trace_tol=trace_tol, psd_tol=psd_tol)
+
+    @pytest.mark.parametrize("tols", TOLERANCES, ids=["state", "snapshot"])
+    def test_rank_two_reduced_state(self, tols, monkeypatch):
+        """W(9) on 8 sites: a 256 x 256 state of rank 2 (eigenvalues 8/9 and
+        1/9), with a kernel eigenvalue moved to each planted value and the
+        top eigenvalue moved the other way, so the trace stays 1; each also
+        with a Hermiticity or trace defect."""
+        rho = partial_trace(make_w(9), Neighborhood(range(8))).matrix
+        evals, vecs = np.linalg.eigh(rho)
+        kernel, top = vecs[:, 0], vecs[:, -1]
+        assert evals[-2] > 0.1 and abs(evals[-3]) < 1e-15
+        values = [m * tols[2] for m in TOL_MULTIPLES] + PSD_VALUES
+        for value in values:
+            mat = (rho + value * np.outer(kernel, kernel.conj())
+                   - value * np.outer(top, top.conj()))
+            for defect in (None, "asymmetric", "trace"):
+                _assert_validates_like_the_oracle(_with_defect(mat, defect, tols), tols)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+            DensityMatrix(TensorSpace((2,) * 8), rho, herm_tol=tols[0],
+                          trace_tol=tols[1], psd_tol=tols[2])
+
+    @pytest.mark.parametrize("psd_tol", [0.0, -1e-9, math.nan, math.inf, 1e300])
+    def test_degenerate_tolerances_decide_as_the_oracle(self, psd_tol):
+        rng = np.random.default_rng(3)
+        for lam_min in (-1e-3, -1e-17, 0.0, 1e-3):
+            _assert_validates_like_the_oracle(
+                _planted(8, lam_min, rng), (tensor.HERM_TOL, tensor.NORM_TOL, psd_tol)
+            )
 
 
 class TestFactories:
@@ -282,8 +404,7 @@ class TestPureStatePartialTrace:
     def test_bytes_equal_the_outer_product_route(self, data):
         psi = data.draw(_pure_states())
         n = psi.space.n_subsystems
-        # At most four kept subsystems, so the validating eigvalsh stays
-        # small; the fixtures below keep every subset, the whole space too.
+        # At most four kept subsystems, so the validation stays small; the fixtures below keep every subset, the whole space too.
         keep = data.draw(
             st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True)
         )
