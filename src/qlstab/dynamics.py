@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 import numpy as np
 
-from .subspaces import RANK_MARGIN, complete_frame
+from .subspaces import RANK_MARGIN
 from .synthesis import StabilizerSet
 from .tensor import (
     DensityMatrix,
@@ -179,21 +179,18 @@ class GasCertificate:
 
 @dataclass(frozen=True)
 class InvarianceDiagnostics:
-    """Result of the dual-route stationarity check for a pure target.
+    """Stationarity of a pure target under a generator (``check_invariance``).
 
-    The block route inspects the generator in the (target, complement)
-    basis: every noise operator must have a vanishing column under the
-    target, and the Hamiltonian row must cancel against the noise cross
-    terms. The direct route evaluates the generator on the target state.
-    Both are computed; disagreement is resolved to "not invariant".
+    ``offdiagonal_residual`` is max_k |L_k psi - <psi|L_k psi> psi|, the
+    largest part of a noise operator's image of the target outside the
+    target. ``hamiltonian_residual`` is the norm of the Hamiltonian row
+    left after the noise cross terms cancel against it, off the target.
+    ``invariant`` holds when both are at most ``INVARIANCE_TOL``.
     """
 
     invariant: bool
-    block_route: bool
-    generator_route: bool
     offdiagonal_residual: float
     hamiltonian_residual: float
-    generator_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,38 +439,32 @@ def gas_certificate(
 
 
 def check_invariance(gen: LindbladGenerator, psi: PureState) -> InvarianceDiagnostics:
-    """Dual-route check that a pure target is stationary (``INVARIANCE_TOL``).
+    """Check that a pure target is stationary (``INVARIANCE_TOL``).
 
-    The two routes are reported separately, so a disagreement between them
-    shows in ``block_route`` and ``generator_route``.
+    |psi><psi| is stationary exactly when every noise operator maps psi to
+    a multiple of itself, L_k psi = l_k psi with l_k = <psi|L_k psi>, and
+    the row w = i psi^dag H - (1/2) sum_k conj(l_k) psi^dag L_k is a
+    multiple of psi^dag. Both residuals come from products of the
+    operators with the state vector; no D x D matrix is formed.
     """
-    d = gen.space.dim
     if psi.space != gen.space:
         raise DimensionMismatchError("state and generator live on different spaces")
-    basis = complete_frame(psi.amplitudes.reshape(-1, 1), d)
-    ham = gen.hamiltonian
-    ham_rot = (
-        basis.conj().T @ ham @ basis if ham is not None else np.zeros((d, d))
-    )
-    cross = np.zeros(d - 1, dtype=complex)
+    ket = psi.amplitudes
+    bra = ket.conj()
+    row = np.zeros_like(bra)
+    if gen.hamiltonian is not None:
+        row += 1j * (bra @ gen.hamiltonian)
     offdiag = 0.0
     for op in gen.noise_ops:
-        rot = basis.conj().T @ op @ basis
-        offdiag = max(offdiag, float(np.linalg.norm(rot[1:, 0])))
-        cross += np.conj(rot[0, 0]) * rot[0, 1:]
-    ham_residual = float(np.linalg.norm(1j * ham_rot[0, 1:] - 0.5 * cross))
-    block_ok = offdiag <= INVARIANCE_TOL and ham_residual <= INVARIANCE_TOL
-
-    rho_d = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    gen_residual = float(np.linalg.norm(apply_generator(gen, rho_d)))
-    gen_ok = gen_residual <= INVARIANCE_TOL
+        image = op @ ket
+        ell = np.vdot(ket, image)
+        offdiag = max(offdiag, float(np.linalg.norm(image - ell * ket)))
+        row -= 0.5 * np.conj(ell) * (bra @ op)
+    ham_residual = float(np.linalg.norm(row - (row @ ket) * bra))
     return InvarianceDiagnostics(
-        invariant=block_ok and gen_ok,
-        block_route=block_ok,
-        generator_route=gen_ok,
+        invariant=offdiag <= INVARIANCE_TOL and ham_residual <= INVARIANCE_TOL,
         offdiagonal_residual=offdiag,
         hamiltonian_residual=ham_residual,
-        generator_residual=gen_residual,
     )
 
 

@@ -228,8 +228,6 @@ def _explicit_state(space: TensorSpace, amplitudes: Any) -> PureState:
         )
     try:
         return PureState(space, amps)
-    except DimensionMismatchError:
-        raise
     except ValueError as exc:
         raise InstanceFormatError(f"invalid state amplitudes: {exc}") from exc
 

@@ -111,9 +111,7 @@ def support(
 
 
 def projector(sub: Subspace) -> np.ndarray:
-    """Orthogonal projector frame @ frame^dagger onto the subspace."""
-    if sub.dim == 0:
-        return np.zeros((sub.ambient_dim, sub.ambient_dim), dtype=complex)
+    """Orthogonal projector frame @ frame^dagger (zero for the zero subspace)."""
     return sub.frame @ sub.frame.conj().T
 
 

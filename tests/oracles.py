@@ -10,9 +10,12 @@ random matrix-product states are a fixture family shared by the same tests.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
+from qlstab.dynamics import INVARIANCE_TOL
+from qlstab.subspaces import complete_frame
 from qlstab.tensor import DensityMatrix, PureState, TensorSpace
 
 
@@ -232,6 +235,37 @@ def apply_generator_oracle(gen, rho):
         out += op @ mat @ op.conj().T
     out -= 0.5 * (quad @ mat + mat @ quad)
     return out
+
+
+def invariance_oracle(gen, psi):
+    """Stationarity of a pure target by two routes, as ``check_invariance``
+    once computed it. The basis route completes psi to a unitary basis
+    (``complete_frame``) and rotates every noise operator and the
+    Hamiltonian into it: the columns under psi give the offdiagonal
+    residual, the Hamiltonian row minus half the noise cross terms the
+    Hamiltonian residual. The generator route is the Frobenius norm of the
+    generator applied to |psi><psi|. ``invariant`` needs every residual at
+    most ``INVARIANCE_TOL``."""
+    d = gen.space.dim
+    basis = complete_frame(psi.amplitudes.reshape(-1, 1), d)
+    ham = gen.hamiltonian
+    ham_rot = basis.conj().T @ ham @ basis if ham is not None else np.zeros((d, d))
+    cross = np.zeros(d - 1, dtype=complex)
+    offdiag = 0.0
+    for op in gen.noise_ops:
+        rot = basis.conj().T @ op @ basis
+        offdiag = max(offdiag, float(np.linalg.norm(rot[1:, 0])))
+        cross += np.conj(rot[0, 0]) * rot[0, 1:]
+    ham_residual = float(np.linalg.norm(1j * ham_rot[0, 1:] - 0.5 * cross))
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    gen_residual = float(np.linalg.norm(apply_generator_oracle(gen, rho)))
+    residuals = (offdiag, ham_residual, gen_residual)
+    return SimpleNamespace(
+        invariant=all(r <= INVARIANCE_TOL for r in residuals),
+        offdiagonal_residual=offdiag,
+        hamiltonian_residual=ham_residual,
+        generator_residual=gen_residual,
+    )
 
 
 def partial_trace_oracle(state, keep):

@@ -37,6 +37,7 @@ from qlstab.tensor import (
     DensityMatrix,
     LocalityPattern,
     Neighborhood,
+    PureState,
     TensorSpace,
     basis_state,
     make_dicke_4_2,
@@ -50,6 +51,7 @@ from qlstab.tensor import (
 from oracles import (
     apply_generator_oracle,
     haar_unitary,
+    invariance_oracle,
     real_form_oracle,
     vectorize_kron_oracle,
     vectorize_oracle,
@@ -455,7 +457,7 @@ class TestCheckInvariance:
         gen = stabilizer_generator(stabs, psi.space)
         diag = check_invariance(gen, psi)
         assert diag.invariant
-        assert diag.block_route and diag.generator_route
+        assert invariance_oracle(gen, psi).invariant
 
     def test_rotating_hamiltonian_is_not(self):
         gen = LindbladGenerator(Q1, SX, ())
@@ -467,7 +469,7 @@ class TestCheckInvariance:
         # Invariance can hold with a nonzero Hamiltonian row when it cancels
         # against the noise cross terms: i H_row = (1/2) sum conj(L_00) L_row
         # in the (target, complement) basis. Build such a generator and check
-        # both routes accept it and the state actually stays put.
+        # that it and the two-route oracle accept it.
         rng = np.random.default_rng(13)
         d = 4
         space = TensorSpace((2, 2))
@@ -492,7 +494,7 @@ class TestCheckInvariance:
         gen = LindbladGenerator(space, ham, (op,))
         diag = check_invariance(gen, psi)
         assert diag.invariant
-        assert diag.block_route and diag.generator_route
+        assert invariance_oracle(gen, psi).invariant
         # Breaking the cancellation must break invariance.
         broken = LindbladGenerator(space, 2 * ham, (op,))
         assert not check_invariance(broken, psi).invariant
@@ -520,8 +522,82 @@ class TestCheckInvariance:
                 ham = comp @ ((raw + raw.conj().T) / 2) @ comp
                 gen = LindbladGenerator(space, ham, tuple(mats))
             diag = check_invariance(gen, psi)
-            agreements += diag.block_route == diag.generator_route
+            oracle = invariance_oracle(gen, psi)
+            agreements += diag.invariant == oracle.invariant
+            for name in ("offdiagonal_residual", "hamiltonian_residual"):
+                want = getattr(oracle, name)
+                assert abs(getattr(diag, name) - want) <= 1e-12 * max(1.0, want)
         assert agreements == 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2),
+        n_ops=st.integers(0, 3),
+        with_ham=st.booleans(),
+        planted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_two_route_oracle(self, dims, n_ops, with_ham, planted, seed):
+        # Planted cases rotate, into a Haar basis whose first column is the
+        # target, noise operators with no column under the target and a
+        # Hamiltonian whose row cancels the noise cross terms; without a
+        # Hamiltonian the noise is dark (no diagonal entry on the target).
+        rng = np.random.default_rng(seed)
+        space = TensorSpace(tuple(dims))
+        d = space.dim
+        with_ham = with_ham or n_ops == 0
+        basis = haar_unitary(d, rng)
+        psi = PureState(space, basis[:, 0])
+        ops, cross = [], np.zeros(d - 1, dtype=complex)
+        for _ in range(n_ops):
+            op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            if planted:
+                op[1:, 0] = 0.0
+                if not with_ham:
+                    op[0, 0] = 0.0
+                cross += np.conj(op[0, 0]) * op[0, 1:]
+                op = basis @ op @ basis.conj().T
+            ops.append(op)
+        ham = None
+        if with_ham:
+            raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            ham = (raw + raw.conj().T) / 2
+            if planted:
+                ham[0, 1:] = -0.5j * cross
+                ham[1:, 0] = ham[0, 1:].conj()
+                ham = basis @ ham @ basis.conj().T
+                ham = (ham + ham.conj().T) / 2
+        gen = LindbladGenerator(space, ham, tuple(ops))
+        diag = check_invariance(gen, psi)
+        oracle = invariance_oracle(gen, psi)
+        for name in ("offdiagonal_residual", "hamiltonian_residual"):
+            want = getattr(oracle, name)
+            assert abs(getattr(diag, name) - want) <= 1e-12 * max(1.0, abs(want))
+        residuals = (
+            oracle.offdiagonal_residual,
+            oracle.hamiltonian_residual,
+            oracle.generator_residual,
+        )
+        if all(r < 1e-12 or r > 1e-6 for r in residuals):
+            assert diag.invariant == oracle.invariant
+        if planted:
+            assert diag.invariant
+
+    def test_near_threshold_hamiltonian_is_decided_by_its_row(self):
+        # psi = |0>, H = eps sigma_x: the Hamiltonian row has norm eps, but
+        # the generator on |0><0| has Frobenius norm sqrt(2) eps. At
+        # eps = 0.9e-9 only the two-route oracle's generator route rejects.
+        eps = 0.9e-9
+        gen = LindbladGenerator(Q1, eps * SX, ())
+        psi = basis_state(Q1, 0)
+        diag = check_invariance(gen, psi)
+        assert diag.invariant
+        assert diag.offdiagonal_residual == 0.0
+        assert diag.hamiltonian_residual == pytest.approx(eps, rel=1e-15)
+        oracle = invariance_oracle(gen, psi)
+        assert oracle.hamiltonian_residual == pytest.approx(eps, rel=1e-15)
+        assert oracle.generator_residual == pytest.approx(math.sqrt(2) * eps, rel=1e-15)
+        assert not oracle.invariant
 
 
 class TestEvolve:
@@ -560,6 +636,27 @@ class TestEvolve:
         rho0 = DensityMatrix(Q1, np.diag([0.0, 1.0]))
         with pytest.raises(IntegrationError, match="reduce the step size"):
             list(evolve(gen, rho0, 10.0, dt=0.5))
+
+    def test_invalid_snapshot_aborts_with_its_validation_error(self):
+        # One RK4 step of amplitude damping at gamma dt = 3 keeps the trace
+        # exactly and stays below the divergence limit, but leaves the
+        # populations at (-0.375, 1.375).
+        gen = LindbladGenerator(Q1, None, (math.sqrt(3.0) * LOWER,))
+        rho0 = DensityMatrix(Q1, np.diag([0.0, 1.0]))
+        message = re.escape(
+            "snapshot at t=1 failed validation "
+            "(matrix has negative eigenvalue -3.750e-01)"
+        )
+        with pytest.raises(IntegrationError, match=message):
+            list(evolve(gen, rho0, 1.0, dt=1.0))
+
+    def test_default_step_counts_the_hamiltonian(self):
+        # norm_bound = 2 |H| = 40, so the default dt is 0.1 / 40 = 0.0025.
+        gen = LindbladGenerator(Q1, 20.0 * SZ, ())
+        rho0 = DensityMatrix(Q1, np.full((2, 2), 0.5))
+        times = [t for t, _ in evolve(gen, rho0, 1.0)]
+        assert len(times) == 401
+        assert times[1] == 0.0025 and times[-1] == 1.0
 
     @pytest.mark.parametrize(
         "kwargs, error",

@@ -7,9 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import qlstab
 import qlstab.cli
-from qlstab import analysis, tensor
+from qlstab import analysis, dynamics, tensor
+
+from oracles import invariance_oracle
 
 SOURCES = sorted(Path(qlstab.__file__).parent.glob("*.py"))
 
@@ -99,22 +103,72 @@ def _adjoint_operand(node):
     return None
 
 
+def _enclosing_functions(tree):
+    """Map id(node) -> name of the innermost function that encloses it."""
+    enclosing = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing.update((id(node), func.name) for node in ast.walk(func))
+    return enclosing
+
+
 def test_only_check_hermitian_computes_the_asymmetry():
     # max |A - A^dag| has one owner, so no Hermiticity check can drift from
     # the NaN-safe comparison in tensor.check_hermitian.
     owners = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
-        enclosing = {}  # node -> innermost enclosing function name
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                enclosing.update((id(node), func.name) for node in ast.walk(func))
+        enclosing = _enclosing_functions(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
                 operand = _adjoint_operand(node.right)
                 if operand is not None and ast.dump(operand) == ast.dump(node.left):
                     owners.append(f"{path.name}:{enclosing.get(id(node), '<module>')}")
     assert owners == ["tensor.py:check_hermitian"]
+
+
+def test_outer_products_only_where_a_density_matrix_is_the_product():
+    # A pure target is handled through its amplitudes; |psi><psi| is formed
+    # only when a caller asks for the density matrix, and by the spectral
+    # certificate, which compares it with the D x D stationary state.
+    owners = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        enclosing = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "outer"
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                owners.append(f"{path.name}:{enclosing.get(id(node), '<module>')}")
+    assert sorted(owners) == ["dynamics.py:gas_certificate", "tensor.py:density_matrix"]
+
+
+def test_check_invariance_works_on_the_state_vector(monkeypatch):
+    # Six qubits with two dense noise operators and a Hamiltonian: no outer
+    # product, basis completion, density matrix or generator evaluation.
+    rng = np.random.default_rng(6)
+    space = tensor.qubit_space(6)
+    d = space.dim
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    ops = tuple(
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for _ in range(2)
+    )
+    gen = dynamics.LindbladGenerator(space, (raw + raw.conj().T) / 2, ops)
+    psi = tensor.random_pure_state(space, rng)
+    want = invariance_oracle(gen, psi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_invariance left the state vector")
+
+    monkeypatch.setattr(np, "outer", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(tensor.PureState, "density_matrix", refuse)
+    monkeypatch.setattr(dynamics, "apply_generator", refuse)
+    diag = dynamics.check_invariance(gen, psi)
+    assert not diag.invariant
+    for name in ("offdiagonal_residual", "hamiltonian_residual"):
+        value = getattr(want, name)
+        assert abs(getattr(diag, name) - value) <= 1e-12 * max(1.0, value)
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
