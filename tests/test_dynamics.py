@@ -538,10 +538,10 @@ class TestCheckInvariance:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_two_route_oracle(self, dims, n_ops, with_ham, planted, seed):
-        # Planted cases rotate, into a Haar basis whose first column is the
-        # target, noise operators with no column under the target and a
-        # Hamiltonian whose row cancels the noise cross terms; without a
-        # Hamiltonian the noise is dark (no diagonal entry on the target).
+        # A planted case is built in a Haar basis whose first column is the
+        # target: noise operators with a zero column under the target and a
+        # Hamiltonian whose row cancels their cross terms. Without a
+        # Hamiltonian the noise is also dark (zero diagonal entry there).
         rng = np.random.default_rng(seed)
         space = TensorSpace(tuple(dims))
         d = space.dim
