@@ -19,7 +19,6 @@ from .tensor import (
     TensorSpace,
     apply_local,
     apply_local_unitary,
-    basis_state,
     embed,
     embed_frame,
     make_dicke_4_2,
@@ -41,7 +40,6 @@ from .subspaces import (
 )
 from .analysis import (
     DqlsReport,
-    NeighborhoodAnalysis,
     ParentHamiltonian,
     check_dqls,
     is_frustration_free,

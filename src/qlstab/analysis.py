@@ -20,7 +20,8 @@ borderline rank calls are returned as notes in ``DqlsReport.warnings`` and
 ``ParentHamiltonian.warnings``; nothing here warns or captures a warning.
 
 Per-neighborhood work (reduced state, support) is independent and could run
-in parallel; the sweep is sequential.
+in parallel; the sweep is sequential. Only each neighborhood's support is
+kept; its reduced state is dropped once the support is taken.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 from . import subspaces
 from .subspaces import INTERSECT_TOL, ORTH_TOL, SUPPORT_RTOL, Subspace
 from .tensor import (
-    DensityMatrix,
     DimensionMismatchError,
     HERM_TOL,
     LocalityPattern,
@@ -52,22 +52,12 @@ ANNIHILATION_TOL = 1e-8
 
 __all__ = [
     "ANNIHILATION_TOL",
-    "NeighborhoodAnalysis",
     "DqlsReport",
     "ParentHamiltonian",
     "check_dqls",
     "parent_hamiltonian",
     "is_frustration_free",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class NeighborhoodAnalysis:
-    """Per-neighborhood diagnostics from the stabilizability test."""
-
-    neighborhood: Neighborhood
-    reduced_state: DensityMatrix
-    support: Subspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,19 +71,22 @@ class DqlsReport:
     and flagged here; ``borderline`` records any such rank call. Each
     intersection basis vector is phase-fixed by ``_fix_phase``.
 
-    ``margins[k]`` belongs to the sweep step that applied neighborhood ``k``:
-    the smallest eigenvalue of that step's Gram matrix above the cutoff, the
-    squared sine of the closest principal angle between the running
-    intersection and the neighborhood's embedded support that the step
-    rejected; ``math.inf`` when the step rejected nothing.
+    ``supports[k]`` is the support of the target's reduced state on
+    ``pattern.neighborhoods[k]``, a subspace of that neighborhood's factor
+    (``ambient_dim`` is the product of its dimensions). ``margins[k]``
+    belongs to the sweep step that applied neighborhood ``k``: the smallest
+    eigenvalue of that step's Gram matrix above the cutoff, the squared sine
+    of the closest principal angle between the running intersection and the
+    neighborhood's embedded support that the step rejected; ``math.inf``
+    when the step rejected nothing.
     """
 
     verdict: bool
     intersection: Subspace
-    per_neighborhood: tuple[NeighborhoodAnalysis, ...]
+    supports: tuple[Subspace, ...]
     warnings: tuple[str, ...]
     borderline: bool
-    margins: tuple[float, ...] = ()
+    margins: tuple[float, ...]
 
     @property
     def intersection_dim(self) -> int:
@@ -114,7 +107,7 @@ class ParentHamiltonian:
 
     space: TensorSpace
     terms: tuple[QLOperator, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
     def kernel(self) -> Subspace:
         """Ground space: the common kernel of the terms, built by the
@@ -176,17 +169,16 @@ def _complement_terms(psi: PureState, pattern: LocalityPattern, rtol: float):
     """Per-neighborhood supports, terms I - P_k and support rank notes."""
     if psi.space != pattern.space:
         raise DimensionMismatchError("state and pattern live on different spaces")
-    per: list[NeighborhoodAnalysis] = []
+    supports: list[Subspace] = []
     terms: list[QLOperator] = []
     notes: list[str] = []
     for hood in pattern.neighborhoods:
-        reduced = partial_trace(psi, hood)
-        sup, hood_notes = subspaces.support(reduced, rtol)
+        sup, hood_notes = subspaces.support(partial_trace(psi, hood), rtol)
         notes.extend(hood_notes)
-        block = np.eye(reduced.space.dim, dtype=complex) - subspaces.projector(sup)
-        per.append(NeighborhoodAnalysis(hood, reduced, sup))
+        block = np.eye(sup.ambient_dim, dtype=complex) - subspaces.projector(sup)
+        supports.append(sup)
         terms.append(QLOperator(hood, block))
-    return per, terms, notes
+    return supports, terms, notes
 
 
 def check_dqls(
@@ -210,7 +202,7 @@ def check_dqls(
         DimensionMismatchError: if state and pattern live on different spaces.
     """
     notes = _coverage_notes(pattern)
-    per, terms, rank_notes = _complement_terms(psi, pattern, rtol)
+    supports, terms, rank_notes = _complement_terms(psi, pattern, rtol)
     intersection, evals, margins = _sweep(psi.space, terms)
     rank_notes += subspaces._borderline(evals, INTERSECT_TOL, "intersection")
     borderline = bool(rank_notes)
@@ -255,7 +247,7 @@ def check_dqls(
             "tolerance boundary"
         )
     return DqlsReport(
-        verdict, intersection, tuple(per), tuple(notes), borderline, margins
+        verdict, intersection, tuple(supports), tuple(notes), borderline, margins
     )
 
 

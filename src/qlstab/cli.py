@@ -231,11 +231,11 @@ def _cmd_check_dqls(args, instance: ProblemInstance, rtol: float) -> dict:
         "intersection_basis": report.intersection.frame.T,
         "per_neighborhood": [
             {
-                "neighborhood": list(a.neighborhood.indices),
-                "support_dim": a.support.dim,
-                "reduced_dim": a.reduced_state.space.dim,
+                "neighborhood": list(hood.indices),
+                "support_dim": support.dim,
+                "reduced_dim": support.ambient_dim,
             }
-            for a in report.per_neighborhood
+            for hood, support in zip(instance.pattern.neighborhoods, report.supports)
         ],
         "warnings": list(report.warnings),
     }
@@ -289,13 +289,13 @@ def _cmd_synthesize(args, instance: ProblemInstance, rtol: float) -> dict:
 
 def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
     if args.operators:
-        ops = tuple(read_noise_operators(args.operators))
-        stabilizers = synthesis.StabilizerSet(ops, tuple(() for _ in ops), ())
+        ops = read_noise_operators(args.operators)
         notes = [f"operators loaded from {args.operators}"]
     else:
         stabilizers = _synthesize(instance, rtol, args.force)
+        ops = stabilizers.operators
         notes = list(stabilizers.warnings)
-    gen = dynamics.stabilizer_generator(stabilizers, instance.space)
+    gen = dynamics.stabilizer_generator(ops, instance.space)
     dim = instance.space.dim
     if dim <= args.dim_cap:
         started = time.perf_counter()
@@ -343,17 +343,17 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
 
 def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
     stabilizers = _synthesize(instance, rtol, args.force)
+    ops = stabilizers.operators
     notes = list(stabilizers.warnings)
     rng = np.random.default_rng(args.seed)
     if args.switched:
         schedule = dynamics.SwitchingSchedule(
-            args.tau,
-            tuple(dynamics.stabilizer_generators(stabilizers, instance.space)),
+            args.tau, tuple(dynamics.stabilizer_generators(ops, instance.space))
         )
         if len(schedule.generators) == 1:
             notes.append("single-generator schedule degenerates to a fixed generator")
     else:
-        gen = dynamics.stabilizer_generator(stabilizers, instance.space)
+        gen = dynamics.stabilizer_generator(ops, instance.space)
     target_rho = instance.state.density_matrix()
     # CSV lines are formatted as each snapshot arrives, so no past state is
     # kept; the file is written only once every trajectory has finished.
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--operators", default=None, help="load noise_op_*.json from here")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--dim-cap", type=int, default=dynamics.DEFAULT_DIM_CAP)
+    p.add_argument("--dim-cap", type=_COUNT, default=dynamics.DEFAULT_DIM_CAP)
     p.add_argument(
         "--evidence-fallback",
         action="store_true",

@@ -26,16 +26,18 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import Sequence
+
 import numpy as np
 
 from .subspaces import RANK_MARGIN
-from .synthesis import StabilizerSet
 from .tensor import (
     DensityMatrix,
     DimensionMismatchError,
     HERM_TOL,
     NORM_TOL,
     PureState,
+    QLOperator,
     TensorSpace,
     check_hermitian,
     embed,
@@ -173,8 +175,8 @@ class GasCertificate:
     eigenvalues: np.ndarray = field(repr=False)
     kernel_dim: int
     gap: float
-    steady_state: np.ndarray | None = field(repr=False, default=None)
-    messages: tuple[str, ...] = ()
+    steady_state: np.ndarray | None = field(repr=False)
+    messages: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -639,21 +641,18 @@ def simulate_switched(
 
 
 def stabilizer_generator(
-    stabilizers: StabilizerSet, space: TensorSpace
+    operators: Sequence[QLOperator], space: TensorSpace
 ) -> LindbladGenerator:
-    """Single generator driven by all embedded stabilizer operators at once."""
-    ops = tuple(embed(op, space) for op in stabilizers.operators)
+    """Single generator driven by all embedded noise operators at once."""
+    ops = tuple(embed(op, space) for op in operators)
     return LindbladGenerator(space, None, ops)
 
 
 def stabilizer_generators(
-    stabilizers: StabilizerSet, space: TensorSpace
+    operators: Sequence[QLOperator], space: TensorSpace
 ) -> list[LindbladGenerator]:
-    """One generator per embedded stabilizer operator, for switched schedules."""
-    return [
-        LindbladGenerator(space, None, (embed(op, space),))
-        for op in stabilizers.operators
-    ]
+    """One generator per embedded noise operator, for switched schedules."""
+    return [LindbladGenerator(space, None, (embed(op, space),)) for op in operators]
 
 
 def fidelity(target: PureState, rho) -> float:

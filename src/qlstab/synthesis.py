@@ -54,13 +54,12 @@ class NotStabilizableError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class StabilizerSet:
     """One synthesized noise operator per neighborhood, with its gains, its
-    annihilation residual on the target and the synthesis notes (all empty
-    when loaded)."""
+    annihilation residual on the target and the synthesis notes."""
 
     operators: tuple[QLOperator, ...]
     gains: tuple[tuple[float, ...], ...]
     residuals: tuple[float, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
 
 def gains_for(policy: str, count: int, scale: float = 1.0) -> tuple[float, ...]:
@@ -160,9 +159,7 @@ def synthesize_stabilizers(
     notes = list(report.warnings)
     operators: list[QLOperator] = []
     all_gains: list[tuple[float, ...]] = []
-    for analysis in report.per_neighborhood:
-        hood = analysis.neighborhood
-        sup = analysis.support
+    for hood, sup in zip(pattern.neighborhoods, report.supports):
         block_dim = sup.ambient_dim
         r = block_dim - sup.dim
         if r == 0:

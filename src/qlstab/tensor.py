@@ -47,7 +47,6 @@ __all__ = [
     "make_w",
     "make_graph_state",
     "make_dicke_4_2",
-    "basis_state",
     "random_pure_state",
     "random_density_matrix",
     "apply_local_unitary",
@@ -383,15 +382,6 @@ def make_dicke_4_2() -> PureState:
     return PureState(qubit_space(4), amps)
 
 
-def basis_state(space: TensorSpace, index: int) -> PureState:
-    """Computational basis state with the given big-endian composite index."""
-    if not (0 <= index < space.dim):
-        raise ValueError(f"basis index {index} out of range for dim {space.dim}")
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[index] = 1.0
-    return PureState(space, amps)
-
-
 def random_pure_state(space: TensorSpace, rng: np.random.Generator) -> PureState:
     """Haar-uniform pure state: normalized complex Gaussian vector."""
     v = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
@@ -399,14 +389,11 @@ def random_pure_state(space: TensorSpace, rng: np.random.Generator) -> PureState
 
 
 def random_density_matrix(
-    space: TensorSpace, rng: np.random.Generator, rank: int | None = None
+    space: TensorSpace, rng: np.random.Generator
 ) -> DensityMatrix:
     """Random mixed state from a normalized Wishart-style construction."""
     d = space.dim
-    r = d if rank is None else int(rank)
-    if not (1 <= r <= d):
-        raise ValueError(f"rank must be in 1..{d}, got {r}")
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     mat = g @ g.conj().T
     return DensityMatrix(space, mat / np.trace(mat).real)
 

@@ -120,6 +120,15 @@ def density_matrix_oracle(mat, herm_tol, trace_tol, psd_tol):
     return None
 
 
+def basis_state(space, index):
+    """Computational basis state with the given big-endian composite index."""
+    if not (0 <= index < space.dim):
+        raise ValueError(f"basis index {index} out of range for dim {space.dim}")
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[index] = 1.0
+    return PureState(space, amps)
+
+
 def haar_unitary(d, rng):
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

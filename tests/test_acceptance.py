@@ -36,7 +36,6 @@ from qlstab.tensor import (
     PureState,
     TensorSpace,
     apply_local_unitary,
-    basis_state,
     make_dicke_4_2,
     make_ghz,
     make_graph_state,
@@ -47,6 +46,7 @@ from qlstab.tensor import (
 )
 
 from oracles import (
+    basis_state,
     haar_unitary,
     parent_total_oracle,
     partial_trace_oracle,
@@ -211,7 +211,7 @@ def test_criterion_06_spectral_certificate():
         started = time.perf_counter()
         psi, pattern = dicke_pattern()
         stabs = synthesize_stabilizers(psi, pattern)
-        gen = stabilizer_generator(stabs, psi.space)
+        gen = stabilizer_generator(stabs.operators, psi.space)
         assert (EIG_TOL, STEADY_STATE_TOL) == (1e-8, 1e-7)
         cert = gas_certificate(gen, psi)
         assert cert.certified
@@ -286,7 +286,7 @@ def test_criterion_08_convergence_dynamics():
     with criterion(8, "20 random states reach fidelity > 1-1e-6 by t=40; damping closed form"):
         psi, pattern = dicke_pattern()
         stabs = synthesize_stabilizers(psi, pattern)
-        gen = stabilizer_generator(stabs, psi.space)
+        gen = stabilizer_generator(stabs.operators, psi.space)
         rng = np.random.default_rng(78)
         for _ in range(20):
             rho0 = random_pure_state(psi.space, rng).density_matrix()
@@ -307,7 +307,7 @@ def test_criterion_09_switched_cycle():
     with criterion(9, "switched cycle: simple unit eigenvalue, 30-cycle convergence, monotone"):
         psi, pattern = dicke_pattern()
         stabs = synthesize_stabilizers(psi, pattern)
-        gens = tuple(stabilizer_generators(stabs, psi.space))
+        gens = tuple(stabilizer_generators(stabs.operators, psi.space))
         schedule = SwitchingSchedule(1.0, gens)
         total = switched_map(schedule)
         eigenvalues = np.linalg.eigvals(total)

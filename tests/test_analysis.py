@@ -30,7 +30,6 @@ from qlstab.tensor import (
     QLOperator,
     TensorSpace,
     apply_local_unitary,
-    basis_state,
     embed,
     embed_frame,
     make_dicke_4_2,
@@ -43,6 +42,7 @@ from qlstab.tensor import (
 )
 
 from oracles import (
+    basis_state,
     haar_unitary,
     operator_file_oracle,
     parent_total_oracle,
@@ -118,10 +118,10 @@ class TestCheckDqls:
     def test_report_carries_per_neighborhood_data(self):
         psi, pattern = dicke_pattern()
         report = check_dqls(psi, pattern)
-        assert len(report.per_neighborhood) == 2
-        for item in report.per_neighborhood:
-            assert item.support.dim == 2
-            assert item.reduced_state.space.dim == 8
+        assert len(report.supports) == 2
+        for sub in report.supports:
+            assert sub.dim == 2
+            assert sub.ambient_dim == 8
 
     def test_uncovered_pattern_is_reported(self):
         ghz = make_ghz(3)

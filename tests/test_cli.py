@@ -17,11 +17,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qlstab import cli, dynamics
+from qlstab import analysis, cli, dynamics
 from qlstab.cli import main
 from qlstab.instances import load_instance, read_operator_file
+from qlstab.subspaces import Subspace, support
 
-from oracles import apply_generator_oracle, report_oracle
+from oracles import apply_generator_oracle, partial_trace_oracle, report_oracle
 
 
 def write_instance(path, data):
@@ -358,6 +359,61 @@ class TestSynthesizeCommand:
         )
         assert code == 0
         assert any("forced" in w for w in report["warnings"])
+
+
+def two_product_superposition(dims, seed):
+    """Amplitude pairs of (a + b) / |a + b| for random product states a, b,
+    so that every reduced state has rank at most 2."""
+    rng = np.random.default_rng(seed)
+    products = []
+    for _ in range(2):
+        product = np.ones(1, dtype=complex)
+        for d in dims:
+            product = np.kron(product, rng.normal(size=d) + 1j * rng.normal(size=d))
+        products.append(product / np.linalg.norm(product))
+    amps = products[0] + products[1]
+    amps /= np.linalg.norm(amps)
+    return [[z.real, z.imag] for z in amps.tolist()]
+
+
+class TestSupportsFollowTheNeighborhoods:
+    """Row k of the check-dqls report and noise operator k belong to
+    neighborhood k, on mixed dimensions, neighborhoods that are not
+    contiguous or sorted, and a subsystem that no neighborhood covers."""
+
+    @pytest.mark.parametrize(
+        "dims, hoods",
+        [([2, 3, 2, 3], [[0, 2], [1, 3]]), ([3, 2, 3, 2], [[2, 3], [0]])],
+        ids=["interleaved", "uncovered"],
+    )
+    def test_rows_and_operators_match_their_neighborhood(
+        self, tmp_path, capsys, dims, hoods
+    ):
+        amps = two_product_superposition(dims, seed=0)
+        inst = write_instance(
+            tmp_path / "mixed.json",
+            {"dims": dims, "state": amps, "neighborhoods": hoods},
+        )
+        psi = load_instance(inst).state
+        code, report, _ = run_cli(capsys, ["check-dqls", inst])
+        assert code == 0
+        out_dir = tmp_path / "ops"
+        assert main(["synthesize", inst, "--out", str(out_dir), "--force"]) == 0
+        capsys.readouterr()
+        rows = report["per_neighborhood"]
+        assert len(rows) == len(hoods)
+        for k, (row, hood) in enumerate(zip(rows, hoods)):
+            reduced_dim = math.prod(dims[a] for a in hood)
+            sub, _ = support(partial_trace_oracle(psi, hood))
+            assert row == {
+                "neighborhood": hood,
+                "support_dim": sub.dim,
+                "reduced_dim": reduced_dim,
+            }
+            assert sub.dim < reduced_dim
+            matrix, meta = read_operator_file(out_dir / f"noise_op_{k:02d}.json")
+            assert matrix.shape == (reduced_dim, reduced_dim)
+            assert meta["neighborhood"] == hood
 
 
 class TestParentHamCommand:
@@ -1175,6 +1231,89 @@ class TestMalformedOperatorFiles:
         assert fragment in err
 
 
+class TestSafetyBranches:
+    """Each guard against a numerical failure, reached by patching the step
+    that feeds it, exits with its code and its exact message."""
+
+    def test_target_escaping_the_intersection_exits_7(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The odd GHZ vector lies in both embedded supports, so it passes the
+        # containment check, but it is orthogonal to the target.
+        sweep = analysis._sweep
+
+        def odd_kernel(space, terms):
+            _, evals, margins = sweep(space, terms)
+            odd = np.zeros(space.dim, dtype=complex)
+            odd[0], odd[-1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+            return Subspace(space.dim, odd[:, None]), evals, margins
+
+        monkeypatch.setattr(analysis, "_sweep", odd_kernel)
+        code, report, err = run_cli(capsys, ["check-dqls", ghz3_instance(tmp_path)])
+        assert (code, report) == (cli.EXIT_NUMERICAL, None)
+        assert err == (
+            "error: numerical failure: target escaped the intersection "
+            "subspace by 1.000e+00; support thresholds are inconsistent with "
+            "this input\n"
+        )
+
+    def test_spectrum_in_the_right_half_plane_exits_7(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        vectorize = dynamics.vectorize
+
+        def shifted(gen):
+            lhat = vectorize(gen)
+            lhat += 1e-3 * np.eye(lhat.shape[0])
+            return lhat
+
+        monkeypatch.setattr(dynamics, "vectorize", shifted)
+        code, report, err = run_cli(capsys, ["certify", dicke_instance(tmp_path)])
+        assert (code, report) == (cli.EXIT_NUMERICAL, None)
+        assert err == (
+            "error: numerical failure: generator spectrum reaches into the "
+            "right half plane (1.000e-03); the input is not a valid "
+            "dissipative generator\n"
+        )
+
+    def test_singular_steady_state_solve_is_a_traceless_kernel(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code, report, err = run_cli(capsys, ["certify", dicke_instance(tmp_path)])
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert report["certified"] is False
+        assert report["kernel_dim"] == 1
+        assert report["warnings"] == [
+            "kernel vector is traceless; no stationary state in it"
+        ]
+
+    def test_trace_drift_aborts_the_integrator_with_exit_6(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        step = dynamics._rk4_step
+
+        def drifting(gen, mat, dt):
+            out = step(gen, mat, dt)
+            out[0, 0] += 2e-6
+            return out
+
+        monkeypatch.setattr(dynamics, "_rk4_step", drifting)
+        code, report, err = run_cli(
+            capsys,
+            ["simulate", dicke_instance(tmp_path), "--csv", str(tmp_path / "t.csv"),
+             "--t-final", "0.1", "--dt", "0.01", "--trajectories", "1"],
+        )
+        assert (code, report) == (cli.EXIT_INTEGRATION, None)
+        assert err == (
+            "error: integrator aborted: trace drifted by 2.000e-06 at t=0.01 "
+            "(dt=1.000e-02); reduce the step size\n"
+        )
+
+
 class TestFlagValidation:
     """Numeric flags come from outside the program: a bad value exits 2 with
     a message that names the flag, before any work starts."""
@@ -1194,6 +1333,8 @@ class TestFlagValidation:
               "--t-final", "-1"], "--t-final"),
             (["certify", "--evidence-fallback", "--dim-cap", "2",
               "--trajectories", "0"], "--trajectories"),
+            (["certify", "--dim-cap", "0"], "--dim-cap"),
+            (["certify", "--dim-cap", "-1"], "--dim-cap"),
             (["check-dqls", "--tolerance", "nan"], "--tolerance"),
             (["check-dqls", "--tolerance", "2"], "--tolerance"),
             (["check-dqls", "--tolerance", "-1"], "--tolerance"),
@@ -1201,7 +1342,7 @@ class TestFlagValidation:
         ids=["t-final-negative", "t-final-nan", "t-final-inf", "dt-zero",
              "record-every-zero", "cycles-zero", "tau-negative", "seed-negative",
              "evidence-t-final-negative", "evidence-trajectories-zero",
-             "tolerance-nan", "tolerance-two", "tolerance-negative"],
+             "dim-cap-zero", "dim-cap-negative", "tolerance-nan", "tolerance-two", "tolerance-negative"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, argv, flag):
         extra = ["--csv", str(tmp_path / "t.csv")] if argv[0] == "simulate" else []

@@ -39,7 +39,6 @@ from qlstab.tensor import (
     Neighborhood,
     PureState,
     TensorSpace,
-    basis_state,
     make_dicke_4_2,
     make_ghz,
     make_graph_state,
@@ -50,6 +49,7 @@ from qlstab.tensor import (
 
 from oracles import (
     apply_generator_oracle,
+    basis_state,
     haar_unitary,
     invariance_oracle,
     real_form_oracle,
@@ -139,7 +139,7 @@ def traced_peak(fn):
 def _synthesized(psi, hoods, **kwargs):
     pattern = LocalityPattern(psi.space, tuple(Neighborhood(h) for h in hoods))
     return stabilizer_generator(
-        synthesize_stabilizers(psi, pattern, **kwargs), psi.space
+        synthesize_stabilizers(psi, pattern, **kwargs).operators, psi.space
     ), psi
 
 
@@ -165,7 +165,7 @@ def _oracle_fixture(name):
         return gen, basis_state(space, 0)
     if name == "dicke":
         psi, stabs = dicke_generator()
-        return stabilizer_generator(stabs, psi.space), psi
+        return stabilizer_generator(stabs.operators, psi.space), psi
     if name == "cluster5":
         psi = make_graph_state(5, [(i, i + 1) for i in range(4)])
         return _synthesized(psi, [(i, i + 1, i + 2) for i in range(3)])
@@ -226,7 +226,7 @@ class TestLindbladGeneratorType:
 class TestApplyGenerator:
     def test_dark_state_is_stationary(self):
         psi, stabs = dicke_generator()
-        gen = stabilizer_generator(stabs, psi.space)
+        gen = stabilizer_generator(stabs.operators, psi.space)
         out = apply_generator(gen, psi.density_matrix())
         assert np.linalg.norm(out) < 1e-9
 
@@ -441,7 +441,7 @@ class TestGasCertificate:
 
     def test_dicke_generator_certifies(self):
         psi, stabs = dicke_generator()
-        gen = stabilizer_generator(stabs, psi.space)
+        gen = stabilizer_generator(stabs.operators, psi.space)
         cert = gas_certificate(gen, psi)
         assert cert.certified
         assert cert.kernel_dim == 1
@@ -454,7 +454,7 @@ class TestGasCertificate:
 class TestCheckInvariance:
     def test_synthesized_operators_are_invariant(self):
         psi, stabs = dicke_generator()
-        gen = stabilizer_generator(stabs, psi.space)
+        gen = stabilizer_generator(stabs.operators, psi.space)
         diag = check_invariance(gen, psi)
         assert diag.invariant
         assert invariance_oracle(gen, psi).invariant
@@ -618,7 +618,7 @@ class TestEvolve:
 
     def test_dark_state_stays_put(self):
         psi, stabs = dicke_generator()
-        gen = stabilizer_generator(stabs, psi.space)
+        gen = stabilizer_generator(stabs.operators, psi.space)
         rho0 = psi.density_matrix()
         traj = evolve(gen, rho0, 1.0, dt=0.01, record_every=25)
         for _, state in traj:
@@ -685,7 +685,7 @@ class TestEvolve:
         # The traced peak of iterating the trajectory must not grow with the
         # number of recorded snapshots (16 D^2 bytes each).
         psi, stabs = dicke_generator()
-        gen = stabilizer_generator(stabs, psi.space)
+        gen = stabilizer_generator(stabs.operators, psi.space)
         rho0 = psi.density_matrix()
         snapshot = 16 * psi.space.dim**2
 
@@ -705,7 +705,7 @@ class TestEvolve:
     def test_snapshots_keep_trace_and_hermiticity(self):
         rng = np.random.default_rng(5)
         psi, stabs = dicke_generator()
-        gen = stabilizer_generator(stabs, psi.space)
+        gen = stabilizer_generator(stabs.operators, psi.space)
         rho0 = random_pure_state(psi.space, rng).density_matrix()
         traj = evolve(gen, rho0, 2.0, dt=0.01, record_every=50)
         for _, state in traj:
@@ -723,7 +723,7 @@ class TestSwitchedMap:
 
     def test_cycle_map_bits_match_scaling_a_copy(self):
         psi, stabs = dicke_generator()
-        gens = tuple(stabilizer_generators(stabs, psi.space))
+        gens = tuple(stabilizer_generators(stabs.operators, psi.space))
         for tau in (0.7, 1.0):
             expected = np.eye(psi.space.dim**2, dtype=complex)
             for gen in gens:
@@ -757,7 +757,7 @@ class TestSwitchedMap:
 
     def test_dicke_cycle_contracts(self):
         psi, stabs = dicke_generator()
-        gens = tuple(stabilizer_generators(stabs, psi.space))
+        gens = tuple(stabilizer_generators(stabs.operators, psi.space))
         total = switched_map(SwitchingSchedule(1.0, gens))
         mods = np.sort(np.abs(np.linalg.eigvals(total)))[::-1]
         assert mods[0] == pytest.approx(1.0, abs=1e-9)
@@ -767,7 +767,7 @@ class TestSwitchedMap:
 class TestSimulateSwitched:
     def test_dark_state_is_fixed_across_segments(self):
         psi, stabs = dicke_generator()
-        gens = tuple(stabilizer_generators(stabs, psi.space))
+        gens = tuple(stabilizer_generators(stabs.operators, psi.space))
         schedule = SwitchingSchedule(0.5, gens)
         traj = simulate_switched(schedule, psi.density_matrix(), 3, dt=0.01)
         rho_d = psi.density_matrix().matrix
@@ -811,7 +811,7 @@ class TestSimulateSwitched:
         # with the number of segment boundaries (16 D^2 bytes each).
         psi, stabs = dicke_generator()
         schedule = SwitchingSchedule(
-            0.05, tuple(stabilizer_generators(stabs, psi.space))
+            0.05, tuple(stabilizer_generators(stabs.operators, psi.space))
         )
         rho0 = psi.density_matrix()
         snapshot = 16 * psi.space.dim**2
@@ -833,7 +833,7 @@ class TestSimulateSwitched:
     def test_whole_cycle_trace_distance_contraction(self):
         rng = np.random.default_rng(8)
         psi, stabs = dicke_generator()
-        gens = tuple(stabilizer_generators(stabs, psi.space))
+        gens = tuple(stabilizer_generators(stabs.operators, psi.space))
         schedule = SwitchingSchedule(1.0, gens)
         target = psi.density_matrix()
         for _ in range(3):

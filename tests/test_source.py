@@ -36,6 +36,43 @@ def test_no_module_imports_warnings():
     assert offenders == []
 
 
+# The package modules each module may import from; None allows any. A layer
+# reads only the layers below it, so results cross layers as plain data.
+LAYERS = {
+    "tensor": set(),
+    "subspaces": {"tensor"},
+    "instances": {"tensor"},
+    "analysis": {"subspaces", "tensor"},
+    "synthesis": {"analysis", "subspaces", "tensor"},
+    "dynamics": {"subspaces", "tensor"},
+    "cli": None,
+    "__init__": None,
+}
+
+
+def _internal_imports(path):
+    """The package modules that ``path`` imports from by relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_modules_import_only_their_lower_layers():
+    assert sorted(path.stem for path in SOURCES) == sorted(LAYERS)
+    wrong = {
+        path.stem: sorted(_internal_imports(path))
+        for path in SOURCES
+        if LAYERS[path.stem] is not None
+        and _internal_imports(path) != LAYERS[path.stem]
+    }
+    assert wrong == {}
+
+
 def _module(path):
     return qlstab if path.stem == "__init__" else importlib.import_module(f"qlstab.{path.stem}")
 

@@ -21,7 +21,6 @@ from qlstab.tensor import (
     make_dicke_4_2,
     make_ghz,
     partial_trace,
-    random_density_matrix,
     random_pure_state,
 )
 
@@ -191,6 +190,20 @@ class TestIntersect:
             nested = no_notes(intersect([ab, c]))
             np.testing.assert_allclose(projector(abc), projector(nested), atol=1e-7)
 
+    def test_nearly_parallel_lines_fail_the_containment_check(self):
+        # 1 - cos(theta) = 5e-11 sits below INTERSECT_TOL, so the bisector of
+        # the two lines is kept, yet it lies sin(theta / 2) = 5e-6 outside
+        # each of them.
+        theta = 1e-5
+        line = Subspace(2, np.array([[np.cos(theta)], [np.sin(theta)]]))
+        with pytest.raises(ArithmeticError) as exc:
+            intersect([coordinate_span(2, [0]), line])
+        assert str(exc.value) == (
+            "intersection failed its containment check: a returned basis "
+            "vector sits 5.000e-06 outside an input subspace "
+            "(ill-conditioned inputs near the rank threshold)"
+        )
+
     def test_dimension_lower_bound(self):
         rng = np.random.default_rng(18)
         for _ in range(10):
@@ -230,7 +243,10 @@ class TestSupportContainmentProperty:
             if rng.random() < 0.5:
                 rho = random_pure_state(space, rng).density_matrix()
             else:
-                rho = random_density_matrix(space, rng, rank=2)
+                d = space.dim
+                g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+                mat = g @ g.conj().T
+                rho = DensityMatrix(space, mat / np.trace(mat).real)
             hoods = []
             for _ in range(int(rng.integers(1, 4))):
                 size = int(rng.integers(1, n + 1))

@@ -26,7 +26,6 @@ from qlstab.tensor import (
     LocalityPattern,
     Neighborhood,
     TensorSpace,
-    basis_state,
     embed,
     make_dicke_4_2,
     make_ghz,
@@ -34,6 +33,8 @@ from qlstab.tensor import (
     qubit_space,
     random_pure_state,
 )
+
+from oracles import basis_state
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -266,7 +267,7 @@ class TestSynthesizeStabilizers:
             psi.space, tuple(Neighborhood((i, i + 1, i + 2)) for i in range(3))
         )
         stabs = synthesize_stabilizers(psi, pattern)
-        cert = gas_certificate(stabilizer_generator(stabs, psi.space), psi)
+        cert = gas_certificate(stabilizer_generator(stabs.operators, psi.space), psi)
         assert cert.certified
         assert cert.kernel_dim == 1
         assert cert.gap == pytest.approx(1.026177178305575, rel=1e-6)

@@ -20,7 +20,6 @@ from qlstab.tensor import (
     TensorSpace,
     apply_local,
     apply_local_unitary,
-    basis_state,
     check_hermitian,
     embed,
     embed_frame,
@@ -35,6 +34,7 @@ from qlstab.tensor import (
 )
 
 from oracles import (
+    basis_state,
     cz_matrix_oracle,
     density_matrix_oracle,
     embed_oracle,
