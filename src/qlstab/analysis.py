@@ -102,7 +102,8 @@ class ParentHamiltonian:
     idempotent and their sum is positive semidefinite. No D x D matrix is
     held; the terms are the Hamiltonian. ``warnings`` holds the
     uncovered-subsystems note, if any, then the borderline support rank
-    calls in neighborhood order.
+    calls in neighborhood order, then any failed annihilation check that
+    followed a borderline rank decision.
     """
 
     space: TensorSpace
@@ -204,7 +205,7 @@ def check_dqls(
     notes = _coverage_notes(pattern)
     supports, terms, rank_notes = _complement_terms(psi, pattern, rtol)
     intersection, evals, margins = _sweep(psi.space, terms)
-    rank_notes += subspaces._borderline(evals, INTERSECT_TOL, "intersection")
+    rank_notes += subspaces.borderline_notes(evals, INTERSECT_TOL, "intersection")
     borderline = bool(rank_notes)
     notes += [f"borderline rank decision: {note}" for note in rank_notes]
     for term in terms:
@@ -259,15 +260,22 @@ def parent_hamiltonian(
 
     Every term annihilates the target, so the target is always a
     frustration-free ground state; the ground space is exactly the span of
-    the target precisely when the stabilizability verdict is true.
+    the target precisely when the stabilizability verdict is true. A failed
+    annihilation check raises, unless a support or intersection rank
+    decision was borderline; then it is a note, with the intersection one.
     """
     _, terms, notes = _complement_terms(psi, pattern, rtol)
     applied = sum(apply_local(term, psi.space, psi.amplitudes) for term in terms)
     residual = float(np.linalg.norm(applied))
     if not residual <= ANNIHILATION_TOL:
-        raise ArithmeticError(
-            f"parent Hamiltonian fails to annihilate the target ({residual:.3e})"
-        )
+        failure = f"parent Hamiltonian fails to annihilate the target ({residual:.3e})"
+        # As in check_dqls: after a borderline rank decision the failure is
+        # a note, since the verdict is indeterminate either way.
+        evals = _sweep(psi.space, terms)[1]
+        notes += subspaces.borderline_notes(evals, INTERSECT_TOL, "intersection")
+        if not notes:
+            raise ArithmeticError(failure)
+        notes.append(f"{failure}, after a borderline rank decision")
     notes = _coverage_notes(pattern) + notes
     return ParentHamiltonian(psi.space, tuple(terms), tuple(notes))
 

@@ -4,7 +4,8 @@ Commands: check-dqls, parent-ham, synthesize, certify, simulate. Reports go
 to stdout as JSON (default) or text, with all numerics at 12 significant
 digits; operator matrices and trajectory CSVs are written to caller-chosen
 paths. Identical instance and seed give bit-identical reports and CSVs,
-except for the "timings" section of the report.
+except for the "timings" section of the report, at a fixed BLAS thread
+count; certify's "eigenvalues" inside defective clusters move with it.
 
 Exit codes: 0 success, 2 unparseable input, 3 dimension mismatch,
 4 refusal to synthesize for an unstabilizable target, 5 dense-path
@@ -29,8 +30,8 @@ from . import analysis, dynamics, subspaces, synthesis
 from .instances import (
     InstanceFormatError,
     ProblemInstance,
-    _tolerance,
     load_instance,
+    parse_tolerance,
     read_noise_operators,
     write_noise_operators,
     write_parent_hamiltonian,
@@ -243,7 +244,7 @@ def _cmd_check_dqls(args, instance: ProblemInstance, rtol: float) -> dict:
 
 def _cmd_parent_ham(args, instance: ProblemInstance, rtol: float) -> dict:
     ham = analysis.parent_hamiltonian(instance.state, instance.pattern, rtol)
-    files = write_parent_hamiltonian(args.out, ham)
+    files = write_parent_hamiltonian(args.out, ham.space, ham.terms)
     kernel = ham.kernel()
     frustration_free = analysis.is_frustration_free(instance.state, ham.terms)
     return {
@@ -272,8 +273,9 @@ def _synthesize(instance: ProblemInstance, rtol: float, force: bool):
 
 def _cmd_synthesize(args, instance: ProblemInstance, rtol: float) -> dict:
     stabilizers = _synthesize(instance, rtol, args.force)
+    ops, gains = stabilizers.operators, stabilizers.gains
     files = write_noise_operators(
-        args.out, stabilizers, instance.gains_policy, instance.space.dims
+        args.out, ops, gains, instance.gains_policy, instance.space.dims
     )
     forced = (
         "synthesis was forced; if the target is not stabilizable the "
@@ -431,7 +433,7 @@ def _rule(rule: str, ok):
 
 
 # Same rule as an instance's "tolerance" field.
-_TOLERANCE = _flag(float, _tolerance)
+_TOLERANCE = _flag(float, parse_tolerance)
 _TIME = _flag(float, _rule("finite and >= 0", lambda v: 0.0 <= v < math.inf))
 _STEP = _flag(float, _rule("finite and > 0", lambda v: 0.0 < v < math.inf))
 _COUNT = _flag(int, _rule(">= 1", lambda v: v >= 1))

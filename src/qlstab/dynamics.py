@@ -629,11 +629,10 @@ def simulate_switched(
         t = 0.0
         for _ in range(cycles):
             for gen in schedule.generators:
-                if schedule.tau > 0.0:
-                    # Run the segment; ``state`` ends as its final snapshot.
-                    segment = evolve(gen, state, schedule.tau, dt, record_every=10**9)
-                    for _, state in segment:
-                        pass
+                # Run the segment; ``state`` ends as its final snapshot.
+                segment = evolve(gen, state, schedule.tau, dt, record_every=10**9)
+                for _, state in segment:
+                    pass
                 t += schedule.tau
                 yield t, state
 

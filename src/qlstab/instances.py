@@ -56,6 +56,7 @@ __all__ = [
     "parse_instance",
     "load_instance",
     "pairs_to_array",
+    "parse_tolerance",
     "write_operator_file",
     "read_operator_file",
     "write_parent_hamiltonian",
@@ -141,7 +142,7 @@ def _finite(value: Any, what: str) -> float:
     return number
 
 
-def _tolerance(value: Any) -> float:
+def parse_tolerance(value: Any) -> float:
     """A support tolerance: a finite number strictly between 0 and 1."""
     tolerance = _finite(value, "tolerance")
     if not 0.0 < tolerance < 1.0:
@@ -262,7 +263,7 @@ def parse_instance(data: Any) -> ProblemInstance:
 
     tolerance = data.get("tolerance")
     if tolerance is not None:
-        tolerance = _tolerance(tolerance)
+        tolerance = parse_tolerance(tolerance)
 
     gains_policy = data.get("gains_policy", "uniform")
     if gains_policy not in ("uniform", "graded"):
@@ -351,17 +352,19 @@ def _write_operators(directory: Path, stem, kind, operators, extras, dims) -> li
     return files
 
 
-def write_parent_hamiltonian(directory: str | Path, ham) -> list[str]:
-    """Write a :class:`~qlstab.analysis.ParentHamiltonian` as one
+def write_parent_hamiltonian(
+    directory: str | Path, space: TensorSpace, terms
+) -> list[str]:
+    """Write the parent Hamiltonian ``terms`` on ``space`` as one
     ``parent_term_{k:02d}.json`` per term, then ``parent_total.json``: the
     dense sum of the embedded terms, formed here and only here."""
-    directory, dims = Path(directory), ham.space.dims
-    extras = [{}] * len(ham.terms)
+    directory, dims = Path(directory), space.dims
+    extras = [{}] * len(terms)
     kind = "parent_hamiltonian_term"
-    files = _write_operators(directory, "parent_term", kind, ham.terms, extras, dims)
-    total = np.zeros((ham.space.dim, ham.space.dim), dtype=complex)
-    for term in ham.terms:
-        total += embed(term, ham.space)
+    files = _write_operators(directory, "parent_term", kind, terms, extras, dims)
+    total = np.zeros((space.dim, space.dim), dtype=complex)
+    for term in terms:
+        total += embed(term, space)
     path = directory / "parent_total.json"
     meta = {"kind": "parent_hamiltonian_total", "dims": list(dims)}
     write_operator_file(path, total, meta)
@@ -369,13 +372,13 @@ def write_parent_hamiltonian(directory: str | Path, ham) -> list[str]:
 
 
 def write_noise_operators(
-    directory: str | Path, stabilizers, policy: str, dims
+    directory: str | Path, operators, gains, policy: str, dims
 ) -> list[str]:
-    """Write a :class:`~qlstab.synthesis.StabilizerSet` as one
-    ``noise_op_{k:02d}.json`` per operator, with its gains and ``policy``."""
-    ops, kind = stabilizers.operators, "noise_operator"
-    extras = [{"gains": list(g), "gains_policy": policy} for g in stabilizers.gains]
-    return _write_operators(Path(directory), "noise_op", kind, ops, extras, dims)
+    """Write one ``noise_op_{k:02d}.json`` per operator, with its gains (one
+    tuple per operator) and ``policy``."""
+    extras = [{"gains": list(g), "gains_policy": policy} for g in gains]
+    kind = "noise_operator"
+    return _write_operators(Path(directory), "noise_op", kind, operators, extras, dims)
 
 
 def read_noise_operators(directory: str | Path) -> list[QLOperator]:

@@ -30,6 +30,8 @@ __all__ = [
     "ORTH_TOL",
     "INTERSECT_TOL",
     "SUPPORT_RTOL",
+    "RANK_MARGIN",
+    "borderline_notes",
     "Subspace",
     "support",
     "projector",
@@ -39,7 +41,7 @@ __all__ = [
 ]
 
 
-def _borderline(evals: np.ndarray, cutoff: float, decision: str) -> list[str]:
+def borderline_notes(evals: np.ndarray, cutoff: float, decision: str) -> list[str]:
     """A note when eigenvalues lie within a factor ``RANK_MARGIN`` of the cutoff."""
     near = [
         float(w)
@@ -106,7 +108,7 @@ def support(
     mat = rho.matrix
     evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     cutoff = rtol * float(evals[-1])
-    notes = _borderline(evals, cutoff, "support")
+    notes = borderline_notes(evals, cutoff, "support")
     return Subspace(mat.shape[0], evecs[:, evals > cutoff]), notes
 
 
@@ -158,7 +160,7 @@ def intersect(subspaces: Sequence[Subspace]) -> tuple[Subspace, list[str]]:
     for s in subs:
         accum -= projector(s)
     evals, evecs = np.linalg.eigh((accum + accum.conj().T) / 2.0)
-    notes = _borderline(evals, INTERSECT_TOL, "intersection")
+    notes = borderline_notes(evals, INTERSECT_TOL, "intersection")
     frame = evecs[:, evals < INTERSECT_TOL]
     for s in subs:
         if frame.shape[1] == 0:

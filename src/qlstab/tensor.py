@@ -358,13 +358,15 @@ def make_graph_state(n: int, edges: Iterable[tuple[int, int]]) -> PureState:
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
         edge_list.append(key)
-    idx = np.arange(2**n)
-    signs = np.zeros(2**n, dtype=np.int64)
+    # One axis per qubit; CZ on (u, v) flips the sign where both are 1.
+    signs = np.ones((2,) * n)
     for u, v in edge_list:
-        bit_u = (idx >> (n - 1 - u)) & 1
-        bit_v = (idx >> (n - 1 - v)) & 1
-        signs += bit_u * bit_v
-    amps = np.where(signs % 2 == 0, 1.0, -1.0).astype(complex) / 2 ** (n / 2.0)
+        corner = [slice(None)] * n
+        corner[u] = corner[v] = 1
+        signs[tuple(corner)] *= -1.0
+    amps = signs.reshape(-1).astype(complex)
+    del signs
+    amps /= 2 ** (n / 2.0)
     return PureState(qubit_space(n), amps)
 
 

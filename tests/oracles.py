@@ -156,6 +156,19 @@ def operator_file_oracle(matrix, meta):
     return json.dumps({"meta": meta, "matrix": pairs}, indent=1) + "\n"
 
 
+def graph_state_oracle(n, edges):
+    """Graph-state amplitudes by index arithmetic: ``(-1)**c / 2**(n/2)``,
+    where ``c`` counts the edges whose two qubits are both 1 in the
+    big-endian basis index."""
+    idx = np.arange(2**n)
+    signs = np.zeros(2**n, dtype=np.int64)
+    for u, v in edges:
+        bit_u = (idx >> (n - 1 - u)) & 1
+        bit_v = (idx >> (n - 1 - v)) & 1
+        signs += bit_u * bit_v
+    return np.where(signs % 2 == 0, 1.0, -1.0).astype(complex) / 2 ** (n / 2.0)
+
+
 def cz_matrix_oracle(n, u, v):
     """Full-space controlled-Z on qubits (u, v) as I - 2 P1_u P1_v."""
     eye2 = np.eye(2)

@@ -17,6 +17,7 @@ from qlstab.subspaces import (
     INTERSECT_TOL,
     ORTH_TOL,
     Subspace,
+    borderline_notes,
     equals,
     intersect,
     projector,
@@ -261,7 +262,7 @@ class TestDenseOracleAgreement:
         total = parent_total_oracle(ham)
         dense_kernel = np.linalg.eigvalsh(total) < INTERSECT_TOL
         assert int(np.sum(dense_kernel)) == oracle.dim
-        instances.write_parent_hamiltonian(tmp_path, ham)
+        instances.write_parent_hamiltonian(tmp_path, ham.space, ham.terms)
         meta = {"kind": "parent_hamiltonian_total", "dims": list(psi.space.dims)}
         written = (tmp_path / "parent_total.json").read_text()
         assert written == operator_file_oracle(total, meta)
@@ -345,7 +346,7 @@ class TestPureTargetPipeline:
         assert is_frustration_free(psi, ham.terms)
         assert calls == []
         assert sizes and max(sizes) < psi.space.dim
-        instances.write_parent_hamiltonian(tmp_path, ham)
+        instances.write_parent_hamiltonian(tmp_path, ham.space, ham.terms)
         assert calls == list(pattern.neighborhoods)
 
     def test_no_full_space_density_matrix(self, monkeypatch):
@@ -508,6 +509,29 @@ class TestBorderlineNotesAsData:
         assert sub.dim == 0
         assert len(notes) == 1
         assert notes[0].startswith("intersection rank decision is borderline")
+
+
+    def test_borderline_annihilation_failures_are_notes(self):
+        # At rtol 1e-6 the singleton supports drop the 5e-9 weight, so no
+        # term annihilates the target; the sweep's Gram eigenvalues sit in
+        # the borderline band, so both builders note the failure.
+        psi, pattern = _borderline_two_qubit()
+        ham = parent_hamiltonian(psi, pattern, 1e-6)
+        evals = analysis._sweep(psi.space, ham.terms)[1]
+        sweep_notes = borderline_notes(evals, INTERSECT_TOL, "intersection")
+        assert len(sweep_notes) == 1
+        assert ham.warnings == (
+            sweep_notes[0],
+            "parent Hamiltonian fails to annihilate the target (1.414e-04), "
+            "after a borderline rank decision",
+        )
+        stabs = synthesis.synthesize_stabilizers(psi, pattern, force=True, rtol=1e-6)
+        failed = [w for w in stabs.warnings if "fails to annihilate" in w]
+        assert failed == [
+            f"synthesized operator on ({k},) fails to annihilate the target "
+            f"(residual {stabs.residuals[k + 1]:.3e}), after a borderline rank decision"
+            for k in (0, 1)
+        ]
 
 
 class TestLocalUnitaryInvariance:

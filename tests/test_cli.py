@@ -292,6 +292,45 @@ class TestExitCodes:
         assert code == 4
         assert "indeterminate because of a borderline rank decision" in err
 
+    def test_borderline_annihilation_failures_are_notes(self, tmp_path, capsys):
+        # The instance check-dqls calls indeterminate above: the annihilation
+        # checks fail too, after the same borderline rank decision, so every
+        # command reports them as notes. The 1e-13 default-tolerance instance
+        # of test_numerical_failure_exit_code has no borderline rank call
+        # and still exits 7 on every command.
+        inst = two_qubit_instance(tmp_path, 5e-9)
+        after = ", after a borderline rank decision"
+        argv = ["parent-ham", inst, "--tolerance", "1e-6", "--out",
+                str(tmp_path / "ham")]
+        code, report, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert report["kernel_dim"] == 1
+        notes = report["warnings"]
+        assert len(notes) == 2
+        assert notes[0].startswith("intersection rank decision is borderline")
+        assert notes[1] == (
+            f"parent Hamiltonian fails to annihilate the target (1.414e-04){after}"
+        )
+        annihilation = [
+            f"synthesized operator on ({k},) fails to annihilate the target "
+            f"(residual 2.121e-04){after}"
+            for k in (0, 1)
+        ]
+        for words in (
+            ["synthesize", "--out", str(tmp_path / "ops")],
+            ["certify"],
+            ["simulate", "--csv", str(tmp_path / "t.csv"), "--t-final", "0.1",
+             "--trajectories", "1"],
+        ):
+            argv = [words[0], inst, "--tolerance", "1e-6", "--force", *words[1:]]
+            code, report, err = run_cli(capsys, argv)
+            assert (code, err) == (0, ""), words[0]
+            notes = report["warnings"]
+            assert [n for n in notes if n.startswith("synthesized")] == annihilation
+            if words[0] == "certify":
+                assert report["certified"] is False
+                assert "stationary state differs from the target by 6.667e-05" in notes
+
 
     @pytest.mark.parametrize(
         "key, value, fragment",

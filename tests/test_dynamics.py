@@ -785,6 +785,15 @@ class TestSimulateSwitched:
             switched[-1][1].matrix, direct[-1][1].matrix, atol=1e-8
         )
 
+    def test_zero_interval_yields_the_initial_state(self):
+        rng = np.random.default_rng(8)
+        gens = (LindbladGenerator(Q1, None, (LOWER,)), LindbladGenerator(Q1, None, (SZ,)))
+        rho0 = random_density_matrix(Q1, rng)
+        traj = list(simulate_switched(SwitchingSchedule(0.0, gens), rho0, 3))
+        assert [t for t, _ in traj] == [0.0] * 7
+        for _, state in traj:
+            assert state.matrix.tobytes() == rho0.matrix.tobytes()
+
     @pytest.mark.parametrize(
         "kwargs, error",
         [

@@ -4,6 +4,8 @@ reading a file back returns the written matrix bit for bit."""
 
 import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +22,9 @@ from qlstab.instances import (
     read_operator_file,
     write_operator_file,
 )
-from qlstab.tensor import DimensionMismatchError
+from qlstab.tensor import DimensionMismatchError, Neighborhood, QLOperator, TensorSpace
 
-from oracles import operator_file_oracle, random_mps
+from oracles import operator_file_oracle, parent_total_oracle, random_mps
 
 # Scalars a JSON document can hold that are never a valid integer.
 ODD = st.one_of(
@@ -225,6 +227,39 @@ def test_cli_operator_files_equal_the_encoder(tmp_path, monkeypatch, capsys, nam
     assert len(written) == 2 * n_hoods + 1
     for path, matrix, meta in written:
         assert path.read_bytes() == operator_file_oracle(matrix, meta).encode()
+
+
+def test_writers_take_plain_operator_lists(tmp_path):
+    # A list of QLOperator and a list of gain tuples are all the writers
+    # read; no analysis or synthesis result is needed.
+    rng = np.random.default_rng(4)
+    space = TensorSpace((2, 3, 2))
+    ops = [
+        QLOperator(Neighborhood(hood), rng.standard_normal((d, d))
+                   + 1j * rng.standard_normal((d, d)))
+        for hood, d in (((0, 1), 6), ((2,), 2))
+    ]
+    gains = [(1.0, 2.0, 3.0, 4.0, 5.0), (2.5,)]
+    files = instances.write_noise_operators(
+        tmp_path / "ops", ops, gains, "graded", space.dims
+    )
+    files += instances.write_parent_hamiltonian(tmp_path / "ham", space, ops)
+    dims = list(space.dims)
+    expected = [
+        (op.block, {"kind": "noise_operator", "neighborhood": list(op.neighborhood.indices),
+                    "gains": list(g), "gains_policy": "graded", "dims": dims})
+        for op, g in zip(ops, gains)
+    ] + [
+        (op.block, {"kind": "parent_hamiltonian_term",
+                    "neighborhood": list(op.neighborhood.indices), "dims": dims})
+        for op in ops
+    ] + [
+        (parent_total_oracle(SimpleNamespace(space=space, terms=ops)),
+         {"kind": "parent_hamiltonian_total", "dims": dims})
+    ]
+    assert len(files) == len(expected)
+    for path, (matrix, meta) in zip(files, expected):
+        assert Path(path).read_bytes() == operator_file_oracle(matrix, meta).encode()
 
 
 def _nest(leaves, shape):

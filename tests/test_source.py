@@ -90,14 +90,52 @@ def test_every_all_entry_resolves():
     assert missing == []
 
 
+# The modules whose ``__all__`` the package re-exports, in import order.
+REEXPORTED = ("tensor", "subspaces", "analysis", "synthesis", "dynamics")
+
+
 def test_package_reexports_only_module_public_names():
-    exported = {name for path in SOURCES for name in _public_names(path)}
+    exported = {
+        name for stem in REEXPORTED
+        for name in importlib.import_module(f"qlstab.{stem}").__all__
+    }
     reexports = {
         name for name, value in vars(qlstab).items()
         if not name.startswith("_") and not isinstance(value, type(qlstab))
     }
     assert reexports
-    assert sorted(reexports - exported) == []
+    assert sorted(reexports ^ exported) == []
+
+
+def _cross_module_uses(path):
+    """(module, name, line) for each name that ``path`` takes from another
+    package module: ``from .m import x`` and ``m.x`` where ``from . import m``
+    binds ``m``."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound, uses = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module and alias.name != "*":
+                    uses.append((node.module, alias.name, node.lineno))
+                elif not node.module and alias.name != "__version__":
+                    bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            uses.append((bound[node.value.id], node.attr, node.lineno))
+    return uses
+
+
+def test_modules_use_only_each_others_public_names():
+    # ``__all__`` is the one declaration of what a module shares.
+    private = [
+        f"{path.name}:{line}:{module}.{name}"
+        for path in SOURCES
+        for module, name, line in _cross_module_uses(path)
+        if name not in importlib.import_module(f"qlstab.{module}").__all__
+    ]
+    assert private == []
 
 
 def test_no_module_imports_an_unused_name():

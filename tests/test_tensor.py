@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,7 @@ from oracles import (
     cz_matrix_oracle,
     density_matrix_oracle,
     embed_oracle,
+    graph_state_oracle,
     haar_unitary,
     partial_trace_oracle,
     ptrace_oracle,
@@ -289,6 +291,30 @@ class TestFactories:
         for n, edges in ((3, [(0, 1), (0, 2)]), (4, [(0, 1), (1, 2), (2, 3), (3, 0)])):
             amps = make_graph_state(n, edges).amplitudes
             np.testing.assert_allclose(np.abs(amps), 2 ** (-n / 2.0))
+
+    @given(st.data())
+    def test_graph_state_bits_equal_the_index_oracle(self, data):
+        n = data.draw(st.integers(1, 8), "n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                           if pairs else st.just([]), "edges")
+        # Either orientation of an edge is the same CZ gate.
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in chosen]
+        amps = make_graph_state(n, edges).amplitudes
+        assert amps.tobytes() == graph_state_oracle(n, edges).tobytes()
+
+    def test_graph_state_peak_memory_below_three_state_sizes(self):
+        # The +-1 signs are kept as floats, half a complex state, and freed
+        # before the amplitudes are scaled in place.
+        n = 16
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        tracemalloc.start()
+        try:
+            make_graph_state(n, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * 2**n
 
     def test_graph_state_rejects_bad_edges(self):
         with pytest.raises(ValueError):
