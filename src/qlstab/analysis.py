@@ -155,7 +155,7 @@ def _sweep(space: TensorSpace, terms: Sequence[QLOperator]):
         frame = widened @ evecs[:, kept]
         covered = union
     frame = _widen(frame, covered, list(range(space.n_subsystems)), space)
-    kernel = Subspace(space.dim, np.transpose([_fix_phase(v) for v in frame.T]))
+    kernel = Subspace(space.dim, _fix_phase(frame))
     return kernel, np.concatenate(spectra), tuple(margins)
 
 
@@ -201,6 +201,9 @@ def check_dqls(
 
     Raises:
         DimensionMismatchError: if state and pattern live on different spaces.
+        ArithmeticError: if the target escapes the intersection, or the
+            intersection a support, with no borderline rank decision; after
+            one, either failure is a note and the verdict is indeterminate.
     """
     notes = _coverage_notes(pattern)
     supports, terms, rank_notes = _complement_terms(psi, pattern, rtol)
@@ -211,31 +214,21 @@ def check_dqls(
     for term in terms:
         applied = apply_local(term, psi.space, intersection.frame)
         worst = float(np.max(np.linalg.norm(applied, axis=0), initial=0.0))
-        if worst <= ORTH_TOL:
-            continue
-        failure = (
-            "intersection failed its containment check: a returned basis "
-            f"vector sits {worst:.3e} outside an input subspace"
-        )
-        if not borderline:
-            raise ArithmeticError(
-                f"{failure} (ill-conditioned inputs near the rank threshold)"
+        if not worst <= ORTH_TOL:
+            subspaces.note_or_raise(
+                "intersection failed its containment check: a returned basis "
+                f"vector sits {worst:.3e} outside an input subspace",
+                borderline, notes, " (ill-conditioned inputs near the rank threshold)",
             )
-        # A rank call already sat at its tolerance boundary, so the verdict
-        # is indeterminate either way: report the failure instead of raising.
-        notes.append(f"{failure}, after a borderline rank decision")
-        break
+            break
 
-    # The intersection provably contains the target; a violation means the
-    # numerics failed outright, not that the state is unstabilizable.
+    # The intersection holds the target unless a cutoff truncated a support.
     overlap = intersection.frame.conj().T @ psi.amplitudes
-    residual = float(
-        np.linalg.norm(psi.amplitudes - intersection.frame @ overlap)
-    )
+    residual = float(np.linalg.norm(psi.amplitudes - intersection.frame @ overlap))
     if not residual <= ANNIHILATION_TOL:
-        raise ArithmeticError(
-            f"target escaped the intersection subspace by {residual:.3e}; "
-            "support thresholds are inconsistent with this input"
+        subspaces.note_or_raise(
+            f"target escaped the intersection subspace by {residual:.3e}",
+            borderline, notes, "; support thresholds are inconsistent with this input",
         )
 
     # For a one-dimensional intersection the residual is the spectral-norm
@@ -268,14 +261,12 @@ def parent_hamiltonian(
     applied = sum(apply_local(term, psi.space, psi.amplitudes) for term in terms)
     residual = float(np.linalg.norm(applied))
     if not residual <= ANNIHILATION_TOL:
-        failure = f"parent Hamiltonian fails to annihilate the target ({residual:.3e})"
-        # As in check_dqls: after a borderline rank decision the failure is
-        # a note, since the verdict is indeterminate either way.
         evals = _sweep(psi.space, terms)[1]
         notes += subspaces.borderline_notes(evals, INTERSECT_TOL, "intersection")
-        if not notes:
-            raise ArithmeticError(failure)
-        notes.append(f"{failure}, after a borderline rank decision")
+        subspaces.note_or_raise(
+            f"parent Hamiltonian fails to annihilate the target ({residual:.3e})",
+            bool(notes), notes,
+        )
     notes = _coverage_notes(pattern) + notes
     return ParentHamiltonian(psi.space, tuple(terms), tuple(notes))
 
@@ -299,12 +290,12 @@ def is_frustration_free(psi: PureState, terms: Sequence[QLOperator]) -> bool:
     return True
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Deterministic global phase: the first entry whose magnitude is within
-    ``ORTH_TOL`` of the largest is made real positive, so entries tied in
-    magnitude (graph states, GHZ) do not leave the choice to roundoff."""
-    mags = np.abs(vec)
-    k = int(np.argmax(mags >= mags.max() - ORTH_TOL))
-    phase = vec[k] / mags[k]
-    return vec / phase
+def _fix_phase(frame: np.ndarray) -> np.ndarray:
+    """Deterministic global phase per column: the first entry within
+    ``ORTH_TOL`` of the column's largest magnitude is made real positive, so
+    ties in magnitude (graph states, GHZ) do not leave the choice to roundoff."""
+    mags = np.abs(frame)
+    first = np.argmax(mags >= mags.max(axis=0) - ORTH_TOL, axis=0)[None]
+    phases = np.take_along_axis(frame, first, 0) / np.take_along_axis(mags, first, 0)
+    return frame / phases
 

@@ -32,6 +32,7 @@ __all__ = [
     "SUPPORT_RTOL",
     "RANK_MARGIN",
     "borderline_notes",
+    "note_or_raise",
     "Subspace",
     "support",
     "projector",
@@ -56,6 +57,15 @@ def borderline_notes(evals: np.ndarray, cutoff: float, decision: str) -> list[st
     ]
 
 
+def note_or_raise(failure: str, borderline: bool, notes: list[str], cause: str = ""):
+    """A failed rank-dependent check: after a borderline rank decision the
+    verdict is indeterminate either way, so ``failure`` becomes a note in
+    ``notes``; otherwise it raises ``ArithmeticError(failure + cause)``."""
+    if not borderline:
+        raise ArithmeticError(failure + cause)
+    notes.append(f"{failure}, after a borderline rank decision")
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Subspace of C^ambient_dim represented by an orthonormal column frame."""
@@ -69,7 +79,7 @@ class Subspace:
             raise ValueError("ambient dimension must be positive")
         frame = np.array(self.frame, dtype=complex)
         if frame.ndim != 2:
-            frame = frame.reshape(d, -1)
+            raise DimensionMismatchError(f"frame must be 2-D, got shape {frame.shape}")
         if frame.shape[0] != d:
             raise DimensionMismatchError(
                 f"frame has {frame.shape[0]} rows, ambient dimension is {d}"
@@ -125,8 +135,6 @@ def complete_frame(frame: np.ndarray, ambient_dim: int) -> np.ndarray:
     the input frame itself; the rest span its orthogonal complement.
     """
     frame = np.asarray(frame, dtype=complex)
-    if frame.ndim != 2:
-        frame = frame.reshape(ambient_dim, -1)
     k = frame.shape[1]
     if k == 0:
         return np.eye(ambient_dim, dtype=complex)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import ANNIHILATION_TOL, DqlsReport, check_dqls
-from .subspaces import SUPPORT_RTOL, Subspace, complete_frame
+from .subspaces import SUPPORT_RTOL, Subspace, complete_frame, note_or_raise
 from .tensor import (
     LocalityPattern,
     PureState,
@@ -179,13 +179,11 @@ def synthesize_stabilizers(
         residual = float(np.linalg.norm(apply_local(op, psi.space, psi.amplitudes)))
         residuals.append(residual)
         if not residual <= ANNIHILATION_TOL:
-            failure = (
+            note_or_raise(
                 f"synthesized operator on {op.neighborhood.indices} fails to "
-                f"annihilate the target (residual {residual:.3e})"
+                f"annihilate the target (residual {residual:.3e})",
+                report.borderline, notes,
             )
-            if not report.borderline:
-                raise ArithmeticError(failure)
-            notes.append(f"{failure}, after a borderline rank decision")
     return StabilizerSet(
         tuple(operators), tuple(all_gains), tuple(residuals), tuple(notes)
     )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlstab import analysis, instances, synthesis
@@ -533,6 +533,71 @@ class TestBorderlineNotesAsData:
             for k in (0, 1)
         ]
 
+    @example(weight_exponent=math.log10(5e-12), hoods=((0,), (1,)))
+    @example(weight_exponent=-13.0, hoods=((0, 1), (0,), (1,)))
+    @given(
+        weight_exponent=st.floats(-15.0, -8.0),
+        hoods=st.sampled_from([((0,), (1,)), ((0, 1), (0,), (1,))]),
+    )
+    def test_builders_raise_together(self, weight_exponent, hoods):
+        # sqrt(1 - w)|00> + sqrt(w)|11> at the default tolerance: from w = 1e-8
+        # down to about 1e-12 each singleton support drops w in a borderline
+        # rank call, so every failed check is a note; below that band the drop
+        # is no borderline call and every builder raises. The range stops at
+        # 1e-15: from about 1e-17 to 1e-16 the dropped amplitude sits at the
+        # checks' own tolerances (ORTH_TOL, ANNIHILATION_TOL), where the
+        # builders, measuring different residuals, do not agree.
+        w = 10.0**weight_exponent
+        amps = np.zeros(4, dtype=complex)
+        amps[0], amps[3] = math.sqrt(1 - w), math.sqrt(w)
+        psi = PureState(qubit_space(2), amps)
+        pattern = pattern_of(psi.space, hoods)
+
+        def raises(build):
+            try:
+                build(psi, pattern)
+            except ArithmeticError:
+                return True
+            return False
+
+        def forced(psi, pattern):
+            return synthesis.synthesize_stabilizers(psi, pattern, force=True)
+
+        outcomes = {raises(check_dqls), raises(parent_hamiltonian), raises(forced)}
+        assert len(outcomes) == 1
+
+
+def _draw_mps_and_windows(data):
+    """A random bond-2 MPS on n <= 5 subsystems of dimension 2 or 3 with its
+    sliding windows of a drawn width; about half such instances pass."""
+    dims = tuple(data.draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5)))
+    n = len(dims)
+    psi = random_mps(dims, 2, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    width = data.draw(st.integers(1, n))
+    return psi, [tuple(range(i, i + width)) for i in range(n - width + 1)]
+
+
+class TestJointPermutation:
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_relabelling_subsystems_keeps_the_report(self, data):
+        psi, hoods = _draw_mps_and_windows(data)
+        dims = psi.space.dims
+        # Subsystem j of the relabelled instance is subsystem perm[j] here.
+        perm = data.draw(st.permutations(range(len(dims))))
+        space = TensorSpace(tuple(dims[a] for a in perm))
+        moved = PureState(space, psi.amplitudes.reshape(dims).transpose(perm).reshape(-1))
+        new_index = {old: new for new, old in enumerate(perm)}
+        moved_hoods = [tuple(new_index[a] for a in hood) for hood in hoods]
+        base = check_dqls(psi, pattern_of(psi.space, hoods))
+        relabelled = check_dqls(moved, pattern_of(space, moved_hoods))
+        assert relabelled.verdict == base.verdict
+        assert relabelled.borderline == base.borderline
+        assert relabelled.intersection_dim == base.intersection_dim
+        assert [sup.dim for sup in relabelled.supports] == [
+            sup.dim for sup in base.supports
+        ]
+
 
 class TestLocalUnitaryInvariance:
     def test_verdicts_survive_local_rotations(self):
@@ -570,6 +635,20 @@ class TestMonotonicity:
             # Adding neighborhoods only shrinks the intersection toward the
             # target, never away from it.
             assert check_dqls(psi, richer).verdict == check_dqls(psi, base).verdict
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_growing_a_neighborhood_never_widens_the_intersection(self, data):
+        psi, hoods = _draw_mps_and_windows(data)
+        k = data.draw(st.integers(0, len(hoods) - 1))
+        extra = data.draw(st.sets(st.integers(0, psi.space.n_subsystems - 1)))
+        grown = list(hoods)
+        grown[k] = tuple(sorted(set(hoods[k]) | extra))
+        base = check_dqls(psi, pattern_of(psi.space, hoods))
+        richer = check_dqls(psi, pattern_of(psi.space, grown))
+        assume(not base.borderline and not richer.borderline)
+        assert richer.intersection_dim <= base.intersection_dim
+        assert richer.verdict or not base.verdict
 
 
 class TestParentHamiltonian:

@@ -60,6 +60,26 @@ def two_qubit_instance(tmp_path, weight):
     )
 
 
+def escape_instances(tmp_path):
+    """Two instances whose target escapes the intersection after a borderline
+    support rank call, with their extra flags: A is sqrt(1 - 5e-12)|00> +
+    sqrt(5e-12)|11> on {0}, {1}; B is sqrt(1 - 5e-7)|01> + sqrt(5e-7)|10> on
+    {0, 1}, {0}, {1} at tolerance 1e-6."""
+    a, b = np.sqrt(1 - 5e-12), np.sqrt(5e-12)
+    inst_a = write_instance(
+        tmp_path / "escape_a.json",
+        {"dims": [2, 2], "state": [[a, 0.0], [0.0, 0.0], [0.0, 0.0], [b, 0.0]],
+         "neighborhoods": [[0], [1]]},
+    )
+    a, b = np.sqrt(1 - 5e-7), np.sqrt(5e-7)
+    inst_b = write_instance(
+        tmp_path / "escape_b.json",
+        {"dims": [2, 2], "state": [[0.0, 0.0], [a, 0.0], [b, 0.0], [0.0, 0.0]],
+         "neighborhoods": [[0, 1], [0], [1]]},
+    )
+    return [inst_a], [inst_b, "--tolerance", "1e-6"]
+
+
 def uncovered_ghz3_instance(tmp_path):
     """GHZ(3) with the one neighborhood {0, 1}: qubit 2 is uncovered."""
     return write_instance(
@@ -331,6 +351,64 @@ class TestExitCodes:
                 assert report["certified"] is False
                 assert "stationary state differs from the target by 6.667e-05" in notes
 
+    def test_escaped_target_after_a_borderline_call_is_indeterminate(
+        self, tmp_path, capsys
+    ):
+        # Each support drops a Schmidt weight inside the borderline band, so
+        # the target escapes the intersection (by sqrt(5e-12) on A, entirely
+        # on B, whose intersection is empty). That is a note on every
+        # command; with no borderline call it would exit 7.
+        after = ", after a borderline rank decision"
+        for (inst, *flags), dim, escape in zip(
+            escape_instances(tmp_path), (1, 0), ("2.236e-06", "1.000e+00")
+        ):
+            code, report, err = run_cli(capsys, ["check-dqls", inst, *flags])
+            assert (code, err) == (0, "")
+            assert report["verdict"] == "indeterminate"
+            assert report["intersection_dim"] == dim
+            assert report["warnings"][-1] == (
+                f"target escaped the intersection subspace by {escape}{after}"
+            )
+            argv = ["synthesize", inst, *flags, "--out", str(tmp_path / "ops")]
+            code, _, err = run_cli(capsys, argv)
+            assert code == 4
+            assert "indeterminate because of a borderline rank decision" in err
+            argv = ["parent-ham", inst, *flags, "--out", str(tmp_path / "ham")]
+            code, report, err = run_cli(capsys, argv)
+            assert (code, err, report["kernel_dim"]) == (0, "", dim)
+
+    def test_forced_commands_on_an_escaped_target_note_the_failures(
+        self, tmp_path, capsys
+    ):
+        (inst,), _ = escape_instances(tmp_path)
+        annihilation = [
+            f"synthesized operator on ({k},) fails to annihilate the target "
+            "(residual 6.708e-06), after a borderline rank decision"
+            for k in (0, 1)
+        ]
+        for words in (
+            ["synthesize", "--out", str(tmp_path / "ops")],
+            ["certify"],
+            ["simulate", "--csv", str(tmp_path / "t.csv"), "--t-final", "0.1",
+             "--trajectories", "1"],
+        ):
+            code, report, err = run_cli(capsys, [words[0], inst, "--force", *words[1:]])
+            assert (code, err) == (0, ""), words[0]
+            notes = report["warnings"]
+            assert [n for n in notes if n.startswith("synthesized")] == annihilation
+            if words[0] == "certify":
+                assert report["certified"] is False
+                assert notes[-1] == "stationary state differs from the target by 3.162e-06"
+
+    def test_empty_intersection_renders_an_empty_basis(self, tmp_path, capsys):
+        _, (inst, *flags) = escape_instances(tmp_path)
+        assert main(["check-dqls", inst, *flags]) == 0
+        assert '\n  "intersection_basis": [],\n' in capsys.readouterr().out
+        assert main(["check-dqls", inst, *flags, "--output", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("intersection_basis:")
+        assert lines[at + 1] == "per_neighborhood:"
+
 
     @pytest.mark.parametrize(
         "key, value, fragment",
@@ -374,6 +452,33 @@ class TestExitCodes:
         assert report is None
         assert "gain_scale must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, code, message",
+        [
+            ("tolerance", 10**400, 2, f"tolerance must be finite, got {10**400}"),
+            ("state", {"edges": []}, 2, "state object needs a string 'name' field"),
+            ("state", 5, 2, "unsupported state descriptor 5"),
+            ("state", "psi_t", 3,
+             "dimension mismatch: state 'psi_t' is a 4-qubit state; dims are [2, 2]"),
+            ("state", {"name": "graph", "edges": [[0, 0]]}, 2,
+             "self-loop edge (0, 0) is not allowed"),
+            ("state", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], 2,
+             "state amplitudes must be a flat list of pairs"),
+            ("neighborhoods", [], 2, "neighborhoods must be a non-empty list of lists"),
+            ("gain_scale", 0, 2, "gain_scale must be strictly positive"),
+        ],
+        ids=["tolerance-overflow", "state-without-name", "state-number",
+             "psi_t-two-qubits", "graph-self-loop", "amplitudes-2d",
+             "no-neighborhoods", "gain-scale-zero"],
+    )
+    def test_instance_rejections_name_the_rule(
+        self, tmp_path, capsys, key, value, code, message
+    ):
+        data = {"dims": [2, 2], "state": "ghz", "neighborhoods": [[0, 1]]}
+        data[key] = value
+        inst = write_instance(tmp_path / "odd.json", data)
+        assert run_cli(capsys, ["check-dqls", inst]) == (code, None, f"error: {message}\n")
 
 
 class TestSynthesizeCommand:
@@ -783,6 +888,27 @@ class TestSimulateCommand:
         assert lines[0] == "trajectory_id,t,fidelity,trace_distance,purity"
         assert len(lines) == 1 + report["rows"]
         assert report["min_final_fidelity"] > 0.5
+
+    def test_zero_operators_take_the_default_step(self, tmp_path, capsys):
+        # A Bell pair on {0}, {1}: both supports fill their qubit, so forced
+        # synthesis gives two zero operators. Their generator's norm bound is
+        # 0, so the default step is 0.01.
+        amp = 1 / math.sqrt(2)
+        inst = write_instance(
+            tmp_path / "bell.json",
+            {"dims": [2, 2], "state": [[amp, 0.0], [0.0, 0.0], [0.0, 0.0], [amp, 0.0]],
+             "neighborhoods": [[0], [1]]},
+        )
+        csv_path = tmp_path / "traj.csv"
+        code, report, err = run_cli(
+            capsys,
+            ["simulate", inst, "--force", "--csv", str(csv_path), "--t-final", "0.05",
+             "--trajectories", "2"],
+        )
+        assert (code, err, report["rows"]) == (0, "", 12)
+        rows = csv_path.read_text().splitlines()[1:]
+        times = [row.split(",")[1] for row in rows]
+        assert times == ["0", "0.01", "0.02", "0.03", "0.04", "0.05"] * 2
 
     def test_zero_time_keeps_initial_rows_only(self, tmp_path, capsys):
         csv_path = tmp_path / "traj.csv"
@@ -1268,6 +1394,32 @@ class TestMalformedOperatorFiles:
         assert code == 2
         assert report is None
         assert fragment in err
+
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (None, "no noise_op_*.json files in {dir}"),
+            ({"meta": {"neighborhood": [0, 1]}},
+             "{path}: not an operator file (no 'matrix' key)"),
+            ({"meta": {"neighborhood": [0, 1]}, "matrix": [[[[1.0, 0.0]]]]},
+             "{path}: matrix must be two-dimensional"),
+            ({"meta": {"kind": "noise_operator"}, "matrix": [[[0.0, 0.0]]]},
+             "{path}: missing 'neighborhood' metadata"),
+        ],
+        ids=["empty-directory", "no-matrix", "three-dimensional", "no-neighborhood"],
+    )
+    def test_certify_rejects_the_directory(self, tmp_path, capsys, payload, message):
+        ops_dir = tmp_path / "ops"
+        ops_dir.mkdir()
+        path = ops_dir / "noise_op_00.json"
+        if payload is not None:
+            path.write_text(json.dumps(payload))
+        code, report, err = run_cli(
+            capsys, ["certify", ghz2_instance(tmp_path), "--operators", str(ops_dir)]
+        )
+        assert (code, report) == (2, None)
+        assert err == f"error: {message.format(dir=ops_dir, path=path)}\n"
 
 
 class TestSafetyBranches:

@@ -35,6 +35,7 @@ from qlstab.dynamics import _from_real, _real_form
 from qlstab.synthesis import synthesize_stabilizers
 from qlstab.tensor import (
     DensityMatrix,
+    DimensionMismatchError,
     LocalityPattern,
     Neighborhood,
     PureState,
@@ -221,6 +222,36 @@ class TestLindbladGeneratorType:
 
         with pytest.raises(DimensionMismatchError):
             LindbladGenerator(Q1, np.eye(3), ())
+
+
+class TestSpaceAndShapeRejections:
+    """Each guard on shapes and spaces raises its own message."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: LindbladGenerator(Q1, None, (np.eye(3),)), DimensionMismatchError,
+             "noise operator 0 shape (3, 3) does not match dim 2"),
+            (lambda: SwitchingSchedule(1.0, ()), ValueError,
+             "a schedule needs at least one generator"),
+            (lambda: SwitchingSchedule(1.0, (
+                LindbladGenerator(Q1, None, (LOWER,)),
+                LindbladGenerator(qubit_space(2), None, (np.eye(4),)),
+            )), DimensionMismatchError, "schedule generators mix spaces"),
+            (lambda: apply_generator(LindbladGenerator(Q1, None, (LOWER,)), np.eye(3)),
+             DimensionMismatchError, "state shape (3, 3) does not match generator dim 2"),
+            (lambda: gas_certificate(LindbladGenerator(Q1, None, (LOWER,)), make_ghz(2)),
+             DimensionMismatchError, "target and generator live on different spaces"),
+            (lambda: check_invariance(LindbladGenerator(Q1, None, (LOWER,)), make_ghz(2)),
+             DimensionMismatchError, "state and generator live on different spaces"),
+        ],
+        ids=["noise-op-shape", "no-generators", "mixed-spaces", "state-shape",
+             "certificate-space", "invariance-space"],
+    )
+    def test_rejections_name_the_rule(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestApplyGenerator:

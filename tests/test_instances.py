@@ -4,6 +4,7 @@ reading a file back returns the written matrix bit for bit."""
 
 import json
 import math
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -152,6 +153,46 @@ def test_operator_file_round_trip_keeps_every_bit(tmp_path_factory, matrix):
     assert meta == {"kind": "test"}
     assert back.shape == matrix.shape
     assert back.tobytes() == matrix.tobytes()
+
+
+SQUARE_PAIRS = st.integers(1, 4).flatmap(
+    lambda d: arrays(np.float64, (d, d, 2), elements=FLOAT)
+).map(lambda pairs: pairs.tolist())
+HOOD = st.one_of(INDICES, st.lists(SCALAR, max_size=3), NESTED)
+# A well-formed file, or one with each key missing or replaced.
+OPERATOR_FILE = st.one_of(
+    st.fixed_dictionaries(
+        {"meta": st.fixed_dictionaries({"neighborhood": INDICES}), "matrix": SQUARE_PAIRS}
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "meta": st.one_of(NESTED, st.fixed_dictionaries({}, optional={"neighborhood": HOOD})),
+            "matrix": st.one_of(
+                SQUARE_PAIRS, st.lists(st.lists(PAIR, max_size=3), max_size=3), NESTED
+            ),
+        },
+    ),
+    NESTED,
+)
+
+
+@given(st.lists(OPERATOR_FILE, max_size=2))
+def test_noise_operator_files_read_as_operators_or_fail_as_input(files):
+    # The CLI maps both errors to its input exit codes: 2 for a malformed
+    # file, 3 for a matrix that is not square.
+    with tempfile.TemporaryDirectory() as directory:
+        for k, payload in enumerate(files):
+            Path(directory, f"noise_op_{k:02d}.json").write_text(json.dumps(payload))
+        try:
+            operators = instances.read_noise_operators(directory)
+        except (InstanceFormatError, DimensionMismatchError):
+            return
+    assert len(operators) == len(files)
+    for op in operators:
+        assert isinstance(op, QLOperator)
+        assert op.block.ndim == 2 and op.block.shape[0] == op.block.shape[1]
+        assert np.isfinite(op.block).all()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -202,6 +202,31 @@ def test_only_check_hermitian_computes_the_asymmetry():
     assert owners == ["tensor.py:check_hermitian"]
 
 
+def test_one_function_notes_a_failed_check_after_a_borderline_call():
+    # subspaces.note_or_raise alone decides what a failed rank-dependent
+    # check means, so no check can drift from the rule.
+    owners = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        enclosing = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and ", after a borderline rank decision" in node.value):
+                owners.append(f"{path.name}:{enclosing.get(id(node), '<module>')}")
+    assert owners == ["subspaces.py:note_or_raise"]
+
+
+def test_rank_dependent_checks_raise_only_through_note_or_raise():
+    raises = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.stem in ("analysis", "synthesis")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ArithmeticError"
+    ]
+    assert raises == []
+
+
 def test_outer_products_only_where_a_density_matrix_is_the_product():
     # A pure target is handled through its amplitudes; |psi><psi| is formed
     # only when a caller asks for the density matrix, and by the spectral

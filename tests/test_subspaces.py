@@ -9,6 +9,7 @@ from qlstab.subspaces import (
     complete_frame,
     equals,
     intersect,
+    note_or_raise,
     projector,
     support,
 )
@@ -59,6 +60,38 @@ class TestSubspaceType:
         sub = Subspace(3, np.zeros((3, 0)))
         assert sub.dim == 0
         np.testing.assert_allclose(projector(sub), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "ambient, frame, error, message",
+        [
+            (0, np.zeros((0, 0)), ValueError, "ambient dimension must be positive"),
+            (3, np.eye(2), DimensionMismatchError,
+             "frame has 2 rows, ambient dimension is 3"),
+            (2, np.ones((2, 3)) / 2, DimensionMismatchError,
+             "frame has 3 columns in ambient dimension 2"),
+            (2, np.array([1.0, 0.0]), DimensionMismatchError,
+             "frame must be 2-D, got shape (2,)"),
+        ],
+        ids=["ambient-zero", "row-count", "too-many-columns", "one-dimensional"],
+    )
+    def test_rejects_malformed_frames(self, ambient, frame, error, message):
+        with pytest.raises(error) as info:
+            Subspace(ambient, frame)
+        assert str(info.value) == message
+
+
+class TestNoteOrRaise:
+    def test_raises_without_a_borderline_decision(self):
+        notes = ["earlier"]
+        with pytest.raises(ArithmeticError) as info:
+            note_or_raise("check failed", False, notes, "; cause")
+        assert str(info.value) == "check failed; cause"
+        assert notes == ["earlier"]
+
+    def test_notes_after_a_borderline_decision(self):
+        notes = ["earlier"]
+        assert note_or_raise("check failed", True, notes, "; cause") is None
+        assert notes == ["earlier", "check failed, after a borderline rank decision"]
 
 
 class TestSupport:
@@ -229,6 +262,14 @@ class TestEquals:
         sub = random_subspace(6, 3, rng)
         mixed = Subspace(6, sub.frame @ haar_unitary(3, rng))
         assert equals(sub, mixed)
+
+    def test_unequal_dimensions_differ(self):
+        assert not equals(coordinate_span(3, [0]), coordinate_span(3, [0, 1]))
+
+    def test_different_ambient_spaces_are_rejected(self):
+        with pytest.raises(DimensionMismatchError) as info:
+            equals(coordinate_span(2, [0]), coordinate_span(3, [0]))
+        assert str(info.value) == "ambient dimensions differ: 2 vs 3"
 
 
 class TestSupportContainmentProperty:

@@ -70,6 +70,11 @@ class TestGainPolicies:
             with pytest.raises(ValueError, match="finite"):
                 gains_for("uniform", 2, scale=scale)
 
+    def test_negative_count(self):
+        with pytest.raises(ValueError) as info:
+            gains_for("uniform", -1)
+        assert str(info.value) == "gain count must be non-negative"
+
 
 class TestSynthesizeBlock:
     def test_smallest_instance_is_lowering_operator(self):
@@ -104,6 +109,11 @@ class TestSynthesizeBlock:
     def test_rejects_full_support(self):
         with pytest.raises(ValueError):
             synthesize_block(axis_subspace(3, [0, 1, 2]), ())
+
+    def test_rejects_the_zero_subspace(self):
+        with pytest.raises(ValueError) as info:
+            synthesize_block(Subspace(3, np.zeros((3, 0))), (1.0, 1.0, 1.0))
+        assert str(info.value) == "cannot stabilize the zero subspace"
 
     def test_rejects_zero_gain_and_bad_count(self):
         sub = axis_subspace(3, [0])

@@ -107,6 +107,29 @@ class TestTypes:
         with pytest.raises(DimensionMismatchError):
             QLOperator(Neighborhood((0,)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: DensityMatrix(qubit_space(2), np.eye(2) / 2),
+             DimensionMismatchError, "expected array of shape (4, 4), got (2, 2)"),
+            (lambda: embed_frame(np.eye(3), Neighborhood((0,)), qubit_space(2)),
+             DimensionMismatchError, "frame has 3 rows, neighborhood dimension is 2"),
+            (lambda: Neighborhood((0, -1)), ValueError,
+             "negative subsystem index in (0, -1)"),
+            (lambda: LocalityPattern(qubit_space(2), ()), ValueError,
+             "a locality pattern needs at least one neighborhood"),
+            (lambda: make_ghz(0), ValueError, "GHZ state needs n >= 1 qubits"),
+            (lambda: make_graph_state(0, []), ValueError,
+             "graph state needs n >= 1 qubits"),
+        ],
+        ids=["density-shape", "embed-frame-rows", "negative-index", "empty-pattern",
+             "ghz-zero", "graph-zero"],
+    )
+    def test_rejections_name_the_rule(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
     def test_values_are_frozen(self):
         psi = make_ghz(2)
         with pytest.raises(ValueError):
