@@ -154,16 +154,14 @@ def _text(value, indent: int = 0) -> list[str]:
         entries = [(f"{pad}{k}:", v) for k, v in value.items()]
     elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
         entries = [(f"{pad}-", v) for v in value]
-    elif isinstance(value, np.ndarray):
-        # One line per float, or three per complex entry, filled in by one
-        # %-operation.
+    else:
+        # A 1-D array: one line per float, or three per complex entry,
+        # filled in by one %-operation.
         if value.dtype.kind == "f":
             entry = f"{pad}- %.12g"
         else:
             entry = f"{pad}-\n{pad}  - %.12g\n{pad}  - %.12g"
         return ["\n".join([entry] * len(value)) % _floats(value)] if len(value) else []
-    else:
-        return [f"{pad}{_scalar_text(value)}"]
     lines: list[str] = []
     for head, v in entries:
         if isinstance(v, (dict, list, np.ndarray)):

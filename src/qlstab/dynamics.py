@@ -7,7 +7,11 @@ checks that the target is the unique stationary state and that no purely
 rotating invariant structure survives. Because the generator maps Hermitian
 matrices to Hermitian matrices, the certificate works on its real form in
 a Hermitian basis: eigenvalues come from a real eigensolver without
-eigenvectors, and the stationary state from one bordered linear solve.
+eigenvectors, one call per connected component of the real form's exact
+nonzero pattern, and the stationary state from one bordered linear solve.
+With real noise operators and no Hamiltonian the generator commutes with
+transposition, so symmetric and antisymmetric coordinates never mix and
+the real form splits into at least two blocks.
 Time evolution uses a fixed-step classical 4th-order integrator with a
 trace-drift guard; cyclic switching composes per-neighborhood semigroup
 maps through dense matrix exponentials.
@@ -352,6 +356,33 @@ def _steady_state(real: np.ndarray, d: int) -> np.ndarray | None:
     return unstack(_from_real(vec), d)
 
 
+def _components(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a square boolean pattern read as an
+    undirected graph: i and j are joined when entry (i, j) or (j, i) is set.
+
+    Returns each component's indices in ascending order, components in
+    order of their smallest index; together they partition the rows. A
+    matrix with this nonzero pattern is block diagonal once its rows and
+    columns are grouped by component, so its spectrum is the union of the
+    spectra of those principal blocks. Each component grows from its
+    smallest unlabelled index by a frontier search: the next frontier is
+    every unlabelled index joined to the current one.
+    """
+    pattern = pattern | pattern.T
+    label = np.full(pattern.shape[0], -1)
+    count = 0
+    for seed in range(label.size):
+        if label[seed] >= 0:
+            continue
+        frontier = np.array([seed])
+        while frontier.size:
+            label[frontier] = count
+            frontier = np.flatnonzero(pattern[frontier].any(axis=0) & (label < 0))
+        count += 1
+    members = np.argsort(label, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(label))[:-1])
+
+
 def gas_certificate(
     gen: LindbladGenerator, target: PureState, *, dim_cap: int = DEFAULT_DIM_CAP
 ) -> GasCertificate:
@@ -366,9 +397,16 @@ def gas_certificate(
 
     The vectorized generator is conjugated in place into its real form in a
     Hermitian basis (see :func:`_real_form`), which has the same spectrum.
-    Only its eigenvalues are computed; they are exactly conjugate-symmetric.
-    With a one-dimensional kernel the stationary state comes from one
-    solve, with the first diagonal row replaced by the trace functional.
+    Only its eigenvalues are computed, block by block: the connected
+    components of the real form's exact nonzero pattern (see
+    :func:`_components`) index principal blocks whose spectra together are
+    the real form's, and each block takes one real eigensolve. A connected
+    pattern is one block holding the whole real form. The eigenvalues are
+    exactly conjugate-symmetric; they are sorted before anything reads
+    them, so the warnings list them in the report's order. With a
+    one-dimensional kernel the stationary state comes from one solve on
+    the whole real form, with the first diagonal row replaced by the trace
+    functional.
 
     Raises:
         DimensionCapError: above ``dim_cap``; use a trajectory-based check
@@ -388,7 +426,10 @@ def gas_certificate(
         real = _real_form(vectorize(gen), d)
     if not np.isfinite(real).all():
         raise ArithmeticError("generator is too large: its real form overflows")
-    evals = np.linalg.eigvals(real).astype(complex, copy=False)
+    evals = np.concatenate(
+        [np.linalg.eigvals(real[np.ix_(b, b)]) for b in _components(real != 0)]
+    ).astype(complex, copy=False)
+    evals = evals[np.lexsort((evals.imag, evals.real))]
     worst = float(np.max(evals.real))
     if worst > RANK_MARGIN * EIG_TOL:
         raise ArithmeticError(
@@ -434,10 +475,7 @@ def gas_certificate(
     if rotating:
         messages.append(f"rotating invariant structure: eigenvalues {rotating}")
         certified = False
-    order = np.lexsort((evals.imag, evals.real))
-    return GasCertificate(
-        certified, evals[order], kernel_dim, gap, steady, tuple(messages)
-    )
+    return GasCertificate(certified, evals, kernel_dim, gap, steady, tuple(messages))
 
 
 def check_invariance(gen: LindbladGenerator, psi: PureState) -> InvarianceDiagnostics:

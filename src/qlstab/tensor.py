@@ -75,10 +75,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_hermitian(mat, bound: float, what: str, error=ValueError) -> None:
+def check_hermitian(
+    mat, bound: float, what: str, error=ValueError, adjoint=None
+) -> None:
     """The one Hermiticity guard: raise ``error``, naming ``what``, unless
-    max |A - A^dag| <= ``bound``. A NaN entry fails it."""
-    asym = float(np.max(np.abs(mat - mat.conj().T)))
+    max |A - A^dag| <= ``bound``. A NaN entry fails it. ``adjoint``, when
+    given, is A^dag already formed."""
+    if adjoint is None:
+        adjoint = mat.conj().T
+    asym = float(np.max(np.abs(mat - adjoint)))
     if not asym <= bound:
         raise error(f"{what} is not Hermitian (asymmetry {asym:.3e})")
 
@@ -168,25 +173,29 @@ class DensityMatrix:
     def __post_init__(self, herm_tol, trace_tol, psd_tol):
         d = self.space.dim
         mat = _as_complex_matrix(self.matrix, (d, d))
-        check_hermitian(mat, herm_tol, "matrix")
+        # One conjugate transpose serves all three checks.
+        adjoint = mat.conj().T
+        check_hermitian(mat, herm_tol, "matrix", adjoint=adjoint)
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= trace_tol:
             raise ValueError(f"trace {tr!r} is not 1 within {trace_tol}")
-        if not _cholesky_certifies(mat, tr, psd_tol):
-            lam_min = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+        if not _cholesky_certifies(mat, tr, psd_tol, adjoint):
+            lam_min = float(np.linalg.eigvalsh((mat + adjoint) / 2.0)[0])
             if not lam_min >= -psd_tol:
                 raise ValueError(f"matrix has negative eigenvalue {lam_min:.3e}")
         object.__setattr__(self, "matrix", _freeze(mat))
 
 
-def _cholesky_certifies(mat: np.ndarray, trace: complex, psd_tol: float) -> bool:
+def _cholesky_certifies(
+    mat: np.ndarray, trace: complex, psd_tol: float, adjoint: np.ndarray
+) -> bool:
     """True if one Cholesky factorization proves that the smallest eigenvalue
     of H = (mat + mat^dag)/2, as ``eigvalsh`` computes it, is >= -psd_tol.
 
     ``mat`` is n x n and has passed the Hermiticity and trace checks;
-    ``trace`` is its computed trace. Let s = psd_tol/2, u = 2^-53 and let A
-    be H with s added to its stored diagonal, so A = H + sI + E with E
-    diagonal and |E_ii| <= u |H_ii + s|.
+    ``trace`` is its computed trace and ``adjoint`` is mat^dag. Let
+    s = psd_tol/2, u = 2^-53 and let A be H with s added to its stored
+    diagonal, so A = H + sI + E with E diagonal and |E_ii| <= u |H_ii + s|.
 
     - If Cholesky runs to completion on A, the computed factor satisfies
       R^dag R = A + dA with |dA| <= g |R^dag| |R| (Higham, *Accuracy and
@@ -228,7 +237,8 @@ def _cholesky_certifies(mat: np.ndarray, trace: complex, psd_tol: float) -> bool
     eig_err = n * u * (total / (1.0 - n * g) + chol_err + s)
     if not (n * g < 1.0 and chol_err + eig_err <= s / 2.0 < math.inf):
         return False
-    shifted = (mat + mat.conj().T) / 2.0
+    shifted = mat + adjoint
+    shifted /= 2.0
     shifted.flat[:: n + 1] += s
     try:
         np.linalg.cholesky(shifted)

@@ -31,7 +31,8 @@ from qlstab.dynamics import (
     unstack,
     vectorize,
 )
-from qlstab.dynamics import _from_real, _real_form
+from qlstab import dynamics
+from qlstab.dynamics import _components, _from_real, _real_form
 from qlstab.synthesis import synthesize_stabilizers
 from qlstab.tensor import (
     DensityMatrix,
@@ -91,11 +92,14 @@ def eig_certificate(gen, target, tol=EIG_TOL, state_tol=1e-7):
     """Dense oracle: the certificate from complex eig with eigenvectors.
 
     The kernel vector at the eigenvalue of least modulus, divided by its
-    trace, is the stationary state. Returns (certified, kernel_dim,
-    abscissa, steady_state, messages).
+    trace, is the stationary state. Warnings quote eigenvalues sorted by
+    real, then imaginary part, as the certificate reports them. Returns
+    (certified, kernel_dim, abscissa, steady_state, messages).
     """
     d = gen.space.dim
     evals, evecs = np.linalg.eig(vectorize(gen))
+    order = np.lexsort((evals.imag, evals.real))
+    evals, evecs = evals[order], evecs[:, order]
     zero = np.abs(evals) <= tol
     kernel_dim = int(np.count_nonzero(zero))
     nonzero = evals[~zero]
@@ -142,6 +146,20 @@ def _synthesized(psi, hoods, **kwargs):
     return stabilizer_generator(
         synthesize_stabilizers(psi, pattern, **kwargs).operators, psi.space
     ), psi
+
+
+ORACLE_FIXTURES = [
+    "amplitude_damping",
+    "dephasing",
+    "rotating",
+    "slow_damping",
+    "zero",
+    "random_qubit_qutrit",
+    "dicke",
+    "cluster5",
+    "ring4",
+    "ghz5_forced",
+]
 
 
 def _oracle_fixture(name):
@@ -404,21 +422,7 @@ class TestGasCertificate:
         assert cert.steady_state is None
         assert "kernel dimension is 2, need exactly 1" in cert.messages
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "amplitude_damping",
-            "dephasing",
-            "rotating",
-            "slow_damping",
-            "zero",
-            "random_qubit_qutrit",
-            "dicke",
-            "cluster5",
-            "ring4",
-            "ghz5_forced",
-        ],
-    )
+    @pytest.mark.parametrize("name", ORACLE_FIXTURES)
     def test_matches_dense_eig_oracle(self, name):
         # Full spectra are not compared: eigenvalues inside defective
         # (Jordan) clusters move by up to ~1e-2 between LAPACK routes.
@@ -480,6 +484,132 @@ class TestGasCertificate:
         np.testing.assert_allclose(
             cert.steady_state, psi.density_matrix().matrix, atol=1e-7
         )
+
+
+def full_matrix_certificate(gen, target):
+    """The certificate with the whole real form taken as one block: a
+    single ``eigvals`` of the D^2 x D^2 matrix."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            dynamics, "_components", lambda pattern: [np.arange(len(pattern))]
+        )
+        return gas_certificate(gen, target)
+
+
+def _connected_block(k, rng):
+    """Random k x k boolean pattern whose graph is connected: a path over a
+    shuffled order of the indices, each edge set in one direction only,
+    plus random extra entries."""
+    block = rng.random((k, k)) < 0.2
+    order = rng.permutation(k)
+    for a, b in zip(order, order[1:]):
+        if rng.random() < 0.5:
+            a, b = b, a
+        block[a, b] = True
+    return block
+
+
+class TestComponents:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_block_diagonal_pattern(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        pattern = np.zeros((n, n), dtype=bool)
+        starts = np.cumsum([0] + sizes)
+        for lo, hi in zip(starts, starts[1:]):
+            pattern[lo:hi, lo:hi] = _connected_block(hi - lo, rng)
+        perm = rng.permutation(n)
+        # Entry (a, b) of the permuted pattern is entry (perm[a], perm[b]).
+        permuted = pattern[np.ix_(perm, perm)]
+        where = np.argsort(perm)
+        want = sorted(
+            (np.sort(where[lo:hi]) for lo, hi in zip(starts, starts[1:])),
+            key=lambda c: c[0],
+        )
+        got = _components(permuted)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+        # A matrix with this pattern has the union of its principal blocks'
+        # spectra; symmetric, so that the eigenvalues are well conditioned.
+        raw = rng.standard_normal((n, n))
+        mat = np.where(permuted | permuted.T, raw + raw.T, 0.0)
+        union = [np.linalg.eigvalsh(mat[np.ix_(c, c)]) for c in got]
+        np.testing.assert_allclose(
+            np.sort(np.concatenate(union)), np.linalg.eigvalsh(mat), rtol=0, atol=1e-10
+        )
+
+    def test_isolated_indices_are_singletons(self):
+        pattern = np.eye(5, dtype=bool)
+        pattern[1, 1] = False
+        got = _components(pattern)
+        assert [c.tolist() for c in got] == [[0], [1], [2], [3], [4]]
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_connected_pattern_is_one_component(self, n):
+        got = _components(np.ones((n, n), dtype=bool))
+        assert [c.tolist() for c in got] == [list(range(n))]
+
+
+class TestBlockSpectrum:
+    @pytest.mark.parametrize("name", ORACLE_FIXTURES)
+    def test_matches_the_full_matrix_route(self, name):
+        gen, target = _oracle_fixture(name)
+        got = gas_certificate(gen, target)
+        want = full_matrix_certificate(gen, target)
+        assert got.certified == want.certified
+        assert got.kernel_dim == want.kernel_dim
+        assert got.gap == pytest.approx(want.gap, rel=1e-12)
+        if want.steady_state is None:
+            assert got.steady_state is None
+        else:
+            assert got.steady_state.tobytes() == want.steady_state.tobytes()
+        assert_same_messages(got.messages, want.messages)
+
+    @pytest.mark.parametrize(
+        "name, blocks",
+        [("cluster5", [528, 496]), ("ring4", [136, 120]), ("dicke", [136, 120]),
+         ("random_qubit_qutrit", [36])],
+    )
+    def test_block_sizes(self, name, blocks):
+        gen, _ = _oracle_fixture(name)
+        real = _real_form(vectorize(gen), gen.space.dim)
+        assert [len(c) for c in _components(real != 0)] == blocks
+
+    # Each example builds and solves at most a 81 x 81 real form twice.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2),
+        n_ops=st.integers(1, 3),
+        with_ham=st.booleans(),
+        real_noise=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_noise_splits_and_complex_noise_keeps_its_bits(
+        self, dims, n_ops, with_ham, real_noise, seed
+    ):
+        # With real noise operators and no Hamiltonian, L(X^T) = L(X)^T, so
+        # symmetric and antisymmetric coordinates never mix.
+        rng = np.random.default_rng(seed)
+        space = TensorSpace(tuple(dims))
+        d = space.dim
+        if real_noise:
+            ops = tuple(rng.standard_normal((d, d)) for _ in range(n_ops))
+            gen = LindbladGenerator(space, None, ops)
+        else:
+            gen = random_generator(space, rng, n_ops, with_ham)
+        blocks = _components(_real_form(vectorize(gen), d) != 0)
+        target = basis_state(space, 0)
+        if real_noise:
+            assert len(blocks) >= 2
+        else:
+            assert len(blocks) == 1
+            got = gas_certificate(gen, target)
+            want = full_matrix_certificate(gen, target)
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.messages == want.messages
 
 
 class TestCheckInvariance:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -187,17 +188,42 @@ def _enclosing_functions(tree):
     return enclosing
 
 
+def _adjoint_bindings(tree):
+    """Map id(node) -> {name: dump of X} over the names that the innermost
+    function enclosing the node assigns X^dag to."""
+    bindings = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = {}
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)):
+                    operand = _adjoint_operand(node.value)
+                    if operand is not None:
+                        names[node.targets[0].id] = ast.dump(operand)
+            bindings.update((id(node), names) for node in ast.walk(func))
+    return bindings
+
+
 def test_only_check_hermitian_computes_the_asymmetry():
     # max |A - A^dag| has one owner, so no Hermiticity check can drift from
-    # the NaN-safe comparison in tensor.check_hermitian.
+    # the NaN-safe comparison in tensor.check_hermitian. A^dag may be spelled
+    # out or be a name that the same function assigned it to.
     owners = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         enclosing = _enclosing_functions(tree)
+        bindings = _adjoint_bindings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
                 operand = _adjoint_operand(node.right)
-                if operand is not None and ast.dump(operand) == ast.dump(node.left):
+                if operand is not None:
+                    adjoint_of = ast.dump(operand)
+                elif isinstance(node.right, ast.Name):
+                    adjoint_of = bindings.get(id(node), {}).get(node.right.id)
+                else:
+                    adjoint_of = None
+                if adjoint_of is not None and adjoint_of == ast.dump(node.left):
                     owners.append(f"{path.name}:{enclosing.get(id(node), '<module>')}")
     assert owners == ["tensor.py:check_hermitian"]
 
@@ -281,6 +307,28 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         check=True,
     )
     assert out.stdout == "False\n"
+
+
+def test_certify_leaves_scipy_unloaded(tmp_path):
+    # The certificate needs numpy alone; a scipy import anywhere on this
+    # path would add its import time to every certify process.
+    env = dict(os.environ, PYTHONPATH=str(Path(qlstab.__file__).parents[1]))
+    instance = tmp_path / "dicke.json"
+    instance.write_text(json.dumps({
+        "dims": [2, 2, 2, 2],
+        "state": "psi_t",
+        "neighborhoods": [[0, 1, 2], [1, 2, 3]],
+    }))
+    probe = (
+        "import sys, qlstab.cli; code = qlstab.cli.main(['certify', sys.argv[1]]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(instance)], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert '"certified": true' in out.stdout
 
 
 def test_benchmark_tracer_installs_on_the_package():

@@ -209,7 +209,9 @@ class TestPositivityCertificate:
                            defect, tols)
         # The certificate alone, at every n (a space needs n >= 2): it never
         # accepts a matrix that the oracle's positivity check rejects.
-        if defect is None and tensor._cholesky_certifies(mat, np.trace(mat), tols[2]):
+        if defect is None and tensor._cholesky_certifies(
+            mat, np.trace(mat), tols[2], mat.conj().T
+        ):
             assert density_matrix_oracle(mat, *tols) is None
         if n >= 2:
             _assert_validates_like_the_oracle(mat, tols)
@@ -221,7 +223,9 @@ class TestPositivityCertificate:
         mats = [_planted(n, v, rng) for v in PSD_VALUES]
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
         for mat in mats:
-            assert tensor._cholesky_certifies(mat, np.trace(mat), tols[2])
+            assert tensor._cholesky_certifies(
+                mat, np.trace(mat), tols[2], mat.conj().T
+            )
             if n >= 2:
                 herm_tol, trace_tol, psd_tol = tols
                 DensityMatrix(TensorSpace((n,)), mat, herm_tol=herm_tol,
