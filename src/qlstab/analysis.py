@@ -234,6 +234,12 @@ def check_dqls(
     # For a one-dimensional intersection the residual is the spectral-norm
     # distance between its projector and the target's.
     verdict = intersection.dim == 1 and residual <= ORTH_TOL
+    # Above ANNIHILATION_TOL the escape note already explains the verdict.
+    if intersection.dim == 1 and ORTH_TOL < residual <= ANNIHILATION_TOL:
+        notes.append(
+            f"verdict false: the target lies {residual:.3e} from the "
+            f"one-dimensional intersection, above ORTH_TOL {ORTH_TOL:.3e}"
+        )
     if verdict and borderline:
         verdict = False
         notes.append(
@@ -285,7 +291,7 @@ def is_frustration_free(psi: PureState, terms: Sequence[QLOperator]) -> bool:
         # Tensoring with the identity leaves the set of eigenvalues unchanged,
         # so the minimum can be read off the block.
         lam_min = float(np.linalg.eigvalsh((term.block + term.block.conj().T) / 2)[0])
-        if abs(expectation - lam_min) > INTERSECT_TOL:
+        if not abs(expectation - lam_min) <= INTERSECT_TOL:
             return False
     return True
 

@@ -295,8 +295,14 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
         stabilizers = _synthesize(instance, rtol, args.force)
         ops = stabilizers.operators
         notes = list(stabilizers.warnings)
-    gen = dynamics.stabilizer_generator(ops, instance.space)
     dim = instance.space.dim
+    # Refuse before the generator embeds each operator as a D x D matrix.
+    if dim > args.dim_cap and not args.evidence_fallback:
+        raise dynamics.DimensionCapError(
+            f"dimension {dim} exceeds the dense spectral cap {args.dim_cap}; "
+            "rerun with --evidence-fallback for trajectory evidence"
+        )
+    gen = dynamics.stabilizer_generator(ops, instance.space)
     if dim <= args.dim_cap:
         started = time.perf_counter()
         cert = dynamics.gas_certificate(gen, instance.state, dim_cap=args.dim_cap)
@@ -311,11 +317,6 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
             "warnings": notes + list(cert.messages),
             "timings": {"certificate_s": certificate_s},
         }
-    if not args.evidence_fallback:
-        raise dynamics.DimensionCapError(
-            f"dimension {dim} exceeds the dense spectral cap {args.dim_cap}; "
-            "rerun with --evidence-fallback for trajectory evidence"
-        )
     rng = np.random.default_rng(args.seed)
     finals = []
     for _ in range(args.trajectories):

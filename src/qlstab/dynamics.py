@@ -431,7 +431,7 @@ def gas_certificate(
     ).astype(complex, copy=False)
     evals = evals[np.lexsort((evals.imag, evals.real))]
     worst = float(np.max(evals.real))
-    if worst > RANK_MARGIN * EIG_TOL:
+    if not worst <= RANK_MARGIN * EIG_TOL:
         raise ArithmeticError(
             f"generator spectrum reaches into the right half plane ({worst:.3e}); "
             "the input is not a valid dissipative generator"
@@ -460,7 +460,7 @@ def gas_certificate(
         else:
             rho_target = np.outer(target.amplitudes, target.amplitudes.conj())
             deviation = float(np.linalg.norm(steady - rho_target))
-            if deviation > STEADY_STATE_TOL:
+            if not deviation <= STEADY_STATE_TOL:
                 messages.append(
                     f"stationary state differs from the target by {deviation:.3e}"
                 )
@@ -587,7 +587,7 @@ def _integrate(
                 f"t={k * dt_eff:.6g} (dt={dt_eff:.3e}); reduce the step size"
             )
         drift = abs(mat.trace() - 1.0)
-        if drift > TRACE_DRIFT_LIMIT:
+        if not drift <= TRACE_DRIFT_LIMIT:
             raise IntegrationError(
                 f"trace drifted by {drift:.3e} at t={k * dt_eff:.6g} "
                 f"(dt={dt_eff:.3e}); reduce the step size"

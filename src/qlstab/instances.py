@@ -191,10 +191,7 @@ def _build_state(space: TensorSpace, descriptor: Any) -> tuple[PureState, str]:
         return make_ghz(n), name
     if name == "w":
         require_qubits(name)
-        try:
-            return make_w(n), name
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+        return make_w(n), name
     if name == "psi_t":
         if dims != (2, 2, 2, 2):
             raise DimensionMismatchError(
@@ -210,10 +207,7 @@ def _build_state(space: TensorSpace, descriptor: Any) -> tuple[PureState, str]:
             edge_pairs = [(_integer(u, "edge"), _integer(v, "edge")) for u, v in edges]
         except (TypeError, ValueError) as exc:
             raise InstanceFormatError(f"malformed edge list: {exc}") from exc
-        try:
-            return make_graph_state(n, edge_pairs), name
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+        return make_graph_state(n, edge_pairs), name
     raise InstanceFormatError(
         f"unknown state name {name!r} (use ghz, w, graph, psi_t, or amplitudes)"
     )
@@ -248,12 +242,15 @@ def parse_instance(data: Any) -> ProblemInstance:
     if not isinstance(raw_dims, list):
         raise InstanceFormatError("dims must be a list of integers")
     dims = tuple(_integer(d, "dims") for d in raw_dims)
+    # The one translation site: any other ValueError from the tensor layer
+    # (a dimension rule, a factory's argument or size) is a malformed instance.
     try:
         space = TensorSpace(dims)
+        state, label = _build_state(space, _require(data, "state"))
+    except (InstanceFormatError, DimensionMismatchError):
+        raise
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
-
-    state, label = _build_state(space, _require(data, "state"))
 
     raw_hoods = _require(data, "neighborhoods")
     if not isinstance(raw_hoods, list) or not raw_hoods:

@@ -175,7 +175,7 @@ def intersect(subspaces: Sequence[Subspace]) -> tuple[Subspace, list[str]]:
             break
         residual = frame - s.frame @ (s.frame.conj().T @ frame)
         worst = float(np.max(np.linalg.norm(residual, axis=0)))
-        if worst > ORTH_TOL:
+        if not worst <= ORTH_TOL:
             raise ArithmeticError(
                 "intersection failed its containment check: a returned basis "
                 f"vector sits {worst:.3e} outside an input subspace "

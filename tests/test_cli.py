@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import tempfile
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +22,7 @@ from qlstab import analysis, cli, dynamics
 from qlstab.cli import main
 from qlstab.instances import load_instance, read_operator_file
 from qlstab.subspaces import Subspace, support
+from qlstab.tensor import NORM_TOL
 
 from oracles import apply_generator_oracle, partial_trace_oracle, report_oracle
 
@@ -143,6 +145,30 @@ class TestCheckDqls:
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict: true" in out
+
+
+    def test_false_verdict_from_the_target_distance_is_explained(
+        self, tmp_path, capsys
+    ):
+        # The singleton supports drop the weight 5e-17, far below the
+        # borderline band; the target then lies sqrt(5e-17) from the
+        # one-dimensional intersection, above ORTH_TOL but below the escape
+        # check's ANNIHILATION_TOL.
+        w = 5e-17
+        inst = write_instance(
+            tmp_path / "tiny_weight.json",
+            {"dims": [2, 2],
+             "state": [[math.sqrt(1 - w), 0.0], [0.0, 0.0], [0.0, 0.0],
+                       [math.sqrt(w), 0.0]],
+             "neighborhoods": [[0], [1]]},
+        )
+        code, report, err = run_cli(capsys, ["check-dqls", inst])
+        assert (code, err) == (0, "")
+        assert (report["verdict"], report["intersection_dim"]) == ("false", 1)
+        assert report["warnings"] == [
+            "verdict false: the target lies 7.071e-09 from the one-dimensional "
+            "intersection, above ORTH_TOL 1.000e-09"
+        ]
 
 
 class TestExitCodes:
@@ -1482,6 +1508,16 @@ class TestSafetyBranches:
             "kernel vector is traceless; no stationary state in it"
         ]
 
+    def test_nan_steady_state_does_not_certify(self, tmp_path, capsys, monkeypatch):
+        def nan_state(real, d):
+            return np.full((d, d), math.nan, dtype=complex)
+
+        monkeypatch.setattr(dynamics, "_steady_state", nan_state)
+        code, report, err = run_cli(capsys, ["certify", dicke_instance(tmp_path)])
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert report["certified"] is False
+        assert report["warnings"] == ["stationary state differs from the target by nan"]
+
     def test_trace_drift_aborts_the_integrator_with_exit_6(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -1728,3 +1764,124 @@ class TestParserReuse:
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# The exit codes of the README's table.
+EXIT_CODES = {0, 2, 3, 4, 5, 6, 7}
+
+
+def near_norm_instance(tmp_path, shortfall):
+    """GHZ(2) amplitudes of norm 1 - shortfall (squared norm about 1 -
+    2 shortfall) on {0, 1}, {0}, {1}."""
+    a = math.sqrt(0.5) * (1 - shortfall)
+    return write_instance(
+        tmp_path / f"near_norm_{shortfall:g}.json",
+        {"dims": [2, 2], "state": [[a, 0.0], [0.0, 0.0], [0.0, 0.0], [a, 0.0]],
+         "neighborhoods": [[0, 1], [0], [1]]},
+    )
+
+
+@st.composite
+def boundary_instances(draw):
+    """Instances on at most 3 qubits whose amplitudes have a squared norm off
+    by up to 2 NORM_TOL, with random neighborhoods and optional tolerance,
+    gain_scale and gains_policy."""
+    n = draw(st.integers(1, 3))
+    parts = arrays(float, (2, 2**n), elements=st.floats(-1, 1))
+    re, im = draw(parts)
+    amps = re + 1j * im
+    amps[0] += 2.0
+    off = draw(st.floats(-2 * NORM_TOL, 2 * NORM_TOL))
+    amps *= math.sqrt(1 + off) / np.linalg.norm(amps)
+    hood = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    data = {
+        "dims": [2] * n,
+        "state": [[v.real, v.imag] for v in amps.tolist()],
+        "neighborhoods": draw(st.lists(hood, min_size=1, max_size=3)),
+    }
+    optional = {
+        "tolerance": st.floats(1e-12, 0.5),
+        "gain_scale": st.floats(1e-3, 1e3),
+        "gains_policy": st.sampled_from(["uniform", "graded"]),
+    }
+    for key, values in optional.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            data[key] = value
+    return data
+
+
+class TestBoundary:
+    """The input boundary refuses what the pipeline cannot take, once, with
+    an exit code from the README's table."""
+
+    @settings(max_examples=200)
+    @given(data=boundary_instances())
+    @example(data={
+        "dims": [2, 2],
+        "state": [[math.sqrt(0.5) * (1 - 0.9e-9), 0.0], [0.0, 0.0], [0.0, 0.0],
+                  [math.sqrt(0.5) * (1 - 0.9e-9), 0.0]],
+        "neighborhoods": [[0, 1], [0], [1]],
+    })
+    def test_every_command_exits_with_a_table_code(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = write_instance(Path(tmp) / "instance.json", data)
+            runs = [
+                ["check-dqls", inst],
+                ["parent-ham", inst, "--out", str(Path(tmp) / "ham")],
+                ["synthesize", inst, "--out", str(Path(tmp) / "ops"), "--force"],
+                ["certify", inst, "--force"],
+            ]
+            for argv in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in EXIT_CODES, argv
+
+    def test_oversized_named_states_are_malformed(self, tmp_path, capsys):
+        # numpy refuses 70 axes or 2^70 entries before it allocates anything.
+        for state in ("ghz", "w", {"name": "graph", "edges": [[0, 1]]}):
+            inst = write_instance(
+                tmp_path / "big.json",
+                {"dims": [2] * 70, "state": state, "neighborhoods": [[0, 1]]},
+            )
+            code, report, err = run_cli(capsys, ["check-dqls", inst])
+            assert (code, report) == (cli.EXIT_PARSE, None), state
+            assert err.startswith("error: ")
+
+    def test_certify_refuses_above_the_cap_before_building(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stabilizer_generator was called")
+
+        monkeypatch.setattr(dynamics, "stabilizer_generator", refuse)
+        code, report, err = run_cli(
+            capsys, ["certify", dicke_instance(tmp_path), "--dim-cap", "8"]
+        )
+        assert (code, report) == (cli.EXIT_DIM_CAP, None)
+        assert err == (
+            "error: dimension 16 exceeds the dense spectral cap 8; rerun with "
+            "--evidence-fallback for trajectory evidence\n"
+        )
+
+    def test_near_norm_amplitudes_are_refused_at_parse(self, tmp_path, capsys):
+        inst = near_norm_instance(tmp_path, 0.9e-9)
+        runs = [
+            ["check-dqls", inst],
+            ["parent-ham", inst, "--out", str(tmp_path / "ham")],
+            ["synthesize", inst, "--out", str(tmp_path / "ops")],
+            ["certify", inst],
+            ["simulate", inst, "--csv", str(tmp_path / "t.csv"), "--t-final", "0.1",
+             "--trajectories", "1"],
+        ]
+        for argv in runs:
+            code, report, err = run_cli(capsys, argv)
+            assert (code, report) == (cli.EXIT_PARSE, None), argv[0]
+            assert err == (
+                "error: invalid state amplitudes: squared norm 0.9999999982000003 "
+                "is not 1 within 1e-09\n"
+            )
+        inst = near_norm_instance(tmp_path, 0.4e-9)
+        code, report, err = run_cli(capsys, ["check-dqls", inst])
+        assert (code, err, report["verdict"]) == (0, "", "true")
