@@ -5,7 +5,9 @@ quasi-locally stabilizable (DQLS) for a fixed locality pattern exactly when
 the intersection of the embedded supports of its neighborhood-reduced states
 is the span of the target alone. That intersection is the kernel of the
 quasi-local parent Hamiltonian sum_k (I - P_k), one complement projector per
-neighborhood, so both share one per-neighborhood loop.
+neighborhood, so one analysis (``_analyse``) builds both: ``check_dqls``
+returns its report, ``parent_hamiltonian`` its terms with that report's
+intersection and notes, and the two cannot decide differently.
 
 An embedded support has the form X_k tensor H_rest, so the intersection is
 built one neighborhood at a time on the subsystems covered so far (the
@@ -16,8 +18,8 @@ small Gram matrix below ``INTERSECT_TOL`` are kept. No D x D matrix is formed
 for the verdict; the frame is at most D x D when every support is full.
 
 The module also checks frustration-freeness. Uncovered subsystems and
-borderline rank calls are returned as notes in ``DqlsReport.warnings`` and
-``ParentHamiltonian.warnings``; nothing here warns or captures a warning.
+borderline rank calls are returned as notes in ``DqlsReport.warnings``;
+nothing here warns or captures a warning.
 
 Per-neighborhood work (reduced state, support) is independent and could run
 in parallel; the sweep is sequential. Only each neighborhood's support is
@@ -33,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import subspaces
-from .subspaces import INTERSECT_TOL, ORTH_TOL, SUPPORT_RTOL, Subspace
+from .subspaces import INTERSECT_TOL, ORTH_TOL, SUPPORT_RTOL, Subspace, projector
 from .tensor import (
     DimensionMismatchError,
     HERM_TOL,
@@ -100,20 +102,20 @@ class ParentHamiltonian:
     Each term's block is the orthogonal projector onto the complement of the
     reduced-state support on its neighborhood, so every term is a Hermitian
     idempotent and their sum is positive semidefinite. No D x D matrix is
-    held; the terms are the Hamiltonian. ``warnings`` holds the
-    uncovered-subsystems note, if any, then the borderline support rank
-    calls in neighborhood order, then any failed annihilation check that
-    followed a borderline rank decision.
+    held; the terms are the Hamiltonian. ``intersection`` is their common
+    kernel and ``warnings`` are the notes of the stabilizability analysis
+    that built them, the same as :class:`DqlsReport`'s.
     """
 
     space: TensorSpace
     terms: tuple[QLOperator, ...]
     warnings: tuple[str, ...]
+    intersection: Subspace
 
     def kernel(self) -> Subspace:
-        """Ground space: the common kernel of the terms, built by the
-        sequential sweep (Gram eigenvalues below ``INTERSECT_TOL``)."""
-        return _sweep(self.space, self.terms)[0]
+        """Ground space: the common kernel of the terms, as the sequential
+        sweep built it (Gram eigenvalues below ``INTERSECT_TOL``)."""
+        return self.intersection
 
 
 def _widen(frame: np.ndarray, covered: list[int], union: list[int], union_space):
@@ -159,27 +161,72 @@ def _sweep(space: TensorSpace, terms: Sequence[QLOperator]):
     return kernel, np.concatenate(spectra), tuple(margins)
 
 
-def _coverage_notes(pattern: LocalityPattern) -> list[str]:
-    """The note naming the subsystems no neighborhood acts on, if there are any."""
-    uncovered = list(pattern.uncovered())
-    note = f"uncovered subsystems {uncovered}: no neighborhood acts on them"
-    return [note] if uncovered else []
-
-
-def _complement_terms(psi: PureState, pattern: LocalityPattern, rtol: float):
-    """Per-neighborhood supports, terms I - P_k and support rank notes."""
+def _analyse(psi: PureState, pattern: LocalityPattern, rtol: float):
+    """The one stabilizability analysis: the report of :func:`check_dqls` and
+    the complement terms I - P_k, one per neighborhood, whose common kernel is
+    the report's intersection."""
     if psi.space != pattern.space:
         raise DimensionMismatchError("state and pattern live on different spaces")
+    uncovered = list(pattern.uncovered())
+    notes = (
+        [f"uncovered subsystems {uncovered}: no neighborhood acts on them"]
+        if uncovered else []
+    )
     supports: list[Subspace] = []
-    terms: list[QLOperator] = []
-    notes: list[str] = []
+    rank_notes: list[str] = []
     for hood in pattern.neighborhoods:
         sup, hood_notes = subspaces.support(partial_trace(psi, hood), rtol)
-        notes.extend(hood_notes)
-        block = np.eye(sup.ambient_dim, dtype=complex) - subspaces.projector(sup)
+        rank_notes += hood_notes
         supports.append(sup)
-        terms.append(QLOperator(hood, block))
-    return supports, terms, notes
+    # Built in a generator so that no block outlives its term during the sweep.
+    terms = tuple(
+        QLOperator(hood, np.eye(sup.ambient_dim, dtype=complex) - projector(sup))
+        for hood, sup in zip(pattern.neighborhoods, supports)
+    )
+    intersection, evals, margins = _sweep(psi.space, terms)
+    rank_notes += subspaces.borderline_notes(evals, INTERSECT_TOL, "intersection")
+    borderline = bool(rank_notes)
+    notes += [f"borderline rank decision: {note}" for note in rank_notes]
+    for term in terms:
+        applied = apply_local(term, psi.space, intersection.frame)
+        worst = float(np.max(np.linalg.norm(applied, axis=0), initial=0.0))
+        if not worst <= ORTH_TOL:
+            subspaces.note_or_raise(
+                "intersection failed its containment check: a returned basis "
+                f"vector sits {worst:.3e} outside an input subspace",
+                borderline, notes, " (ill-conditioned inputs near the rank threshold)",
+            )
+            break
+
+    # The intersection holds the target unless a cutoff truncated a support.
+    # This residual is the one escape decision for every builder.
+    overlap = intersection.frame.conj().T @ psi.amplitudes
+    residual = float(np.linalg.norm(psi.amplitudes - intersection.frame @ overlap))
+    if not residual <= ANNIHILATION_TOL:
+        subspaces.note_or_raise(
+            f"target escaped the intersection subspace by {residual:.3e}",
+            borderline, notes, "; support thresholds are inconsistent with this input",
+        )
+
+    # For a one-dimensional intersection the residual is the spectral-norm
+    # distance between its projector and the target's.
+    verdict = intersection.dim == 1 and residual <= ORTH_TOL
+    # Above ANNIHILATION_TOL the escape note already explains the verdict.
+    if intersection.dim == 1 and ORTH_TOL < residual <= ANNIHILATION_TOL:
+        notes.append(
+            f"verdict false: the target lies {residual:.3e} from the "
+            f"one-dimensional intersection, above ORTH_TOL {ORTH_TOL:.3e}"
+        )
+    if verdict and borderline:
+        verdict = False
+        notes.append(
+            "verdict downgraded to false: a rank decision fell at its "
+            "tolerance boundary"
+        )
+    report = DqlsReport(
+        verdict, intersection, tuple(supports), tuple(notes), borderline, margins
+    )
+    return report, terms
 
 
 def check_dqls(
@@ -205,50 +252,7 @@ def check_dqls(
             intersection a support, with no borderline rank decision; after
             one, either failure is a note and the verdict is indeterminate.
     """
-    notes = _coverage_notes(pattern)
-    supports, terms, rank_notes = _complement_terms(psi, pattern, rtol)
-    intersection, evals, margins = _sweep(psi.space, terms)
-    rank_notes += subspaces.borderline_notes(evals, INTERSECT_TOL, "intersection")
-    borderline = bool(rank_notes)
-    notes += [f"borderline rank decision: {note}" for note in rank_notes]
-    for term in terms:
-        applied = apply_local(term, psi.space, intersection.frame)
-        worst = float(np.max(np.linalg.norm(applied, axis=0), initial=0.0))
-        if not worst <= ORTH_TOL:
-            subspaces.note_or_raise(
-                "intersection failed its containment check: a returned basis "
-                f"vector sits {worst:.3e} outside an input subspace",
-                borderline, notes, " (ill-conditioned inputs near the rank threshold)",
-            )
-            break
-
-    # The intersection holds the target unless a cutoff truncated a support.
-    overlap = intersection.frame.conj().T @ psi.amplitudes
-    residual = float(np.linalg.norm(psi.amplitudes - intersection.frame @ overlap))
-    if not residual <= ANNIHILATION_TOL:
-        subspaces.note_or_raise(
-            f"target escaped the intersection subspace by {residual:.3e}",
-            borderline, notes, "; support thresholds are inconsistent with this input",
-        )
-
-    # For a one-dimensional intersection the residual is the spectral-norm
-    # distance between its projector and the target's.
-    verdict = intersection.dim == 1 and residual <= ORTH_TOL
-    # Above ANNIHILATION_TOL the escape note already explains the verdict.
-    if intersection.dim == 1 and ORTH_TOL < residual <= ANNIHILATION_TOL:
-        notes.append(
-            f"verdict false: the target lies {residual:.3e} from the "
-            f"one-dimensional intersection, above ORTH_TOL {ORTH_TOL:.3e}"
-        )
-    if verdict and borderline:
-        verdict = False
-        notes.append(
-            "verdict downgraded to false: a rank decision fell at its "
-            "tolerance boundary"
-        )
-    return DqlsReport(
-        verdict, intersection, tuple(supports), tuple(notes), borderline, margins
-    )
+    return _analyse(psi, pattern, rtol)[0]
 
 
 def parent_hamiltonian(
@@ -257,24 +261,16 @@ def parent_hamiltonian(
     """Build the quasi-local Hamiltonian whose terms project onto the
     complements of the reduced-state supports.
 
-    Every term annihilates the target, so the target is always a
-    frustration-free ground state; the ground space is exactly the span of
-    the target precisely when the stabilizability verdict is true. A failed
-    annihilation check raises, unless a support or intersection rank
-    decision was borderline; then it is a note, with the intersection one.
+    It comes from the same analysis as :func:`check_dqls`: its ``warnings``
+    are that report's notes, ``kernel()`` is its intersection, and it raises
+    exactly where ``check_dqls`` raises, with the same message. Every term
+    annihilates the target up to the weight its support cutoff dropped, which
+    the analysis's escape check bounds, so the target is a frustration-free
+    ground state; the ground space is the span of the target precisely when
+    the stabilizability verdict is true.
     """
-    _, terms, notes = _complement_terms(psi, pattern, rtol)
-    applied = sum(apply_local(term, psi.space, psi.amplitudes) for term in terms)
-    residual = float(np.linalg.norm(applied))
-    if not residual <= ANNIHILATION_TOL:
-        evals = _sweep(psi.space, terms)[1]
-        notes += subspaces.borderline_notes(evals, INTERSECT_TOL, "intersection")
-        subspaces.note_or_raise(
-            f"parent Hamiltonian fails to annihilate the target ({residual:.3e})",
-            bool(notes), notes,
-        )
-    notes = _coverage_notes(pattern) + notes
-    return ParentHamiltonian(psi.space, tuple(terms), tuple(notes))
+    report, terms = _analyse(psi, pattern, rtol)
+    return ParentHamiltonian(psi.space, terms, report.warnings, report.intersection)
 
 
 def is_frustration_free(psi: PureState, terms: Sequence[QLOperator]) -> bool:

@@ -489,16 +489,20 @@ class TestBorderlineNotesAsData:
         )
 
     def test_public_functions_return_notes(self):
+        # The parent Hamiltonian carries check_dqls's notes: the support
+        # notes in neighborhood order, then the downgrade.
         psi, pattern = _borderline_two_qubit()
         ham = parent_hamiltonian(psi, pattern)
         notes = [
-            note
+            f"borderline rank decision: {note}"
             for hood in ((0,), (1,))
             for note in support(partial_trace(psi, Neighborhood(hood)))[1]
         ]
         assert len(notes) == 2
-        assert ham.warnings == tuple(notes)
-        assert all("support rank decision" in w for w in ham.warnings)
+        assert ham.warnings == check_dqls(psi, pattern).warnings
+        assert ham.warnings[:2] == tuple(notes)
+        assert all("support rank decision" in w for w in ham.warnings[:2])
+        assert ham.warnings[2].startswith("verdict downgraded to false")
         # Two lines at angle theta: the smallest eigenvalue of the summed
         # complement projectors, 1 - cos(theta) ~ 1e-7, sits just above the
         # 1e-8 intersection cutoff.
@@ -514,39 +518,48 @@ class TestBorderlineNotesAsData:
     def test_borderline_annihilation_failures_are_notes(self):
         # At rtol 1e-6 the singleton supports drop the 5e-9 weight, so no
         # term annihilates the target; the sweep's Gram eigenvalues sit in
-        # the borderline band, so both builders note the failure.
+        # the borderline band, so the containment failure is a note. Both
+        # builders carry check_dqls's notes and add no annihilation note of
+        # their own; the synthesized residuals keep their computed values.
         psi, pattern = _borderline_two_qubit()
+        report = check_dqls(psi, pattern, 1e-6)
         ham = parent_hamiltonian(psi, pattern, 1e-6)
         evals = analysis._sweep(psi.space, ham.terms)[1]
         sweep_notes = borderline_notes(evals, INTERSECT_TOL, "intersection")
         assert len(sweep_notes) == 1
+        assert ham.warnings == report.warnings
         assert ham.warnings == (
-            sweep_notes[0],
-            "parent Hamiltonian fails to annihilate the target (1.414e-04), "
-            "after a borderline rank decision",
+            f"borderline rank decision: {sweep_notes[0]}",
+            "intersection failed its containment check: a returned basis "
+            "vector sits 7.071e-05 outside an input subspace, after a "
+            "borderline rank decision",
+            "verdict downgraded to false: a rank decision fell at its "
+            "tolerance boundary",
         )
         stabs = synthesis.synthesize_stabilizers(psi, pattern, force=True, rtol=1e-6)
-        failed = [w for w in stabs.warnings if "fails to annihilate" in w]
-        assert failed == [
-            f"synthesized operator on ({k},) fails to annihilate the target "
-            f"(residual {stabs.residuals[k + 1]:.3e}), after a borderline rank decision"
-            for k in (0, 1)
-        ]
+        assert stabs.warnings[:3] == report.warnings
+        assert not any("fails to annihilate" in w for w in stabs.warnings)
+        for k in (1, 2):
+            assert f"{stabs.residuals[k]:.3e}" == "2.121e-04"
 
     @example(weight_exponent=math.log10(5e-12), hoods=((0,), (1,)))
     @example(weight_exponent=-13.0, hoods=((0, 1), (0,), (1,)))
+    @example(weight_exponent=-math.inf, hoods=((0, 1), (0,), (1,)))  # w = 0
+    @example(weight_exponent=math.log10(2e-18), hoods=((0, 1), (0,), (1,)))
+    @example(weight_exponent=math.log10(5e-17), hoods=((0,), (1,)))
+    @example(weight_exponent=-16.0, hoods=((0,), (1,)))
     @given(
-        weight_exponent=st.floats(-15.0, -8.0),
+        weight_exponent=st.floats(-18.0, -8.0),
         hoods=st.sampled_from([((0,), (1,)), ((0, 1), (0,), (1,))]),
     )
     def test_builders_raise_together(self, weight_exponent, hoods):
         # sqrt(1 - w)|00> + sqrt(w)|11> at the default tolerance: from w = 1e-8
         # down to about 1e-12 each singleton support drops w in a borderline
         # rank call, so every failed check is a note; below that band the drop
-        # is no borderline call and every builder raises. The range stops at
-        # 1e-15: from about 1e-17 to 1e-16 the dropped amplitude sits at the
-        # checks' own tolerances (ORTH_TOL, ANNIHILATION_TOL), where the
-        # builders, measuring different residuals, do not agree.
+        # is no borderline call and the builders raise or pass together,
+        # because one analysis decides for all three. The dropped amplitude
+        # sqrt(w) crosses ORTH_TOL near w = 1e-18 and ANNIHILATION_TOL at
+        # w = 1e-16; the examples pin both crossings and w = 0.
         w = 10.0**weight_exponent
         amps = np.zeros(4, dtype=complex)
         amps[0], amps[3] = math.sqrt(1 - w), math.sqrt(w)
@@ -617,6 +630,22 @@ class TestLocalUnitaryInvariance:
                 locals_ = [haar_unitary(2, rng) for _ in range(state.space.n_subsystems)]
                 rotated = apply_local_unitary(state, locals_)
                 assert check_dqls(rotated, pat).verdict == base
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_random_local_rotations_keep_the_report(self, data):
+        psi, hoods = _draw_mps_and_windows(data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rotated = apply_local_unitary(
+            psi, [haar_unitary(d, rng) for d in psi.space.dims]
+        )
+        pattern = pattern_of(psi.space, hoods)
+        base, moved = check_dqls(psi, pattern), check_dqls(rotated, pattern)
+        assert moved.verdict == base.verdict
+        assert moved.intersection_dim == base.intersection_dim
+        assert [sup.dim for sup in moved.supports] == [
+            sup.dim for sup in base.supports
+        ]
 
 
 class TestMonotonicity:

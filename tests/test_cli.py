@@ -339,29 +339,23 @@ class TestExitCodes:
         assert "indeterminate because of a borderline rank decision" in err
 
     def test_borderline_annihilation_failures_are_notes(self, tmp_path, capsys):
-        # The instance check-dqls calls indeterminate above: the annihilation
-        # checks fail too, after the same borderline rank decision, so every
-        # command reports them as notes. The 1e-13 default-tolerance instance
-        # of test_numerical_failure_exit_code has no borderline rank call
-        # and still exits 7 on every command.
+        # The instance check-dqls calls indeterminate above: parent-ham and
+        # the forced commands carry check-dqls's notes, the containment
+        # failure after the borderline rank decision among them, and exit 0.
+        # The 1e-13 default-tolerance instance of
+        # test_numerical_failure_exit_code has no borderline rank call and
+        # still exits 7 on every command.
         inst = two_qubit_instance(tmp_path, 5e-9)
-        after = ", after a borderline rank decision"
+        code, report, err = run_cli(capsys, ["check-dqls", inst, "--tolerance", "1e-6"])
+        assert (code, err) == (0, "")
+        shared = report["warnings"]
+        assert len(shared) == 3
         argv = ["parent-ham", inst, "--tolerance", "1e-6", "--out",
                 str(tmp_path / "ham")]
         code, report, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         assert report["kernel_dim"] == 1
-        notes = report["warnings"]
-        assert len(notes) == 2
-        assert notes[0].startswith("intersection rank decision is borderline")
-        assert notes[1] == (
-            f"parent Hamiltonian fails to annihilate the target (1.414e-04){after}"
-        )
-        annihilation = [
-            f"synthesized operator on ({k},) fails to annihilate the target "
-            f"(residual 2.121e-04){after}"
-            for k in (0, 1)
-        ]
+        assert report["warnings"] == shared
         for words in (
             ["synthesize", "--out", str(tmp_path / "ops")],
             ["certify"],
@@ -372,7 +366,8 @@ class TestExitCodes:
             code, report, err = run_cli(capsys, argv)
             assert (code, err) == (0, ""), words[0]
             notes = report["warnings"]
-            assert [n for n in notes if n.startswith("synthesized")] == annihilation
+            assert notes[:3] == shared
+            assert not any(n.startswith("synthesized") for n in notes)
             if words[0] == "certify":
                 assert report["certified"] is False
                 assert "stationary state differs from the target by 6.667e-05" in notes
@@ -406,12 +401,17 @@ class TestExitCodes:
     def test_forced_commands_on_an_escaped_target_note_the_failures(
         self, tmp_path, capsys
     ):
+        # The escape note of check-dqls is the one annihilation failure the
+        # forced commands report; the blocks themselves annihilate their
+        # supports.
         (inst,), _ = escape_instances(tmp_path)
-        annihilation = [
-            f"synthesized operator on ({k},) fails to annihilate the target "
-            "(residual 6.708e-06), after a borderline rank decision"
-            for k in (0, 1)
-        ]
+        code, report, err = run_cli(capsys, ["check-dqls", inst])
+        assert (code, err) == (0, "")
+        shared = report["warnings"]
+        assert shared[-1] == (
+            "target escaped the intersection subspace by 2.236e-06, after a "
+            "borderline rank decision"
+        )
         for words in (
             ["synthesize", "--out", str(tmp_path / "ops")],
             ["certify"],
@@ -421,10 +421,55 @@ class TestExitCodes:
             code, report, err = run_cli(capsys, [words[0], inst, "--force", *words[1:]])
             assert (code, err) == (0, ""), words[0]
             notes = report["warnings"]
-            assert [n for n in notes if n.startswith("synthesized")] == annihilation
+            assert notes[:len(shared)] == shared
+            assert not any(n.startswith("synthesized") for n in notes)
             if words[0] == "certify":
                 assert report["certified"] is False
                 assert notes[-1] == "stationary state differs from the target by 3.162e-06"
+
+    @pytest.mark.parametrize(
+        "hoods, weight, codes",
+        [
+            ([[0], [1]], 0.0, (0, 0, 0, 0, 0)),
+            ([[0], [1]], 1e-18, (0, 0, 0, 0, 0)),
+            ([[0], [1]], 2e-18, (0, 0, 4, 0, 0)),
+            ([[0], [1]], 5e-17, (0, 0, 4, 0, 0)),
+            ([[0], [1]], 1e-16, (0, 0, 4, 0, 0)),
+            ([[0], [1]], 5e-16, (7, 7, 7, 7, 7)),
+            ([[0, 1], [0], [1]], 0.0, (0, 0, 0, 0, 0)),
+            ([[0, 1], [0], [1]], 2e-18, (7, 7, 7, 7, 7)),
+            ([[0, 1], [0], [1]], 2e-17, (7, 7, 7, 7, 7)),
+            ([[0, 1], [0], [1]], 1e-14, (7, 7, 7, 7, 7)),
+        ],
+    )
+    def test_commands_agree_where_the_dropped_amplitude_meets_a_tolerance(
+        self, tmp_path, capsys, hoods, weight, codes
+    ):
+        # sqrt(1 - w)|00> + sqrt(w)|11> at the default tolerance: no rank call
+        # is borderline, and the dropped amplitude sqrt(w) crosses ORTH_TOL
+        # (verdict false, so plain synthesize refuses with 4) and then
+        # ANNIHILATION_TOL (the target escapes: exit 7). One analysis makes
+        # that call for every command.
+        big, small = np.sqrt(1 - weight), np.sqrt(weight)
+        inst = write_instance(
+            tmp_path / "escape.json",
+            {"dims": [2, 2], "state": [[big, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                       [small, 0.0]], "neighborhoods": hoods},
+        )
+        runs = [
+            run_cli(capsys, [*words[:1], inst, *words[1:]])
+            for words in (
+                ["check-dqls"],
+                ["parent-ham", "--out", str(tmp_path / "ham")],
+                ["synthesize", "--out", str(tmp_path / "ops")],
+                ["synthesize", "--force", "--out", str(tmp_path / "forced")],
+                ["certify", "--force"],
+            )
+        ]
+        assert tuple(code for code, _, _ in runs) == codes
+        if codes[0] == codes[1] == cli.EXIT_NUMERICAL:
+            assert runs[0][2].startswith("error: numerical failure: ")
+            assert runs[1][2] == runs[0][2]
 
     def test_empty_intersection_renders_an_empty_basis(self, tmp_path, capsys):
         _, (inst, *flags) = escape_instances(tmp_path)
@@ -646,11 +691,31 @@ class TestParentHamCommand:
         )
         assert code == 0
         assert err == ""
-        assert len(report["warnings"]) == 2
+        notes = report["warnings"]
+        assert len(notes) == 3
         assert all(
-            w.startswith("support rank decision is borderline: ")
-            for w in report["warnings"]
+            w.startswith("borderline rank decision: support rank decision is "
+                         "borderline: ")
+            for w in notes[:2]
         )
+        assert notes[2].startswith("verdict downgraded to false")
+        assert run_cli(capsys, ["check-dqls", inst])[1]["warnings"] == notes
+
+    def test_one_sweep_per_command(self, tmp_path, capsys, monkeypatch):
+        # The kernel is the analysis's intersection, not a second sweep.
+        calls = []
+        sweep = analysis._sweep
+
+        def counted(space, terms):
+            calls.append(len(terms))
+            return sweep(space, terms)
+
+        monkeypatch.setattr(analysis, "_sweep", counted)
+        code, report, _ = run_cli(
+            capsys, ["parent-ham", dicke_instance(tmp_path), "--out", str(tmp_path / "ham")]
+        )
+        assert (code, report["kernel_dim"]) == (0, 1)
+        assert calls == [2]
 
 
 class TestCertifyCommand:

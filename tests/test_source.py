@@ -253,6 +253,26 @@ def test_rank_dependent_checks_raise_only_through_note_or_raise():
     assert raises == []
 
 
+def test_one_analysis_traces_and_sweeps():
+    # check_dqls and parent_hamiltonian share analysis._analyse, so a second
+    # partial-trace loop or sweep would let their decisions fork again.
+    callers = {"_sweep": [], "partial_trace": []}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        enclosing = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in callers:
+                callers[name].append(f"{path.name}:{enclosing.get(id(node), '<module>')}")
+    assert callers == {
+        "_sweep": ["analysis.py:_analyse"],
+        "partial_trace": ["analysis.py:_analyse"],
+    }
+
+
 def test_outer_products_only_where_a_density_matrix_is_the_product():
     # A pure target is handled through its amplitudes; |psi><psi| is formed
     # only when a caller asks for the density matrix, and by the spectral
