@@ -296,14 +296,16 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
         ops = stabilizers.operators
         notes = list(stabilizers.warnings)
     dim = instance.space.dim
-    # Refuse before the generator embeds each operator as a D x D matrix.
-    if dim > args.dim_cap and not args.evidence_fallback:
+    # One comparison picks refusal (before the generator embeds each operator
+    # as a D x D matrix), the certificate or trajectory evidence.
+    dense = dim <= args.dim_cap
+    if not dense and not args.evidence_fallback:
         raise dynamics.DimensionCapError(
             f"dimension {dim} exceeds the dense spectral cap {args.dim_cap}; "
             "rerun with --evidence-fallback for trajectory evidence"
         )
     gen = dynamics.stabilizer_generator(ops, instance.space)
-    if dim <= args.dim_cap:
+    if dense:
         started = time.perf_counter()
         cert = dynamics.gas_certificate(gen, instance.state, dim_cap=args.dim_cap)
         certificate_s = time.perf_counter() - started
@@ -311,7 +313,6 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
             "mode": "certificate",
             "certified": cert.certified,
             "kernel_dim": cert.kernel_dim,
-            "spectral_abscissa_nonzero": -cert.gap,
             "gap": cert.gap,
             "eigenvalues": cert.eigenvalues,
             "warnings": notes + list(cert.messages),
@@ -347,14 +348,24 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
     ops = stabilizers.operators
     notes = list(stabilizers.warnings)
     rng = np.random.default_rng(args.seed)
+    # One decision fixes the trajectory runner, the mode and the trailing keys.
     if args.switched:
         schedule = dynamics.SwitchingSchedule(
             args.tau, tuple(dynamics.stabilizer_generators(ops, instance.space))
         )
         if len(schedule.generators) == 1:
             notes.append("single-generator schedule degenerates to a fixed generator")
+        run_trajectory = functools.partial(
+            dynamics.simulate_switched, schedule, cycles=args.cycles, dt=args.dt
+        )
+        mode, settings = "switched", {"tau": args.tau, "cycles": args.cycles}
     else:
         gen = dynamics.stabilizer_generator(ops, instance.space)
+        run_trajectory = functools.partial(
+            dynamics.evolve, gen, t_final=args.t_final, dt=args.dt,
+            record_every=args.record_every,
+        )
+        mode, settings = "simultaneous", {"t_final": args.t_final}
     target_rho = instance.state.density_matrix()
     # CSV lines are formatted as each snapshot arrives, so no past state is
     # kept; the file is written only once every trajectory has finished.
@@ -365,15 +376,7 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
             rho0 = random_density_matrix(instance.space, rng)
         else:
             rho0 = random_pure_state(instance.space, rng).density_matrix()
-        if args.switched:
-            trajectory = dynamics.simulate_switched(
-                schedule, rho0, args.cycles, args.dt
-            )
-        else:
-            trajectory = dynamics.evolve(
-                gen, rho0, args.t_final, args.dt, record_every=args.record_every
-            )
-        for t, state in trajectory:
+        for t, state in run_trajectory(rho0):
             fid = dynamics.fidelity(instance.state, state)
             dist = dynamics.trace_distance(state, target_rho)
             pur = dynamics.purity(state)
@@ -383,21 +386,16 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
     with csv_path.open("w") as fh:
         fh.write("trajectory_id,t,fidelity,trace_distance,purity\n")
         fh.writelines(lines)
-    out = {
-        "mode": "switched" if args.switched else "simultaneous",
+    return {
+        "mode": mode,
         "trajectories": args.trajectories,
         "csv": str(csv_path),
         "rows": len(lines),
         "final_fidelities": finals,
         "min_final_fidelity": min(finals),
         "warnings": notes,
+        **settings,
     }
-    if args.switched:
-        out["tau"] = args.tau
-        out["cycles"] = args.cycles
-    else:
-        out["t_final"] = args.t_final
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +439,7 @@ _SEED = _flag(int, _rule(">= 0", lambda v: v >= 0))
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("instance", help="instance JSON file")
     common.add_argument(
         "--tolerance",
         type=_TOLERANCE,
@@ -468,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="run the reduced-state support intersection test",
     )
-    p.add_argument("instance", help="instance JSON file")
     p.set_defaults(func=_cmd_check_dqls)
 
     p = sub.add_parser(
@@ -476,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="build the quasi-local parent Hamiltonian and write its terms",
     )
-    p.add_argument("instance")
     p.add_argument("--out", required=True, help="directory for matrix files")
     p.set_defaults(func=_cmd_parent_ham)
 
@@ -485,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="synthesize stabilizing noise operators and write them",
     )
-    p.add_argument("instance")
     p.add_argument("--out", required=True, help="directory for matrix files")
     p.add_argument(
         "--force",
@@ -499,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="spectral stability certificate for the synthesized dynamics",
     )
-    p.add_argument("instance")
     p.add_argument("--operators", default=None, help="load noise_op_*.json from here")
     p.add_argument("--force", action="store_true")
     p.add_argument("--dim-cap", type=_COUNT, default=dynamics.DEFAULT_DIM_CAP)
@@ -518,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="integrate the stabilizing dynamics from random initial states",
     )
-    p.add_argument("instance")
     p.add_argument("--csv", required=True, help="trajectory CSV output path")
     p.add_argument("--t-final", type=_TIME, default=40.0)
     p.add_argument("--dt", type=_STEP, default=None)

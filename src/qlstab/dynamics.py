@@ -45,6 +45,7 @@ from .tensor import (
     TensorSpace,
     check_hermitian,
     embed,
+    random_density_matrix,
 )
 
 EIG_TOL = 1e-8
@@ -627,10 +628,8 @@ def switched_map(schedule: SwitchingSchedule) -> np.ndarray:
         total = expm(lhat) @ total
     rng = np.random.default_rng(0)
     for _ in range(3):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        image = unstack(total @ stack(rho), d)
+        rho = random_density_matrix(space, rng)
+        image = unstack(total @ stack(rho.matrix), d)
         out_trace = complex(np.trace(image))
         if not abs(out_trace - 1.0) <= NORM_TOL:
             raise ArithmeticError(

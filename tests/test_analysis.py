@@ -680,6 +680,77 @@ class TestMonotonicity:
         assert richer.verdict or not base.verdict
 
 
+def closed_neighborhoods(n, edges):
+    """Each vertex with its graph neighbours, as sorted index tuples."""
+    hoods = [{v} for v in range(n)]
+    for u, v in edges:
+        hoods[u].add(v)
+        hoods[v].add(u)
+    return [tuple(sorted(h)) for h in hoods]
+
+
+class TestAnalyticFamilies:
+    """Families whose verdicts and intersection dimensions are known in
+    closed form, past the sizes of the worked examples. Every neighborhood
+    stays small: one global neighborhood at n >= 12 would need a D x D
+    reduced state."""
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_ring_graph_states_pass_with_their_closed_neighborhoods(self, n):
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        psi = make_graph_state(n, edges)
+        report = check_dqls(psi, pattern_of(psi.space, closed_neighborhoods(n, edges)))
+        assert report.verdict and not report.borderline
+        assert report.intersection_dim == 1
+
+    def test_grid_graph_state_passes_with_its_closed_neighborhoods(self):
+        side = 4
+        edges = [(r * side + c, r * side + c + 1)
+                 for r in range(side) for c in range(side - 1)]
+        edges += [(r * side + c, (r + 1) * side + c)
+                  for r in range(side - 1) for c in range(side)]
+        psi = make_graph_state(side * side, edges)
+        hoods = closed_neighborhoods(side * side, edges)
+        report = check_dqls(psi, pattern_of(psi.space, hoods))
+        assert report.verdict and not report.borderline
+        assert report.intersection_dim == 1
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_ghz_fails_on_nearest_neighbour_pairs(self, n):
+        # |0...0> and |1...1> both lie in every pair's support.
+        psi = make_ghz(n)
+        report = check_dqls(psi, pattern_of(psi.space, [(i, i + 1) for i in range(n - 1)]))
+        assert not report.verdict and not report.borderline
+        assert report.intersection_dim == 2
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_w_fails_on_its_two_largest_windows(self, n):
+        # The intersection is span(|0...0>, W_n).
+        psi = make_w(n)
+        windows = [tuple(range(n - 1)), tuple(range(1, n))]
+        report = check_dqls(psi, pattern_of(psi.space, windows))
+        assert not report.verdict and not report.borderline
+        assert report.intersection_dim == 2
+
+    def test_mixed_dimension_product_state_passes_on_single_sites(self):
+        space = TensorSpace((3, 2, 3))
+        factors = [np.array([1.0, 2.0, 2.0]) / 3.0, np.array([0.6, 0.8j]),
+                   np.array([0.0, 1.0, 0.0])]
+        psi = PureState(space, np.kron(np.kron(factors[0], factors[1]), factors[2]))
+        report = check_dqls(psi, pattern_of(space, [(0,), (1,), (2,)]))
+        assert report.verdict and not report.borderline
+        assert report.intersection_dim == 1
+
+    def test_mixed_dimension_ghz_like_state_fails_on_pairs(self):
+        # (|0,0,0> + |2,1,2>)/sqrt(2): both branches lie in both pair supports.
+        space = TensorSpace((3, 2, 3))
+        amps = np.zeros(space.dim, dtype=complex)
+        amps[0] = amps[np.ravel_multi_index((2, 1, 2), space.dims)] = 1 / math.sqrt(2)
+        report = check_dqls(PureState(space, amps), pattern_of(space, [(0, 1), (1, 2)]))
+        assert not report.verdict and not report.borderline
+        assert report.intersection_dim == 2
+
+
 class TestParentHamiltonian:
     def test_dicke_kernel_is_target_span(self):
         psi, pattern = dicke_pattern()

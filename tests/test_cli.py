@@ -1300,8 +1300,8 @@ class TestReportSchema:
             (["synthesize", "--out", "ops"],
              ["gains_policy", "annihilation_residuals", "files", "warnings"]),
             (["certify"],
-             ["mode", "certified", "kernel_dim", "spectral_abscissa_nonzero",
-              "gap", "eigenvalues", "warnings"]),
+             ["mode", "certified", "kernel_dim", "gap", "eigenvalues",
+              "warnings"]),
             (["certify", "--dim-cap", "8", "--evidence-fallback",
               "--trajectories", "1", "--t-final", "0.1"],
              ["mode", "evidence_supported", "final_fidelities", "t_final",

@@ -377,3 +377,55 @@ def test_benchmark_tracer_installs_on_the_package():
         assert tracer.stats["tensor.partial_trace"].calls == 2
     finally:
         del sys.modules[spec.name]
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text(), str(path))
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _args_reads(node, attr):
+    return [
+        sub for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == attr
+        and isinstance(sub.value, ast.Name) and sub.value.id == "args"
+    ]
+
+
+def test_each_dynamics_command_decides_its_route_once():
+    # simulate picks its runner, mode and trailing keys in one branch on
+    # --switched, and certify picks refusal, certificate or evidence from
+    # one comparison of the dimension with --dim-cap.
+    path = Path(qlstab.cli.__file__)
+    assert len(_args_reads(_function(path, "_cmd_simulate"), "switched")) == 1
+    certify = _function(path, "_cmd_certify")
+    comparisons = [
+        node for node in ast.walk(certify)
+        if isinstance(node, ast.Compare) and _args_reads(node, "dim_cap")
+    ]
+    assert len(comparisons) == 1
+
+
+THRESHOLD_SUFFIXES = ("_TOL", "_RTOL", "_LIMIT", "_CAP", "_MARGIN", "_FIDELITY")
+
+
+def test_every_threshold_constant_has_a_readme_row():
+    # Each threshold is one module constant, documented by one row of the
+    # README's constant table. Exit codes (cli.EXIT_DIM_CAP) are no threshold.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip() for line in readme.splitlines()
+            if line.startswith("| `")}
+    constants = [
+        f"`{path.stem}.{target.id}`"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith(THRESHOLD_SUFFIXES)
+        and not target.id.startswith("EXIT_")
+    ]
+    assert len(constants) >= 18
+    assert sorted(set(constants) - rows) == []
