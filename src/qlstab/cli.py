@@ -7,10 +7,11 @@ paths. Identical instance and seed give bit-identical reports and CSVs,
 except for the "timings" section of the report, at a fixed BLAS thread
 count; certify's "eigenvalues" inside defective clusters move with it.
 
-Exit codes: 0 success, 2 unparseable input, 3 dimension mismatch,
-4 refusal to synthesize for an unstabilizable target, 5 dense-path
-dimension cap exceeded or an array too large to allocate, 6 integrator
-abort, 7 numerical failure.
+Exit codes: 0 success, 2 unparseable input or a simulate flag of the
+route not taken, 3 dimension mismatch, 4 refusal to synthesize for an
+unstabilizable target, 5 certify above the dense dimension cap (simulate
+gives trajectory evidence there) or an array too large to allocate,
+6 integrator abort, 7 numerical failure.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ EXIT_DIM_CAP = 5
 EXIT_INTEGRATION = 6
 EXIT_NUMERICAL = 7
 
-EVIDENCE_FIDELITY = 1e-5
-
 # (exception class, exit code, stderr prefix); the first matching row wins,
 # so subclasses come before their bases.
 _EXITS = (
     (json.JSONDecodeError, EXIT_PARSE, "malformed JSON: "),
     (InstanceFormatError, EXIT_PARSE, ""),
     (OSError, EXIT_PARSE, ""),
+    (argparse.ArgumentError, EXIT_PARSE, ""),
     (DimensionMismatchError, EXIT_DIMENSION, "dimension mismatch: "),
     (synthesis.NotStabilizableError, EXIT_NOT_STABILIZABLE, ""),
     (dynamics.DimensionCapError, EXIT_DIM_CAP, ""),
@@ -296,50 +296,38 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
         ops = stabilizers.operators
         notes = list(stabilizers.warnings)
     dim = instance.space.dim
-    # One comparison picks refusal (before the generator embeds each operator
-    # as a D x D matrix), the certificate or trajectory evidence.
-    dense = dim <= args.dim_cap
-    if not dense and not args.evidence_fallback:
+    # Refuse before the generator embeds each operator as a D x D matrix.
+    if dim > args.dim_cap:
         raise dynamics.DimensionCapError(
             f"dimension {dim} exceeds the dense spectral cap {args.dim_cap}; "
-            "rerun with --evidence-fallback for trajectory evidence"
+            "run simulate for trajectory evidence"
         )
     gen = dynamics.stabilizer_generator(ops, instance.space)
-    if dense:
-        started = time.perf_counter()
-        cert = dynamics.gas_certificate(gen, instance.state, dim_cap=args.dim_cap)
-        certificate_s = time.perf_counter() - started
-        return {
-            "mode": "certificate",
-            "certified": cert.certified,
-            "kernel_dim": cert.kernel_dim,
-            "gap": cert.gap,
-            "eigenvalues": cert.eigenvalues,
-            "warnings": notes + list(cert.messages),
-            "timings": {"certificate_s": certificate_s},
-        }
-    rng = np.random.default_rng(args.seed)
-    finals = []
-    for _ in range(args.trajectories):
-        rho0 = random_pure_state(instance.space, rng).density_matrix()
-        trajectory = dynamics.evolve(
-            gen, rho0, args.t_final, args.dt, record_every=10**9
-        )
-        for _, final in trajectory:
-            pass
-        finals.append(dynamics.fidelity(instance.state, final))
-    supported = all(f > 1.0 - EVIDENCE_FIDELITY for f in finals)
+    started = time.perf_counter()
+    cert = dynamics.gas_certificate(gen, instance.state, dim_cap=args.dim_cap)
+    certificate_s = time.perf_counter() - started
     return {
-        "mode": "evidence",
-        "evidence_supported": supported,
-        "final_fidelities": finals,
-        "t_final": args.t_final,
-        "trajectories": args.trajectories,
-        "warnings": notes
-        + [
-            "trajectory evidence only: no spectral certificate above the "
-            "dimension cap"
-        ],
+        "mode": "certificate",
+        "certified": cert.certified,
+        "kernel_dim": cert.kernel_dim,
+        "gap": cert.gap,
+        "eigenvalues": cert.eigenvalues,
+        "warnings": notes + list(cert.messages),
+        "timings": {"certificate_s": certificate_s},
+    }
+
+
+def _route_flags(args, route: str, own: dict, other: tuple[str, ...]) -> dict:
+    """Refuse any flag named in ``other``, which only the route not taken
+    reads (exit 2), and return the flags named in ``own``, each one left out
+    at its default there."""
+    for name in other:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise argparse.ArgumentError(None, f"argument {flag}: not allowed {route}")
+    return {
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in own.items()
     }
 
 
@@ -348,24 +336,32 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
     ops = stabilizers.operators
     notes = list(stabilizers.warnings)
     rng = np.random.default_rng(args.seed)
-    # One decision fixes the trajectory runner, the mode and the trailing keys.
+    # One decision refuses the other route's flags and fixes the trajectory
+    # runner, the mode and the trailing keys.
     if args.switched:
+        settings = _route_flags(
+            args, "with --switched", {"tau": 1.0, "cycles": 30},
+            ("t_final", "record_every"),
+        )
         schedule = dynamics.SwitchingSchedule(
-            args.tau, tuple(dynamics.stabilizer_generators(ops, instance.space))
+            settings["tau"],
+            tuple(dynamics.stabilizer_generators(ops, instance.space)),
         )
         if len(schedule.generators) == 1:
             notes.append("single-generator schedule degenerates to a fixed generator")
         run_trajectory = functools.partial(
-            dynamics.simulate_switched, schedule, cycles=args.cycles, dt=args.dt
+            dynamics.simulate_switched, schedule, cycles=settings["cycles"],
+            dt=args.dt,
         )
-        mode, settings = "switched", {"tau": args.tau, "cycles": args.cycles}
+        mode = "switched"
     else:
-        gen = dynamics.stabilizer_generator(ops, instance.space)
-        run_trajectory = functools.partial(
-            dynamics.evolve, gen, t_final=args.t_final, dt=args.dt,
-            record_every=args.record_every,
+        flags = _route_flags(
+            args, "without --switched", {"t_final": 40.0, "record_every": 1},
+            ("tau", "cycles"),
         )
-        mode, settings = "simultaneous", {"t_final": args.t_final}
+        gen = dynamics.stabilizer_generator(ops, instance.space)
+        run_trajectory = functools.partial(dynamics.evolve, gen, dt=args.dt, **flags)
+        mode, settings = "simultaneous", {"t_final": flags["t_final"]}
     target_rho = instance.state.density_matrix()
     # CSV lines are formatted as each snapshot arrives, so no past state is
     # kept; the file is written only once every trajectory has finished.
@@ -498,14 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operators", default=None, help="load noise_op_*.json from here")
     p.add_argument("--force", action="store_true")
     p.add_argument("--dim-cap", type=_COUNT, default=dynamics.DEFAULT_DIM_CAP)
-    p.add_argument(
-        "--evidence-fallback",
-        action="store_true",
-        help="above the cap, fall back to trajectory evidence",
-    )
-    p.add_argument("--trajectories", type=_COUNT, default=20)
-    p.add_argument("--t-final", type=_TIME, default=40.0)
-    p.add_argument("--dt", type=_STEP, default=None)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser(
@@ -514,12 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="integrate the stabilizing dynamics from random initial states",
     )
     p.add_argument("--csv", required=True, help="trajectory CSV output path")
-    p.add_argument("--t-final", type=_TIME, default=40.0)
+    # The route flags default to None so that _cmd_simulate can refuse those
+    # of the route not taken; it fills in the defaults (40, 1, 1.0, 30).
+    p.add_argument("--t-final", type=_TIME, default=None)
     p.add_argument("--dt", type=_STEP, default=None)
-    p.add_argument("--record-every", type=_COUNT, default=1)
+    p.add_argument("--record-every", type=_COUNT, default=None)
     p.add_argument("--switched", action="store_true", help="cyclic switching")
-    p.add_argument("--tau", type=_TIME, default=1.0, help="switching interval")
-    p.add_argument("--cycles", type=_COUNT, default=30)
+    p.add_argument("--tau", type=_TIME, default=None, help="switching interval")
+    p.add_argument("--cycles", type=_COUNT, default=None)
     p.add_argument("--trajectories", type=_COUNT, default=10)
     p.add_argument("--mixed", action="store_true", help="mixed initial states")
     p.add_argument("--force", action="store_true")

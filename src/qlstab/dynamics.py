@@ -17,8 +17,9 @@ trace-drift guard; cyclic switching composes per-neighborhood semigroup
 maps through dense matrix exponentials.
 
 Dense spectral paths are capped at total dimension 64 (a 4096-dimensional
-vectorized generator); larger systems must fall back to trajectory
-evidence, which is labelled as such and never called a certificate.
+vectorized generator); a larger system gets no certificate, only the
+trajectory evidence of the CLI's simulate command, which is never called a
+certificate.
 
 All kernels are pure functions on immutable values: independent
 trajectories and per-generator exponentials can run in parallel, while a
@@ -410,8 +411,8 @@ def gas_certificate(
     functional.
 
     Raises:
-        DimensionCapError: above ``dim_cap``; use a trajectory-based check
-            instead, and report it as evidence rather than a certificate.
+        DimensionCapError: above ``dim_cap``; run the CLI's simulate for
+            trajectory evidence, which is not a certificate.
         ArithmeticError: when the generator's real form overflows or its
             spectrum reaches into the right half plane.
     """
@@ -421,7 +422,7 @@ def gas_certificate(
     if d > dim_cap:
         raise DimensionCapError(
             f"dimension {d} exceeds the dense spectral cap {dim_cap}; "
-            "use trajectory evidence instead"
+            "run simulate for trajectory evidence"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         real = _real_form(vectorize(gen), d)

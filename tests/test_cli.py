@@ -747,7 +747,9 @@ class TestCertifyCommand:
         assert code == 0
         assert report["certified"] is True
 
-    def test_evidence_fallback_above_cap(self, tmp_path, capsys):
+    def test_above_cap_certify_refuses_and_simulate_gives_evidence(
+        self, tmp_path, capsys
+    ):
         inst = write_instance(
             tmp_path / "big.json",
             {
@@ -757,24 +759,27 @@ class TestCertifyCommand:
                 "gain_scale": 0.5,
             },
         )
+        code, report, err = run_cli(capsys, ["certify", inst])
+        assert (code, report) == (cli.EXIT_DIM_CAP, None)
+        assert err == (
+            "error: dimension 128 exceeds the dense spectral cap 64; run "
+            "simulate for trajectory evidence\n"
+        )
+        # Trajectory evidence: with --record-every at least the step count
+        # (0.5 / 0.01 = 50), each trajectory writes its first and last rows.
+        csv_path = tmp_path / "evidence.csv"
         code, report, _ = run_cli(
             capsys,
-            [
-                "certify",
-                inst,
-                "--evidence-fallback",
-                "--trajectories",
-                "1",
-                "--t-final",
-                "0.5",
-                "--dt",
-                "0.01",
-            ],
+            ["simulate", inst, "--csv", str(csv_path), "--t-final", "0.5",
+             "--dt", "0.01", "--record-every", "50", "--trajectories", "2"],
         )
         assert code == 0
-        assert report["mode"] == "evidence"
-        assert "evidence_supported" in report
-        assert any("evidence" in w for w in report["warnings"])
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["0", "0"], ["0", "0.5"], ["1", "0"], ["1", "0.5"]
+        ]
+        assert report["rows"] == 4
+        assert report["min_final_fidelity"] == min(report["final_fidelities"])
 
 
 class TestCertifySmallSystems:
@@ -1190,15 +1195,6 @@ class TestSimulateStreaming:
         formula = workloads.expected_counts("certify", insts)["dynamics.vectorize"]
         assert formula == len(certifies)
 
-        counts = count_calls(monkeypatch, "evolve", "apply_generator")
-        argv = ["certify", str(tmp_path / "dicke.json"), "--dim-cap", "8",
-                "--evidence-fallback", "--trajectories", "2", "--t-final", "0.2",
-                "--dt", "0.01"]
-        code, report, _ = run_cli(capsys, argv)
-        assert code == 0 and report["mode"] == "evidence"
-        steps = workloads._steps(0.2, 0.01)
-        assert counts == {"evolve": 2, "apply_generator": 2 * 4 * steps}
-
 
 def count_eigvalsh(monkeypatch):
     """Count calls of ``np.linalg.eigvalsh``, which every module looks up
@@ -1302,10 +1298,6 @@ class TestReportSchema:
             (["certify"],
              ["mode", "certified", "kernel_dim", "gap", "eigenvalues",
               "warnings"]),
-            (["certify", "--dim-cap", "8", "--evidence-fallback",
-              "--trajectories", "1", "--t-final", "0.1"],
-             ["mode", "evidence_supported", "final_fidelities", "t_final",
-              "trajectories", "warnings"]),
             (["simulate", "--csv", "s.csv", "--t-final", "0.1",
               "--trajectories", "1"],
              SIM + ["t_final"]),
@@ -1314,7 +1306,7 @@ class TestReportSchema:
              SIM + ["tau", "cycles"]),
         ],
         ids=["check-dqls", "parent-ham", "synthesize", "certify-certificate",
-             "certify-evidence", "simulate-simultaneous", "simulate-switched"],
+             "simulate-simultaneous", "simulate-switched"],
     )
     def test_top_level_key_order(self, tmp_path, capsys, argv, keys):
         words = [str(tmp_path / w) if w in ("ham", "ops", "s.csv") else w
@@ -1621,10 +1613,6 @@ class TestFlagValidation:
             (["simulate", "--switched", "--cycles", "0"], "--cycles"),
             (["simulate", "--switched", "--tau", "-1"], "--tau"),
             (["simulate", "--seed", "-1"], "--seed"),
-            (["certify", "--evidence-fallback", "--dim-cap", "2",
-              "--t-final", "-1"], "--t-final"),
-            (["certify", "--evidence-fallback", "--dim-cap", "2",
-              "--trajectories", "0"], "--trajectories"),
             (["certify", "--dim-cap", "0"], "--dim-cap"),
             (["certify", "--dim-cap", "-1"], "--dim-cap"),
             (["check-dqls", "--tolerance", "nan"], "--tolerance"),
@@ -1633,7 +1621,6 @@ class TestFlagValidation:
         ],
         ids=["t-final-negative", "t-final-nan", "t-final-inf", "dt-zero",
              "record-every-zero", "cycles-zero", "tau-negative", "seed-negative",
-             "evidence-t-final-negative", "evidence-trajectories-zero",
              "dim-cap-zero", "dim-cap-negative", "tolerance-nan", "tolerance-two", "tolerance-negative"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, argv, flag):
@@ -1644,6 +1631,75 @@ class TestFlagValidation:
         assert exc.value.code == 2
         assert captured.out == ""
         assert f"argument {flag}: " in captured.err
+
+    @pytest.mark.parametrize(
+        "words",
+        [["--evidence-fallback"], ["--trajectories", "2"], ["--t-final", "5"],
+         ["--dt", "0.5"]],
+        ids=lambda words: words[0],
+    )
+    def test_certify_takes_no_trajectory_flags(self, tmp_path, capsys, words):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", dicke_instance(tmp_path), *words])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(words)}" in captured.err
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            (["--switched", "--t-final", "5"],
+             "argument --t-final: not allowed with --switched"),
+            (["--switched", "--t-final", "40"],
+             "argument --t-final: not allowed with --switched"),
+            (["--switched", "--record-every", "7"],
+             "argument --record-every: not allowed with --switched"),
+            (["--switched", "--record-every", "7", "--t-final", "99"],
+             "argument --t-final: not allowed with --switched"),
+            (["--tau", "0.5"], "argument --tau: not allowed without --switched"),
+            (["--tau", "1"], "argument --tau: not allowed without --switched"),
+            (["--cycles", "2"], "argument --cycles: not allowed without --switched"),
+        ],
+        ids=["t-final-switched", "t-final-default-switched", "record-every-switched",
+             "both-switched", "tau", "tau-default", "cycles"],
+    )
+    def test_simulate_refuses_the_flags_of_the_other_route(
+        self, tmp_path, capsys, words, message
+    ):
+        csv_path = tmp_path / "t.csv"
+        code, report, err = run_cli(
+            capsys, ["simulate", dicke_instance(tmp_path), "--csv", str(csv_path), *words]
+        )
+        assert (code, report, err) == (cli.EXIT_PARSE, None, f"error: {message}\n")
+        assert not csv_path.exists()
+
+    def test_simulate_route_flags_left_out_take_their_defaults(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def evolve(gen, rho0, **kwargs):
+            calls.append(kwargs)
+            yield 0.0, rho0
+
+        def simulate_switched(schedule, rho0, **kwargs):
+            calls.append({"tau": schedule.tau, **kwargs})
+            yield 0.0, rho0
+
+        monkeypatch.setattr(dynamics, "evolve", evolve)
+        monkeypatch.setattr(dynamics, "simulate_switched", simulate_switched)
+        inst = dicke_instance(tmp_path)
+        for words in ([], ["--switched"]):
+            argv = ["simulate", inst, "--csv", str(tmp_path / "t.csv"),
+                    "--trajectories", "1", *words]
+            code, report, _ = run_cli(capsys, argv)
+            assert code == 0
+        assert calls == [
+            {"dt": None, "t_final": 40.0, "record_every": 1},
+            {"tau": 1.0, "cycles": 30, "dt": None},
+        ]
+        assert (report["tau"], report["cycles"]) == (1.0, 30)
 
 
 # Floats whose rendering is easy to get wrong: signed zeros, non-finite
@@ -1782,8 +1838,7 @@ class TestParserReuse:
         ["check-dqls"],
         ["certify", "--operators", "ops"],
         ["simulate", "--csv", "s.csv", "--t-final", "0.1", "--trajectories", "1"],
-        ["certify", "--dim-cap", "8", "--evidence-fallback", "--trajectories", "1",
-         "--t-final", "0.1", "--output", "text"],
+        ["certify", "--output", "text"],
     ]
 
     def _outputs(self, tmp_path, capsys):
@@ -1926,8 +1981,8 @@ class TestBoundary:
         )
         assert (code, report) == (cli.EXIT_DIM_CAP, None)
         assert err == (
-            "error: dimension 16 exceeds the dense spectral cap 8; rerun with "
-            "--evidence-fallback for trajectory evidence\n"
+            "error: dimension 16 exceeds the dense spectral cap 8; run "
+            "simulate for trajectory evidence\n"
         )
 
     def test_near_norm_amplitudes_are_refused_at_parse(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Properties of the package source itself."""
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -397,8 +398,8 @@ def _args_reads(node, attr):
 
 def test_each_dynamics_command_decides_its_route_once():
     # simulate picks its runner, mode and trailing keys in one branch on
-    # --switched, and certify picks refusal, certificate or evidence from
-    # one comparison of the dimension with --dim-cap.
+    # --switched, and certify decides refusal or certificate from one
+    # comparison of the dimension with --dim-cap.
     path = Path(qlstab.cli.__file__)
     assert len(_args_reads(_function(path, "_cmd_simulate"), "switched")) == 1
     certify = _function(path, "_cmd_certify")
@@ -407,6 +408,21 @@ def test_each_dynamics_command_decides_its_route_once():
         if isinstance(node, ast.Compare) and _args_reads(node, "dim_cap")
     ]
     assert len(comparisons) == 1
+
+
+def test_certify_takes_only_its_own_flags():
+    # certify only certifies: trajectory evidence is simulate's, so certify
+    # has no trajectory flags and cli keeps no evidence threshold.
+    parser = qlstab.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def options(command):
+        return {o for a in sub.choices[command]._actions for o in a.option_strings}
+
+    common = options("check-dqls")
+    assert {"--tolerance", "--output", "--seed"} <= common
+    assert options("certify") == common | {"--operators", "--force", "--dim-cap"}
+    assert [name for name in vars(qlstab.cli) if name.startswith("EVIDENCE_")] == []
 
 
 THRESHOLD_SUFFIXES = ("_TOL", "_RTOL", "_LIMIT", "_CAP", "_MARGIN", "_FIDELITY")
@@ -427,5 +443,5 @@ def test_every_threshold_constant_has_a_readme_row():
         if isinstance(target, ast.Name) and target.id.endswith(THRESHOLD_SUFFIXES)
         and not target.id.startswith("EXIT_")
     ]
-    assert len(constants) >= 18
+    assert len(constants) >= 17
     assert sorted(set(constants) - rows) == []
