@@ -288,6 +288,13 @@ def _cmd_synthesize(args, instance: ProblemInstance, rtol: float) -> dict:
 
 
 def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
+    dim = instance.space.dim
+    # Refuse before any analysis or operator file read, and any D x D build.
+    if dim > args.dim_cap:
+        raise dynamics.DimensionCapError(
+            f"dimension {dim} exceeds the dense spectral cap {args.dim_cap}; "
+            "run simulate for trajectory evidence"
+        )
     if args.operators:
         ops = read_noise_operators(args.operators)
         notes = [f"operators loaded from {args.operators}"]
@@ -295,13 +302,6 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
         stabilizers = _synthesize(instance, rtol, args.force)
         ops = stabilizers.operators
         notes = list(stabilizers.warnings)
-    dim = instance.space.dim
-    # Refuse before the generator embeds each operator as a D x D matrix.
-    if dim > args.dim_cap:
-        raise dynamics.DimensionCapError(
-            f"dimension {dim} exceeds the dense spectral cap {args.dim_cap}; "
-            "run simulate for trajectory evidence"
-        )
     gen = dynamics.stabilizer_generator(ops, instance.space)
     started = time.perf_counter()
     cert = dynamics.gas_certificate(gen, instance.state, dim_cap=args.dim_cap)
@@ -332,17 +332,15 @@ def _route_flags(args, route: str, own: dict, other: tuple[str, ...]) -> dict:
 
 
 def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
-    stabilizers = _synthesize(instance, rtol, args.force)
-    ops = stabilizers.operators
-    notes = list(stabilizers.warnings)
-    rng = np.random.default_rng(args.seed)
-    # One decision refuses the other route's flags and fixes the trajectory
-    # runner, the mode and the trailing keys.
+    # One decision refuses the other route's flags, before any analysis runs,
+    # and fixes the trajectory runner, the mode and the trailing keys.
     if args.switched:
         settings = _route_flags(
             args, "with --switched", {"tau": 1.0, "cycles": 30},
             ("t_final", "record_every"),
         )
+        stabilizers = _synthesize(instance, rtol, args.force)
+        ops, notes = stabilizers.operators, list(stabilizers.warnings)
         schedule = dynamics.SwitchingSchedule(
             settings["tau"],
             tuple(dynamics.stabilizer_generators(ops, instance.space)),
@@ -359,34 +357,36 @@ def _cmd_simulate(args, instance: ProblemInstance, rtol: float) -> dict:
             args, "without --switched", {"t_final": 40.0, "record_every": 1},
             ("tau", "cycles"),
         )
+        stabilizers = _synthesize(instance, rtol, args.force)
+        ops, notes = stabilizers.operators, list(stabilizers.warnings)
         gen = dynamics.stabilizer_generator(ops, instance.space)
         run_trajectory = functools.partial(dynamics.evolve, gen, dt=args.dt, **flags)
         mode, settings = "simultaneous", {"t_final": flags["t_final"]}
+    rng = np.random.default_rng(args.seed)
     target_rho = instance.state.density_matrix()
-    # CSV lines are formatted as each snapshot arrives, so no past state is
-    # kept; the file is written only once every trajectory has finished.
-    lines: list[str] = []
-    finals = []
-    for traj_id in range(args.trajectories):
-        if args.mixed:
-            rho0 = random_density_matrix(instance.space, rng)
-        else:
-            rho0 = random_pure_state(instance.space, rng).density_matrix()
-        for t, state in run_trajectory(rho0):
-            fid = dynamics.fidelity(instance.state, state)
-            dist = dynamics.trace_distance(state, target_rho)
-            pur = dynamics.purity(state)
-            lines.append(f"{traj_id},{t:.12g},{fid:.12g},{dist:.12g},{pur:.12g}\n")
-        finals.append(fid)
+    # Each CSV row is written as its snapshot arrives, so no past state or row
+    # is kept, and a run that fails part-way leaves the rows written so far.
     csv_path = Path(args.csv)
+    rows, finals = 0, []
     with csv_path.open("w") as fh:
         fh.write("trajectory_id,t,fidelity,trace_distance,purity\n")
-        fh.writelines(lines)
+        for traj_id in range(args.trajectories):
+            if args.mixed:
+                rho0 = random_density_matrix(instance.space, rng)
+            else:
+                rho0 = random_pure_state(instance.space, rng).density_matrix()
+            for t, state in run_trajectory(rho0):
+                fid = dynamics.fidelity(instance.state, state)
+                dist = dynamics.trace_distance(state, target_rho)
+                pur = dynamics.purity(state)
+                fh.write(f"{traj_id},{t:.12g},{fid:.12g},{dist:.12g},{pur:.12g}\n")
+                rows += 1
+            finals.append(fid)
     return {
         "mode": mode,
         "trajectories": args.trajectories,
         "csv": str(csv_path),
-        "rows": len(lines),
+        "rows": rows,
         "final_fidelities": finals,
         "min_final_fidelity": min(finals),
         "warnings": notes,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -337,7 +338,9 @@ def read_operator_file(path: str | Path) -> tuple[np.ndarray, dict]:
 
 def _write_operators(directory: Path, stem, kind, operators, extras, dims) -> list[str]:
     """Write ``{stem}_{k:02d}.json`` per operator into ``directory``, creating it;
-    the metadata keys are kind, neighborhood, the keys of ``extras[k]``, dims."""
+    the metadata keys are kind, neighborhood, the keys of ``extras[k]``, dims.
+    Then delete every other ``{stem}_<digits>.json`` there, so that an earlier,
+    longer write leaves no operator behind for a reader of the directory."""
     directory.mkdir(parents=True, exist_ok=True)
     files = []
     for k, (op, extra) in enumerate(zip(operators, extras)):
@@ -346,6 +349,10 @@ def _write_operators(directory: Path, stem, kind, operators, extras, dims) -> li
         meta = {"kind": kind, "neighborhood": hood, **extra, "dims": list(dims)}
         write_operator_file(path, op.block, meta)
         files.append(str(path))
+    numbered = re.compile(rf"{stem}_[0-9]+\.json")
+    for path in directory.glob(f"{stem}_*.json"):
+        if numbered.fullmatch(path.name) and str(path) not in files:
+            path.unlink()
     return files
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qlstab import analysis, cli, dynamics
+from qlstab import analysis, cli, dynamics, synthesis
 from qlstab.cli import main
 from qlstab.instances import load_instance, read_operator_file
 from qlstab.subspaces import Subspace, support
@@ -575,6 +575,34 @@ class TestSynthesizeCommand:
         assert code == 0
         assert any("forced" in w for w in report["warnings"])
 
+    def test_shorter_rewrite_leaves_no_stale_operator_files(self, tmp_path, capsys):
+        # |1111> on single sites writes four operators, then |0000> on one
+        # 4-site neighborhood writes one into the same directory: certify
+        # must read that one alone, as it would synthesize it.
+        def basis_state(name, index, hoods):
+            amps = [[float(k == index), 0.0] for k in range(16)]
+            data = {"dims": [2] * 4, "state": amps, "neighborhoods": hoods}
+            return write_instance(tmp_path / name, data)
+
+        ones = basis_state("ones.json", 15, [[0], [1], [2], [3]])
+        zeros = basis_state("zeros.json", 0, [[0, 1, 2, 3]])
+        out_dir = tmp_path / "ops"
+        (out_dir / "keep").mkdir(parents=True)
+        (out_dir / "noise_op_notes.txt").write_text("kept")
+        for inst, count in ((ones, 4), (zeros, 1)):
+            code, report, _ = run_cli(
+                capsys, ["synthesize", inst, "--out", str(out_dir)]
+            )
+            assert (code, len(report["files"])) == (0, count)
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "keep", "noise_op_00.json", "noise_op_notes.txt"
+        ]
+        _, loaded, _ = run_cli(capsys, ["certify", zeros, "--operators", str(out_dir)])
+        _, synthesized, _ = run_cli(capsys, ["certify", zeros])
+        for report in (loaded, synthesized):
+            assert (report["certified"], report["gap"]) == (True, 4.5)
+        assert loaded["eigenvalues"] == synthesized["eigenvalues"]
+
 
 def two_product_superposition(dims, seed):
     """Amplitude pairs of (a + b) / |a + b| for random product states a, b,
@@ -653,6 +681,23 @@ class TestParentHamCommand:
         assert code == 0
         assert report["kernel_dim"] == 2
         assert report["frustration_free"] is True
+
+    def test_rerun_with_fewer_neighborhoods_leaves_no_stale_terms(
+        self, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "ham"
+        for hoods in ([[0, 1, 2], [1, 2, 3]], [[0, 1, 2, 3]]):
+            inst = dicke_instance(tmp_path, neighborhoods=hoods)
+            code, report, _ = run_cli(
+                capsys, ["parent-ham", inst, "--out", str(out_dir)]
+            )
+            assert code == 0
+        assert report["files"] == [
+            str(out_dir / "parent_term_00.json"), str(out_dir / "parent_total.json")
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "parent_term_00.json", "parent_total.json"
+        ]
 
     def test_full_neighborhood_writes_rank_one_projector_complement(
         self, tmp_path, capsys
@@ -1137,24 +1182,44 @@ class TestSimulateStreaming:
         assert fast.count(b"\n") > 3
 
     def test_memory_does_not_grow_with_recorded_steps(self, tmp_path, capsys):
-        # Each recorded step may add its CSV line, never its 16 D^2-byte state.
+        # Rows go to the file as they are formatted, so a recorded step adds
+        # neither its state nor its CSV line. Both runs write more than the
+        # file object's fixed buffers hold.
         inst = dicke_instance(tmp_path)
-        snapshot = 16 * 16**2
+        csv_path = tmp_path / "t.csv"
 
         def peak(t_final):
-            argv = ["simulate", inst, "--csv", str(tmp_path / "t.csv"),
-                    "--t-final", t_final, "--dt", "0.01", "--trajectories", "1"]
+            argv = ["simulate", inst, "--csv", str(csv_path), "--t-final", t_final,
+                    "--dt", "0.01", "--trajectories", "1"]
             tracemalloc.start()
             try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
+                code, report, _ = run_cli(capsys, argv)
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1], report["rows"]
             finally:
                 tracemalloc.stop()
-                capsys.readouterr()
 
         peak("0.1")
-        short, long = peak("0.5"), peak("2.0")
-        assert (long - short) / 150 < snapshot / 8
+        (short, short_rows), (long, long_rows) = peak("3.0"), peak("6.0")
+        line = min(map(len, csv_path.read_text().splitlines(keepends=True)[1:]))
+        assert (long - short) / (long_rows - short_rows) < line
+
+    def test_bad_csv_path_exits_before_any_trajectory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trajectory ran before the CSV was opened")
+
+        monkeypatch.setattr(dynamics, "evolve", refuse)
+        monkeypatch.setattr(dynamics, "simulate_switched", refuse)
+        csv_path = tmp_path / "missing" / "t.csv"
+        for words in (["--t-final", "1"], ["--switched"]):
+            code, report, err = run_cli(
+                capsys,
+                ["simulate", dicke_instance(tmp_path), "--csv", str(csv_path), *words],
+            )
+            assert (code, report) == (cli.EXIT_PARSE, None), words
+            assert err == f"error: [Errno 2] No such file or directory: '{csv_path}'\n"
 
     def test_call_counts_follow_the_benchmark_formula(
         self, tmp_path, capsys, monkeypatch
@@ -1586,9 +1651,10 @@ class TestSafetyBranches:
             return out
 
         monkeypatch.setattr(dynamics, "_rk4_step", drifting)
+        csv_path = tmp_path / "t.csv"
         code, report, err = run_cli(
             capsys,
-            ["simulate", dicke_instance(tmp_path), "--csv", str(tmp_path / "t.csv"),
+            ["simulate", dicke_instance(tmp_path), "--csv", str(csv_path),
              "--t-final", "0.1", "--dt", "0.01", "--trajectories", "1"],
         )
         assert (code, report) == (cli.EXIT_INTEGRATION, None)
@@ -1596,6 +1662,10 @@ class TestSafetyBranches:
             "error: integrator aborted: trace drifted by 2.000e-06 at t=0.01 "
             "(dt=1.000e-02); reduce the step size\n"
         )
+        # The rows written before the failure stay: the header and t = 0.
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "trajectory_id,t,fidelity,trace_distance,purity"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "0"]]
 
 
 class TestFlagValidation:
@@ -1667,12 +1737,15 @@ class TestFlagValidation:
     def test_simulate_refuses_the_flags_of_the_other_route(
         self, tmp_path, capsys, words, message
     ):
+        # Before any analysis: GHZ(3) on pairs, which is not stabilizable,
+        # must not exit 4 first.
         csv_path = tmp_path / "t.csv"
-        code, report, err = run_cli(
-            capsys, ["simulate", dicke_instance(tmp_path), "--csv", str(csv_path), *words]
-        )
-        assert (code, report, err) == (cli.EXIT_PARSE, None, f"error: {message}\n")
-        assert not csv_path.exists()
+        for inst in (dicke_instance(tmp_path), ghz3_instance(tmp_path)):
+            code, report, err = run_cli(
+                capsys, ["simulate", inst, "--csv", str(csv_path), *words]
+            )
+            assert (code, report, err) == (cli.EXIT_PARSE, None, f"error: {message}\n")
+            assert not csv_path.exists()
 
     def test_simulate_route_flags_left_out_take_their_defaults(
         self, tmp_path, capsys, monkeypatch
@@ -1951,6 +2024,10 @@ class TestBoundary:
                 ["parent-ham", inst, "--out", str(Path(tmp) / "ham")],
                 ["synthesize", inst, "--out", str(Path(tmp) / "ops"), "--force"],
                 ["certify", inst, "--force"],
+                # An explicit --dt: gain_scale reaches 1e3, where the default
+                # step would be tiny.
+                ["simulate", inst, "--csv", str(Path(tmp) / "t.csv"), "--force",
+                 "--t-final", "0.001", "--dt", "0.001", "--trajectories", "1"],
             ]
             for argv in runs:
                 out, err = io.StringIO(), io.StringIO()
@@ -1972,18 +2049,36 @@ class TestBoundary:
     def test_certify_refuses_above_the_cap_before_building(
         self, tmp_path, capsys, monkeypatch
     ):
+        # The instance alone decides the refusal: no synthesis, no operator
+        # file and no generator, whether the target is stabilizable or not
+        # and whatever the --operators directory holds.
         def refuse(*args, **kwargs):
-            raise AssertionError("stabilizer_generator was called")
+            raise AssertionError("work was done before the refusal")
 
+        monkeypatch.setattr(synthesis, "synthesize_stabilizers", refuse)
+        monkeypatch.setattr(cli, "read_noise_operators", refuse)
         monkeypatch.setattr(dynamics, "stabilizer_generator", refuse)
-        code, report, err = run_cli(
-            capsys, ["certify", dicke_instance(tmp_path), "--dim-cap", "8"]
+        ghz7 = write_instance(
+            tmp_path / "ghz7.json",
+            {"dims": [2] * 7, "state": "ghz",
+             "neighborhoods": [[i, i + 1] for i in range(6)]},
         )
-        assert (code, report) == (cli.EXIT_DIM_CAP, None)
-        assert err == (
-            "error: dimension 16 exceeds the dense spectral cap 8; run "
-            "simulate for trajectory evidence\n"
-        )
+        malformed = tmp_path / "bad_ops"
+        malformed.mkdir()
+        (malformed / "noise_op_00.json").write_text("{")
+        runs = [
+            (["certify", dicke_instance(tmp_path), "--dim-cap", "8"], 16, 8),
+            (["certify", ghz7], 128, 64),
+            (["certify", ghz7, "--operators", str(malformed)], 128, 64),
+            (["certify", ghz7, "--operators", str(tmp_path / "missing")], 128, 64),
+        ]
+        for argv, dim, cap in runs:
+            code, report, err = run_cli(capsys, argv)
+            assert (code, report) == (cli.EXIT_DIM_CAP, None), argv
+            assert err == (
+                f"error: dimension {dim} exceeds the dense spectral cap {cap}; run "
+                "simulate for trajectory evidence\n"
+            )
 
     def test_near_norm_amplitudes_are_refused_at_parse(self, tmp_path, capsys):
         inst = near_norm_instance(tmp_path, 0.9e-9)
