@@ -8,7 +8,9 @@ rotating invariant structure survives. Because the generator maps Hermitian
 matrices to Hermitian matrices, the certificate works on its real form in
 a Hermitian basis: eigenvalues come from a real eigensolver without
 eigenvectors, one call per connected component of the real form's exact
-nonzero pattern, and the stationary state from one bordered linear solve.
+nonzero pattern, and the stationary state from one bordered linear solve on
+the component that holds the diagonal slots. The real form and its blocks
+live in the buffer of the vectorized generator.
 With real noise operators and no Hamiltonian the generator commutes with
 transposition, so symmetric and antisymmetric coordinates never mix and
 the real form splits into at least two blocks.
@@ -301,26 +303,53 @@ def _real_form(lhat: np.ndarray, d: int) -> np.ndarray:
     to slot (j, i), for i < j. For Hermitian X these coordinates are real, so
     the result is real and has the spectrum of ``lhat``. ``lhat`` must be
     C-contiguous, as :func:`vectorize` returns it, and is overwritten: its
-    rows, then its columns, are mixed pairwise in place through views, one
-    first index i at a time, so the only full-size allocation is the real
-    result.
+    rows are mixed pairwise in place through views, one first index i at a
+    time, then its columns in gathered chunks of whole rows, with the
+    element-wise operations of ``tests/oracles.py::real_form_oracle``. The
+    real parts are then compacted into the first half of ``lhat``'s buffer
+    and returned as a C-contiguous float64 view of it, so no full-size
+    array is allocated and the buffer's second half (D^4 floats) is free
+    for the caller.
     """
+    n = d * d
     scale = 1.0 / math.sqrt(2.0)
+
     # Rows mix by T, columns by T^dag: (a, b) -> (a + b, +-i (a - b)) / sqrt 2.
-    # view[q, p] is the row (column) at the stacked slot p + q d of X, so for
-    # j > i, a holds the slots (i, j) and b the slots (j, i).
+    def mix(a, b, phase):
+        a += b
+        b *= -2.0
+        b += a
+        a *= scale
+        b *= phase * scale
+
+    # rows[q, p] is the row at the stacked slot p + q d of X, so for j > i,
+    # rows[j, i] is the row of slot (i, j) and rows[i, j] that of (j, i).
     rows = lhat.reshape(d, d, -1)
-    cols = lhat.reshape(-1, d, d).transpose(1, 2, 0)
-    for view, phase in ((rows, -1j), (cols, 1j)):
-        for i in range(d - 1):
-            a = view[i + 1 :, i]
-            b = view[i, i + 1 :]
-            a += b
-            b *= -2.0
-            b += a
-            a *= scale
-            b *= phase * scale
-    return np.ascontiguousarray(lhat.real)
+    for i in range(d - 1):
+        mix(rows[i + 1 :, i], rows[i, i + 1 :], -1j)
+    i, j = np.triu_indices(d, 1)
+    upper, lower = i + j * d, j + i * d
+    # The gathered columns of a chunk hold at most 1 MiB, which stays in
+    # cache, and at most D^4 bytes, the size of the boolean nonzero pattern
+    # that the certificate forms next, so they never set the peak.
+    step = max(1, min(n // 16, 2**16 // n))
+    for lo in range(0, n, step):
+        chunk = lhat[lo : lo + step]
+        a, b = chunk[:, upper], chunk[:, lower]
+        mix(a, b, 1j)
+        chunk[:, upper] = a
+        chunk[:, lower] = b
+    # The real part of entry k is float 2k of the buffer. Moving rows [r, 2r)
+    # to their place reads only floats at or past 2 r n, which no earlier
+    # move wrote; numpy buffers row 0, whose source overlaps it.
+    flat = lhat.reshape(-1).view(np.float64)
+    flat[:n] = flat[: 2 * n : 2]
+    lo = 1
+    while lo < n:
+        hi = min(2 * lo, n)
+        flat[lo * n : hi * n] = flat[2 * lo * n : 2 * hi * n : 2]
+        lo = hi
+    return flat[: n * n].reshape(n, n)
 
 
 def _from_real(vec: np.ndarray) -> np.ndarray:
@@ -337,24 +366,28 @@ def _from_real(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _steady_state(real: np.ndarray, d: int) -> np.ndarray | None:
-    """Trace-one kernel vector of a real form with a one-dimensional kernel.
+def _steady_state(block: np.ndarray, slots: np.ndarray, d: int) -> np.ndarray | None:
+    """Trace-one kernel vector of a real form with a one-dimensional kernel,
+    from its principal ``block`` on the component ``slots`` (ascending) that
+    holds the diagonal slots, slot 0 first.
 
     The trace functional (1 on the diagonal slots) spans the left kernel of
-    a trace-preserving generator, so the first diagonal row depends on the
+    a trace-preserving generator, so the block's first row depends on the
     others; replacing it by the trace functional and solving against e_0
-    gives the kernel vector with unit trace. Overwrites row 0 of ``real``.
-    Returns None when that system is singular, i.e. the kernel vector is
-    traceless.
+    gives the kernel vector with unit trace. Every coordinate outside
+    ``slots`` is exactly zero. Overwrites row 0 of ``block``. Returns None
+    when that system is singular, i.e. the kernel vector is traceless.
     """
-    real[0] = 0.0
-    real[0, :: d + 1] = 1.0
-    rhs = np.zeros(real.shape[0])
+    block[0] = 0.0
+    block[0, slots % (d + 1) == 0] = 1.0
+    rhs = np.zeros(slots.size)
     rhs[0] = 1.0
     try:
-        vec = np.linalg.solve(real, rhs)
+        sol = np.linalg.solve(block, rhs)
     except np.linalg.LinAlgError:
         return None
+    vec = np.zeros(d * d)
+    vec[slots] = sol
     return unstack(_from_real(vec), d)
 
 
@@ -403,12 +436,17 @@ def gas_certificate(
     components of the real form's exact nonzero pattern (see
     :func:`_components`) index principal blocks whose spectra together are
     the real form's, and each block takes one real eigensolve. A connected
-    pattern is one block holding the whole real form. The eigenvalues are
-    exactly conjugate-symmetric; they are sorted before anything reads
+    pattern is one block holding the whole real form. Every block is copied
+    into the free second half of the real form's buffer, so the certificate
+    needs one superoperator plus one block's LAPACK copy. The eigenvalues
+    are exactly conjugate-symmetric; they are sorted before anything reads
     them, so the warnings list them in the report's order. With a
     one-dimensional kernel the stationary state comes from one solve on
-    the whole real form, with the first diagonal row replaced by the trace
-    functional.
+    the block of the first component, which holds slot 0 (see
+    :func:`_steady_state`): a component that holds a diagonal slot has the
+    trace functional, restricted to it, as a left null vector, so it
+    contributes a zero eigenvalue, and with one zero eigenvalue only the
+    first component holds diagonal slots.
 
     Raises:
         DimensionCapError: above ``dim_cap``; run the CLI's simulate for
@@ -425,12 +463,24 @@ def gas_certificate(
             "run simulate for trajectory evidence"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        real = _real_form(vectorize(gen), d)
+        lhat = vectorize(gen)
+        real = _real_form(lhat, d)
     if not np.isfinite(real).all():
         raise ArithmeticError("generator is too large: its real form overflows")
-    evals = np.concatenate(
-        [np.linalg.eigvals(real[np.ix_(b, b)]) for b in _components(real != 0)]
-    ).astype(complex, copy=False)
+    # Each principal block goes into the free second half of the buffer;
+    # the block sizes sum to D^2, so their squares fit in its D^4 floats.
+    spare = lhat.reshape(-1).view(np.float64)[real.size :]
+    comps = _components(real != 0)
+    blocks = []
+    for comp in comps:
+        block = spare[: comp.size**2].reshape(comp.size, comp.size)
+        spare = spare[comp.size**2 :]
+        for row, slot in zip(block, comp):
+            np.take(real[slot], comp, out=row)
+        blocks.append(block)
+    evals = np.concatenate([np.linalg.eigvals(b) for b in blocks]).astype(
+        complex, copy=False
+    )
     evals = evals[np.lexsort((evals.imag, evals.real))]
     worst = float(np.max(evals.real))
     if not worst <= RANK_MARGIN * EIG_TOL:
@@ -455,7 +505,7 @@ def gas_certificate(
     certified = kernel_dim == 1
     steady = None
     if certified:
-        steady = _steady_state(real, d)
+        steady = _steady_state(blocks[0], comps[0], d)
         if steady is None:
             messages.append("kernel vector is traceless; no stationary state in it")
             certified = False

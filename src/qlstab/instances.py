@@ -349,11 +349,17 @@ def _write_operators(directory: Path, stem, kind, operators, extras, dims) -> li
         meta = {"kind": kind, "neighborhood": hood, **extra, "dims": list(dims)}
         write_operator_file(path, op.block, meta)
         files.append(str(path))
-    numbered = re.compile(rf"{stem}_[0-9]+\.json")
-    for path in directory.glob(f"{stem}_*.json"):
-        if numbered.fullmatch(path.name) and str(path) not in files:
+    for path in _numbered_files(directory, stem):
+        if str(path) not in files:
             path.unlink()
     return files
+
+
+def _numbered_files(directory: Path, stem: str) -> list[Path]:
+    """The ``{stem}_<digits>.json`` files in ``directory``, in name order."""
+    numbered = re.compile(rf"{stem}_[0-9]+\.json")
+    paths = directory.glob(f"{stem}_*.json")
+    return sorted(p for p in paths if numbered.fullmatch(p.name))
 
 
 def write_parent_hamiltonian(
@@ -386,11 +392,13 @@ def write_noise_operators(
 
 
 def read_noise_operators(directory: str | Path) -> list[QLOperator]:
-    """The operators of the ``noise_op_*.json`` files in ``directory``, in name
-    order. A malformed file raises :class:`InstanceFormatError` naming it."""
-    paths = sorted(Path(directory).glob("noise_op_*.json"))
+    """The operators of the ``noise_op_<digits>.json`` files in ``directory``,
+    the names :func:`write_noise_operators` writes, in name order; other files
+    are ignored. A malformed file raises :class:`InstanceFormatError` naming
+    it."""
+    paths = _numbered_files(Path(directory), "noise_op")
     if not paths:
-        raise InstanceFormatError(f"no noise_op_*.json files in {directory}")
+        raise InstanceFormatError(f"no noise_op_<digits>.json files in {directory}")
     operators = []
     for path in paths:
         matrix, meta = read_operator_file(path)

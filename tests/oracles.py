@@ -239,6 +239,40 @@ def real_form_oracle(lhat, d):
     return np.ascontiguousarray(lhat.real)
 
 
+def bordered_real_form(gen):
+    """The whole real form of ``gen`` (:func:`real_form_oracle` of
+    :func:`vectorize_kron_oracle`) with its first row replaced by the trace
+    functional: 1 on every diagonal slot i + i d."""
+    d = gen.space.dim
+    real = real_form_oracle(vectorize_kron_oracle(gen), d)
+    real[0] = 0.0
+    real[0, :: d + 1] = 1.0
+    return real
+
+
+def whole_form_steady_state(gen):
+    """Trace-one stationary state of ``gen`` by one solve of
+    :func:`bordered_real_form` against e_0. The solution's real coordinates
+    map back entry by entry: X_ii from slot (i, i), and X_ij,
+    X_ji = (x_ij +- i x_ji) / sqrt 2 from slots (i, j) and (j, i), i < j.
+    Returns None when the system is singular."""
+    d = gen.space.dim
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
+    try:
+        vec = np.linalg.solve(bordered_real_form(gen), rhs)
+    except np.linalg.LinAlgError:
+        return None
+    out = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        out[i, i] = vec[i + i * d]
+        for j in range(i + 1, d):
+            x, y = vec[i + j * d], vec[j + i * d]
+            out[i, j] = (x + 1j * y) / np.sqrt(2.0)
+            out[j, i] = (x - 1j * y) / np.sqrt(2.0)
+    return out
+
+
 def apply_generator_oracle(gen, rho):
     """The Lindblad generator on a matrix, one operator at a time: zeros, then
     -i[H, rho], then L_k rho L_k^dag in order, then -(1/2){Q, rho} with

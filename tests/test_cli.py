@@ -603,6 +603,22 @@ class TestSynthesizeCommand:
             assert (report["certified"], report["gap"]) == (True, 4.5)
         assert loaded["eigenvalues"] == synthesized["eigenvalues"]
 
+    def test_certify_reads_only_numbered_operator_files(self, tmp_path, capsys):
+        # A hand-made copy of a noise operator under another name is not one
+        # of the files synthesize writes, so it adds no operator.
+        amps = [[float(k == 0), 0.0] for k in range(16)]
+        data = {"dims": [2] * 4, "state": amps, "neighborhoods": [[0, 1, 2, 3]]}
+        inst = write_instance(tmp_path / "zeros.json", data)
+        out_dir = tmp_path / "ops"
+        assert run_cli(capsys, ["synthesize", inst, "--out", str(out_dir)])[0] == 0
+        copy = (out_dir / "noise_op_00.json").read_text()
+        (out_dir / "noise_op_copy.json").write_text(copy)
+        code, report, err = run_cli(
+            capsys, ["certify", inst, "--operators", str(out_dir)]
+        )
+        assert (code, err) == (0, "")
+        assert (report["certified"], report["gap"]) == (True, 4.5)
+
 
 def two_product_superposition(dims, seed):
     """Amplitude pairs of (a + b) / |a + b| for random product states a, b,
@@ -1547,7 +1563,7 @@ class TestMalformedOperatorFiles:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            (None, "no noise_op_*.json files in {dir}"),
+            (None, "no noise_op_<digits>.json files in {dir}"),
             ({"meta": {"neighborhood": [0, 1]}},
              "{path}: not an operator file (no 'matrix' key)"),
             ({"meta": {"neighborhood": [0, 1]}, "matrix": [[[[1.0, 0.0]]]]},
@@ -1631,7 +1647,7 @@ class TestSafetyBranches:
         ]
 
     def test_nan_steady_state_does_not_certify(self, tmp_path, capsys, monkeypatch):
-        def nan_state(real, d):
+        def nan_state(block, slots, d):
             return np.full((d, d), math.nan, dtype=complex)
 
         monkeypatch.setattr(dynamics, "_steady_state", nan_state)

@@ -52,11 +52,13 @@ from qlstab.tensor import (
 from oracles import (
     apply_generator_oracle,
     basis_state,
+    bordered_real_form,
     haar_unitary,
     invariance_oracle,
     real_form_oracle,
     vectorize_kron_oracle,
     vectorize_oracle,
+    whole_form_steady_state,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -447,6 +449,14 @@ class TestGasCertificate:
         assert traced_peak(lambda: vectorize(gen)) < 1.1 * full
         assert traced_peak(lambda: gas_certificate(gen, target)) < 1.6 * full
 
+    def test_memory_stays_within_one_superoperator(self):
+        # The real form and its principal blocks share the superoperator's
+        # buffer; what is left is the nonzero pattern (D^4 bytes per boolean
+        # array) and one block's LAPACK copy.
+        gen, target = _oracle_fixture("cluster5")
+        full = 16 * gen.space.dim**4
+        assert traced_peak(lambda: gas_certificate(gen, target)) <= 1.2 * full
+
     def test_real_form_acts_as_the_generator(self):
         rng = np.random.default_rng(5)
         space = TensorSpace((2, 3))
@@ -562,10 +572,12 @@ class TestBlockSpectrum:
         assert got.certified == want.certified
         assert got.kernel_dim == want.kernel_dim
         assert got.gap == pytest.approx(want.gap, rel=1e-12)
-        if want.steady_state is None:
+        # The library solves for the stationary state on its own block only.
+        oracle = whole_form_steady_state(gen) if got.kernel_dim == 1 else None
+        if oracle is None:
             assert got.steady_state is None
         else:
-            assert got.steady_state.tobytes() == want.steady_state.tobytes()
+            np.testing.assert_allclose(got.steady_state, oracle, rtol=0, atol=1e-14)
         assert_same_messages(got.messages, want.messages)
 
     @pytest.mark.parametrize(
@@ -610,6 +622,69 @@ class TestBlockSpectrum:
             want = full_matrix_certificate(gen, target)
             assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
             assert got.messages == want.messages
+
+
+def whole_form_certificate(gen, target):
+    """The certificate with its stationary state from the bordered solve on
+    the whole real form (``whole_form_steady_state``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        whole = whole_form_steady_state(gen)
+        patch.setattr(dynamics, "_steady_state", lambda block, slots, d: whole)
+        return gas_certificate(gen, target)
+
+
+def assert_matches_the_whole_form_solve(gen, target, atol=1e-14):
+    got = gas_certificate(gen, target)
+    want = whole_form_certificate(gen, target)
+    assert got.certified == want.certified
+    assert got.messages == want.messages
+    np.testing.assert_allclose(got.steady_state, want.steady_state, rtol=0, atol=atol)
+
+
+class TestBlockSteadyState:
+    @pytest.mark.parametrize("name", ORACLE_FIXTURES)
+    def test_matches_the_whole_form_solve(self, name):
+        gen, target = _oracle_fixture(name)
+        kernel_one = ["amplitude_damping", "random_qubit_qutrit", "dicke",
+                      "cluster5", "ring4"]
+        assert (gas_certificate(gen, target).kernel_dim == 1) == (name in kernel_one)
+        if name in kernel_one:
+            assert_matches_the_whole_form_solve(gen, target)
+
+    # Each example builds at most an 81 x 81 real form twice.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2),
+        n_ops=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_noise_matches_the_whole_form_solve(self, dims, n_ops, seed):
+        rng = np.random.default_rng(seed)
+        space = TensorSpace(tuple(dims))
+        ops = tuple(rng.standard_normal((space.dim,) * 2) for _ in range(n_ops))
+        gen = LindbladGenerator(space, None, ops)
+        target = basis_state(space, 0)
+        assert gas_certificate(gen, target).kernel_dim == 1
+        # The two solves differ by roundoff, which grows with the bordered
+        # system's condition number: 1e-14 up to condition 100, 1e-16 times
+        # the condition above it (a 1-operator qutrit draw reached 1.4e5).
+        cond = np.linalg.cond(bordered_real_form(gen))
+        atol = 1e-14 * max(1.0, cond / 100)
+        assert_matches_the_whole_form_solve(gen, target, atol)
+
+    def test_solves_on_the_diagonal_component_only(self, monkeypatch):
+        gen, target = _oracle_fixture("cluster5")
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        cert = gas_certificate(gen, target)
+        assert cert.certified
+        assert shapes == [(528, 528)]
 
 
 class TestCheckInvariance:
