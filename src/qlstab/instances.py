@@ -23,6 +23,9 @@ amplitude pairs of length prod(dims), bare or as the object
 Operator matrix files are {"meta": {...}, "matrix": [[[re, im], ...], ...]},
 named ``{stem}_{k:02d}.json`` in operator order (``parent_term``,
 ``noise_op``); this module owns their names, keys, writing and reading back.
+``parent_total.json`` holds the one dense D x D matrix: the parent
+Hamiltonian's terms summed in place by :func:`~qlstab.tensor.embed_sum`,
+whose +0.0 entries, most of it, are written from one fixed token.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .tensor import (
     PureState,
     QLOperator,
     TensorSpace,
-    embed,
+    embed_sum,
     make_dicke_4_2,
     make_ghz,
     make_graph_state,
@@ -285,13 +288,22 @@ def load_instance(path: str | Path) -> ProblemInstance:
     return parse_instance(data)
 
 
+# An entry of +0.0 real and imaginary parts, as write_operator_file renders it.
+_ZERO_PAIR = "0.0,\n    0.0"
+# Entries, in whole rows, that write_operator_file renders at a time.
+_RENDER_CHUNK = 2**12
+
+
 def write_operator_file(path: str | Path, matrix: np.ndarray, meta: dict) -> None:
     """Write ``{"meta": meta, "matrix": [[[re, im], ...], ...]}``.
 
     The bytes equal ``json.dumps(payload, indent=1) + "\\n"``. Only ``meta``
-    goes through the encoder; the matrix is rendered one row at a time from
-    flat ``tolist()`` rows, each float by ``float.__repr__`` as the encoder
-    formats finite floats.
+    goes through the encoder; the matrix is rendered a few rows
+    (``_RENDER_CHUNK`` entries) at a time, so no temporary grows with the
+    matrix. An entry whose real and imaginary parts are both +0.0 is the one
+    fixed token ``_ZERO_PAIR``; every other float goes through
+    ``float.__repr__``, as the encoder formats finite floats, so -0.0 keeps
+    its sign.
 
     Raises:
         ValueError: if the matrix is not two-dimensional and non-empty.
@@ -305,20 +317,39 @@ def write_operator_file(path: str | Path, matrix: np.ndarray, meta: dict) -> Non
         )
     if not np.isfinite(matrix).all():
         raise ArithmeticError(f"{path}: operator matrix entries must be finite")
-    rep = float.__repr__
     # '{\n "meta": ...\n}' without its closing '\n}'.
     head = json.dumps({"meta": meta}, indent=1)[:-2]
     with open(path, "w") as out:
         out.write(head + ',\n "matrix": [')
         separator = "\n"
-        for row in matrix:
-            # Rows sit at depth 2, [re, im] pairs at depth 3, floats at depth 4.
-            pairs = map(",\n    ".join, zip(map(rep, row.real.tolist()),
-                                             map(rep, row.imag.tolist())))
-            body = "\n   ],\n   [\n    ".join(pairs)
-            out.write(f"{separator}  [\n   [\n    {body}\n   ]\n  ]")
-            separator = ",\n"
+        width = matrix.shape[1]
+        step = max(1, _RENDER_CHUNK // width)
+        for start in range(0, len(matrix), step):
+            pairs = _pair_texts(matrix[start:start + step].ravel())
+            for k in range(0, len(pairs), width):
+                # Rows sit at depth 2, [re, im] pairs at depth 3, floats at depth 4.
+                body = "\n   ],\n   [\n    ".join(pairs[k:k + width])
+                out.write(f"{separator}  [\n   [\n    {body}\n   ]\n  ]")
+                separator = ",\n"
         out.write("\n ]\n}\n")
+
+
+def _pair_texts(values: np.ndarray) -> list[str]:
+    """The text inside the [re, im] pair of each entry of the 1-D ``values``:
+    ``_ZERO_PAIR`` where both parts are +0.0 (every bit zero), otherwise
+    each float by ``float.__repr__``."""
+    rep = float.__repr__
+    nonzero = np.flatnonzero(values.real.view(np.uint64) | values.imag.view(np.uint64))
+    dense = len(nonzero) == len(values)
+    picked = values if dense else values[nonzero]
+    texts = map(",\n    ".join, zip(map(rep, picked.real.tolist()),
+                                     map(rep, picked.imag.tolist())))
+    if dense:
+        return list(texts)
+    pairs = [_ZERO_PAIR] * len(values)
+    for k, text in zip(nonzero.tolist(), texts):
+        pairs[k] = text
+    return pairs
 
 
 def read_operator_file(path: str | Path) -> tuple[np.ndarray, dict]:
@@ -367,14 +398,13 @@ def write_parent_hamiltonian(
 ) -> list[str]:
     """Write the parent Hamiltonian ``terms`` on ``space`` as one
     ``parent_term_{k:02d}.json`` per term, then ``parent_total.json``: the
-    dense sum of the embedded terms, formed here and only here."""
+    dense sum of the embedded terms, formed here and only here, in place by
+    :func:`~qlstab.tensor.embed_sum`."""
     directory, dims = Path(directory), space.dims
     extras = [{}] * len(terms)
     kind = "parent_hamiltonian_term"
     files = _write_operators(directory, "parent_term", kind, terms, extras, dims)
-    total = np.zeros((space.dim, space.dim), dtype=complex)
-    for term in terms:
-        total += embed(term, space)
+    total = embed_sum(terms, space)
     path = directory / "parent_total.json"
     meta = {"kind": "parent_hamiltonian_total", "dims": list(dims)}
     write_operator_file(path, total, meta)

@@ -3,7 +3,8 @@
 Value types for composite finite-dimensional quantum systems, factories for
 the standard entangled fixture states, and partial traces. One kernel,
 :func:`apply_local`, applies a neighborhood operator to full-space vectors;
-:func:`embed` forms the dense D x D matrix only for callers that need it.
+:func:`embed` forms the dense D x D matrix only for callers that need it, and
+:func:`embed_sum` adds a list of blocks into one dense matrix in place.
 
 Composite basis indexing is big-endian: subsystem 0 is the most significant
 digit of a computational-basis index, matching the ordering produced by
@@ -53,6 +54,7 @@ __all__ = [
     "apply_local",
     "partial_trace",
     "embed",
+    "embed_sum",
     "embed_frame",
 ]
 
@@ -550,6 +552,33 @@ def embed(op: QLOperator, space: TensorSpace) -> np.ndarray:
     t = full.reshape((hood_dims + rest_dims) * 2)
     t = _to_global(_to_global(t, op.neighborhood), op.neighborhood, space.n_subsystems)
     return np.ascontiguousarray(t.reshape(space.dim, space.dim))
+
+
+def embed_sum(ops: Iterable[QLOperator], space: TensorSpace) -> np.ndarray:
+    """The dense sum of ``embed(op, space)`` over ``ops``, formed in place.
+
+    Each block is added, in operator order, into a strided view of one zero
+    D x D matrix: the view's axes are the neighborhood's row and column
+    subsystems and, for every other subsystem, its diagonal. No embedded
+    matrix is formed. Every entry receives the nonzero additions of the
+    ``embed`` sum in the same order, and the zeros ``embed`` adds leave a
+    sum that starts at +0.0 unchanged, so the result has the same bits.
+    Raises as :func:`embed` does for an operator that does not fit.
+    """
+    n = space.n_subsystems
+    total = np.zeros((space.dim, space.dim), dtype=complex)
+    grid = total.reshape(space.dims * 2)
+    row_strides, col_strides = grid.strides[:n], grid.strides[n:]
+    for op in ops:
+        hood_dims, rest_dims = _factor_dims(op.neighborhood, space, op.block)
+        hood, rest = op.neighborhood.indices, op.neighborhood.complement(n)
+        strides = ([row_strides[a] for a in hood] + [col_strides[a] for a in hood]
+                   + [row_strides[a] + col_strides[a] for a in rest])
+        view = np.lib.stride_tricks.as_strided(
+            grid, hood_dims * 2 + rest_dims, strides, writeable=True
+        )
+        view += op.block.reshape(hood_dims * 2 + (1,) * len(rest))
+    return total
 
 
 def embed_frame(

@@ -319,8 +319,9 @@ class TestPureTargetPipeline:
 
     def test_each_neighborhood_embedded_once(self, monkeypatch, tmp_path):
         """The verdict, parent-Hamiltonian and synthesis paths embed nothing
-        and diagonalize no ambient-size matrix; only the writer of
-        parent_total.json embeds each term, once."""
+        and diagonalize no ambient-size matrix; the writer of
+        parent_total.json embeds nothing either, as it sums the terms in
+        place."""
         calls = []
         sizes = []
         eigh = np.linalg.eigh
@@ -335,7 +336,7 @@ class TestPureTargetPipeline:
 
         monkeypatch.setattr(analysis, "embed", counting_embed, raising=False)
         monkeypatch.setattr(synthesis, "embed", counting_embed, raising=False)
-        monkeypatch.setattr(instances, "embed", counting_embed)
+        monkeypatch.setattr(instances, "embed", counting_embed, raising=False)
         monkeypatch.setattr(np.linalg, "eigh", sized_eigh)
         psi = _cluster5()
         pattern = pattern_of(psi.space, [(i, i + 1, i + 2) for i in range(3)])
@@ -347,7 +348,7 @@ class TestPureTargetPipeline:
         assert calls == []
         assert sizes and max(sizes) < psi.space.dim
         instances.write_parent_hamiltonian(tmp_path, ham.space, ham.terms)
-        assert calls == list(pattern.neighborhoods)
+        assert calls == []
 
     def test_no_full_space_density_matrix(self, monkeypatch):
         """Neither |psi><psi| nor any other outer product is formed: the

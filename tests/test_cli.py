@@ -808,6 +808,30 @@ class TestCertifyCommand:
         assert code == 0
         assert report["certified"] is True
 
+    @pytest.mark.parametrize("name", ["dicke", "ghz5_pairs"])
+    def test_kernel_is_the_square_of_the_intersection(self, tmp_path, capsys, name):
+        # The source paper's theorem across two commands: forced synthesis
+        # leaves exactly the operators on check-dqls's intersection (of
+        # dimension m) stationary, so certify's kernel has dimension m^2,
+        # and the certificate holds exactly when the verdict is true.
+        if name == "dicke":
+            inst = dicke_instance(tmp_path)
+        else:
+            inst = write_instance(
+                tmp_path / "ghz5.json",
+                {"dims": [2] * 5, "state": "ghz",
+                 "neighborhoods": [[i, i + 1] for i in range(4)]},
+            )
+        code, dqls, _ = run_cli(capsys, ["check-dqls", inst])
+        assert code == 0
+        code, cert, _ = run_cli(capsys, ["certify", inst, "--force"])
+        assert code == 0
+        assert (dqls["verdict"], dqls["intersection_dim"]) == {
+            "dicke": ("true", 1), "ghz5_pairs": ("false", 2)
+        }[name]
+        assert cert["kernel_dim"] == dqls["intersection_dim"] ** 2
+        assert cert["certified"] is (dqls["verdict"] == "true")
+
     def test_above_cap_certify_refuses_and_simulate_gives_evidence(
         self, tmp_path, capsys
     ):

@@ -33,6 +33,7 @@ from qlstab.dynamics import (
 )
 from qlstab import dynamics
 from qlstab.dynamics import _components, _from_real, _real_form
+from qlstab.analysis import check_dqls
 from qlstab.synthesis import synthesize_stabilizers
 from qlstab.tensor import (
     DensityMatrix,
@@ -44,6 +45,7 @@ from qlstab.tensor import (
     make_dicke_4_2,
     make_ghz,
     make_graph_state,
+    make_w,
     qubit_space,
     random_density_matrix,
     random_pure_state,
@@ -55,6 +57,7 @@ from oracles import (
     bordered_real_form,
     haar_unitary,
     invariance_oracle,
+    random_mps,
     real_form_oracle,
     vectorize_kron_oracle,
     vectorize_oracle,
@@ -685,6 +688,61 @@ class TestBlockSteadyState:
         cert = gas_certificate(gen, target)
         assert cert.certified
         assert shapes == [(528, 528)]
+
+
+def _prefix_within(dims, bound):
+    """The longest prefix of ``dims`` whose product is at most ``bound``."""
+    while math.prod(dims) > bound:
+        dims = dims[:-1]
+    return dims
+
+
+def _draw_theorem_instance(data):
+    """A target on D <= 32 and its neighborhoods. The target is a random MPS
+    of bond 1-3 on dims {2, 3}, or a GHZ, W or random graph state on
+    qubits; the neighborhoods are sliding windows of a drawn width or
+    random subsets, which may leave subsystems uncovered."""
+    kind = data.draw(st.sampled_from(["mps", "ghz", "w", "graph"]))
+    if kind == "mps":
+        dims = data.draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=5))
+        bond = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi = random_mps(tuple(_prefix_within(dims, 32)), bond, rng)
+    elif kind == "graph":
+        n = data.draw(st.integers(1, 5))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        psi = make_graph_state(n, edges)
+    else:
+        n = data.draw(st.integers(2, 5))
+        psi = make_ghz(n) if kind == "ghz" else make_w(n)
+    n = psi.space.n_subsystems
+    if data.draw(st.booleans()):
+        width = data.draw(st.integers(1, n))
+        return psi, [tuple(range(i, i + width)) for i in range(n - width + 1)]
+    hood = st.sets(st.integers(0, n - 1), min_size=1).map(sorted).map(tuple)
+    return psi, data.draw(st.lists(hood, min_size=1, max_size=4))
+
+
+class TestStabilizabilityTheorem:
+    """The source paper's theorem across the commands: the operators that
+    forced synthesis builds leave exactly the operators on the DQLS
+    intersection stationary, so the certificate's kernel has dimension m^2
+    for an intersection of dimension m, and the certificate holds exactly
+    when the verdict is true."""
+
+    # At most a 1024 x 1024 real form per example.
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_certificate_matches_the_verdict(self, data):
+        psi, hoods = _draw_theorem_instance(data)
+        pattern = LocalityPattern(psi.space, tuple(Neighborhood(h) for h in hoods))
+        report = check_dqls(psi, pattern)
+        stabs = synthesize_stabilizers(psi, pattern, force=True)
+        cert = gas_certificate(stabilizer_generator(stabs.operators, psi.space), psi)
+        assert cert.kernel_dim == report.intersection_dim**2
+        if not report.borderline:
+            assert cert.certified == report.verdict
 
 
 class TestCheckInvariance:

@@ -5,6 +5,7 @@ reading a file back returns the written matrix bit for bit."""
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qlstab import instances
+from qlstab.analysis import parent_hamiltonian
 from qlstab.cli import main
 from qlstab.instances import (
     InstanceFormatError,
@@ -23,7 +25,14 @@ from qlstab.instances import (
     read_operator_file,
     write_operator_file,
 )
-from qlstab.tensor import DimensionMismatchError, Neighborhood, QLOperator, TensorSpace
+from qlstab.tensor import (
+    DimensionMismatchError,
+    LocalityPattern,
+    Neighborhood,
+    QLOperator,
+    TensorSpace,
+    make_graph_state,
+)
 
 from oracles import operator_file_oracle, parent_total_oracle, random_mps
 
@@ -122,9 +131,24 @@ FLOAT = st.one_of(
     st.integers(-(2**53), 2**53).map(float),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-MATRIX = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
-    lambda shape: arrays(np.float64, (*shape, 2), elements=FLOAT)
-).map(lambda pairs: pairs.view(np.complex128)[..., 0])
+SHAPE = st.tuples(st.integers(1, 9), st.integers(1, 9))
+# Mostly +0.0 + 0.0j entries, which the writer renders as one fixed token,
+# beside the entries it must still render by repr: a signed zero in either
+# part or both, subnormals, and any finite pair.
+SPARSE_ENTRY = st.one_of(
+    st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                     complex(5e-324, 0.0), complex(0.0, -5e-324),
+                     complex(-1e-310, -0.0), complex(0.0, 2.5e-320)]),
+    st.builds(complex, FLOAT, FLOAT),
+)
+MATRIX = st.one_of(
+    SHAPE.flatmap(
+        lambda shape: arrays(np.float64, (*shape, 2), elements=FLOAT)
+    ).map(lambda pairs: pairs.view(np.complex128)[..., 0]),
+    SHAPE.flatmap(
+        lambda shape: arrays(np.complex128, shape, elements=SPARSE_ENTRY, fill=st.just(0j))
+    ),
+)
 META = st.dictionaries(
     st.text(max_size=4),
     st.recursive(
@@ -301,6 +325,24 @@ def test_writers_take_plain_operator_lists(tmp_path):
     assert len(files) == len(expected)
     for path, (matrix, meta) in zip(files, expected):
         assert Path(path).read_bytes() == operator_file_oracle(matrix, meta).encode()
+
+
+def test_parent_total_is_written_within_one_total_of_memory(tmp_path):
+    # The total is summed in place and rendered row by row, so at cluster
+    # n = 10 (D = 1024) the writer's traced peak stays within 1.25 times
+    # the 16 D^2 bytes of the total itself. Summing embedded terms held two
+    # more D x D matrices at a time.
+    n = 10
+    psi = make_graph_state(n, [(i, i + 1) for i in range(n - 1)])
+    hoods = tuple(Neighborhood((i, i + 1, i + 2)) for i in range(n - 2))
+    ham = parent_hamiltonian(psi, LocalityPattern(psi.space, hoods))
+    tracemalloc.start()
+    try:
+        instances.write_parent_hamiltonian(tmp_path, ham.space, ham.terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * psi.space.dim**2
 
 
 def _nest(leaves, shape):

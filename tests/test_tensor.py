@@ -23,6 +23,7 @@ from qlstab.tensor import (
     apply_local_unitary,
     check_hermitian,
     embed,
+    embed_sum,
     embed_frame,
     make_dicke_4_2,
     make_ghz,
@@ -121,9 +122,17 @@ class TestTypes:
             (lambda: make_ghz(0), ValueError, "GHZ state needs n >= 1 qubits"),
             (lambda: make_graph_state(0, []), ValueError,
              "graph state needs n >= 1 qubits"),
+            (lambda: embed_sum([QLOperator(Neighborhood((0, 1)), np.eye(3))],
+                               qubit_space(2)),
+             DimensionMismatchError,
+             "block shape (3, 3) does not match neighborhood dimension 4"),
+            (lambda: embed_sum([QLOperator(Neighborhood((0, 2)), np.eye(4))],
+                               qubit_space(2)),
+             DimensionMismatchError,
+             "neighborhood (0, 2) does not fit a 2-subsystem space"),
         ],
         ids=["density-shape", "embed-frame-rows", "negative-index", "empty-pattern",
-             "ghz-zero", "graph-zero"],
+             "ghz-zero", "graph-zero", "embed-sum-block", "embed-sum-hood"],
     )
     def test_rejections_name_the_rule(self, build, error, message):
         with pytest.raises(error) as info:
@@ -594,6 +603,25 @@ class TestApplyLocal:
                 full, embed_oracle(op.block, space.dims, op.neighborhood.indices)
             )
             assert full.flags.c_contiguous
+
+    def test_embed_sum_has_the_bits_of_the_embedded_sum(self):
+        # Repeated and nested neighborhoods, and blocks holding signed
+        # zeros: each entry gets the nonzero additions of the embed sum, in
+        # the same order, from the same +0.0 start.
+        rng = np.random.default_rng(47)
+        space = TensorSpace((2, 3, 2))
+        ops = []
+        for hood in [(0, 2), (1,), (0, 2), (0, 1, 2), (2,)]:
+            d = math.prod(space.dims[a] for a in hood)
+            block = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            block[rng.random((d, d)) < 0.3] = complex(-0.0, -0.0)
+            block.real[rng.random((d, d)) < 0.2] = -0.0
+            ops.append(QLOperator(Neighborhood(hood), block))
+        total = np.zeros((space.dim, space.dim), dtype=complex)
+        for op in ops:
+            total += embed(op, space)
+        assert embed_sum(ops, space).tobytes() == total.tobytes()
+        assert not embed_sum([], space).any()
 
     def test_shape_mismatches_rejected(self):
         space = TensorSpace((2, 3, 2))
