@@ -150,11 +150,18 @@ def _sweep(space: TensorSpace, terms: Sequence[QLOperator]):
         local = Neighborhood(tuple(union.index(a) for a in hood.indices))
         applied = apply_local(QLOperator(local, term.block), union_space, widened)
         gram = widened.conj().T @ applied
-        evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+        # Only the Gram matrix's Hermitian part is held into eigh; the
+        # widened frame is built again after it.
+        del applied, widened
+        herm = (gram + gram.conj().T) / 2.0
+        del gram
+        evals, evecs = np.linalg.eigh(herm)
         kept = evals < INTERSECT_TOL
         margins.append(float(np.min(evals[~kept], initial=math.inf)))
         spectra.append(evals)
-        frame = widened @ evecs[:, kept]
+        # A product even when the widened frame is the identity: it turns
+        # the eigenvectors' -0.0 into +0.0.
+        frame = _widen(frame, covered, union, union_space) @ evecs[:, kept]
         covered = union
     frame = _widen(frame, covered, list(range(space.n_subsystems)), space)
     kernel = Subspace(space.dim, _fix_phase(frame))
@@ -178,7 +185,9 @@ def _analyse(psi: PureState, pattern: LocalityPattern, rtol: float):
         sup, hood_notes = subspaces.support(partial_trace(psi, hood), rtol)
         rank_notes += hood_notes
         supports.append(sup)
-    # Built in a generator so that no block outlives its term during the sweep.
+    # One block per term is held from here through the sweep and the
+    # containment check (parent_hamiltonian returns them); the identity and
+    # projector that form a block are freed before the next term is built.
     terms = tuple(
         QLOperator(hood, np.eye(sup.ambient_dim, dtype=complex) - projector(sup))
         for hood, sup in zip(pattern.neighborhoods, supports)

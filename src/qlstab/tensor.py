@@ -468,15 +468,27 @@ def partial_trace(psi: PureState, keep: Neighborhood) -> DensityMatrix:
     lead = 0
     while lead < len(rest) and math.prod(rest_dims[lead:]) > rows:
         lead += 1
-    sums = np.empty(rest_dims[:lead] + (d_keep, d_keep), dtype=complex)
+    # Each leading rest axis has one running sum, begun from +0.0 at its
+    # index 0 and added to in index order; a finished sum is added into the
+    # running sum of the axis before it. These are the additions _sum_out
+    # makes over the leading axes, with one block per axis held instead of
+    # one per leading index.
+    sums = [None] * lead
     for index in np.ndindex(*rest_dims[:lead]):
         chunk = amps[index]
         products = chunk[..., :, None] * chunk[..., None, :].conj()
-        sums[index] = _sum_out(products, len(rest) - lead)
-    reduced = _sum_out(sums, lead)
+        block = _sum_out(products, len(rest) - lead)
+        for axis in reversed(range(lead)):
+            if index[axis] == 0:
+                sums[axis] = block + 0.0
+            else:
+                sums[axis] += block
+            if index[axis] + 1 < rest_dims[axis]:
+                break
+            block, sums[axis] = sums[axis], None
     # Free the work arrays before validation allocates its own.
-    del sums, chunk, products
-    return DensityMatrix(TensorSpace(keep_dims), reduced)
+    del chunk, products
+    return DensityMatrix(TensorSpace(keep_dims), block)
 
 
 def _sum_out(t: np.ndarray, count: int) -> np.ndarray:

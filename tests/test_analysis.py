@@ -1,6 +1,7 @@
 """Stabilizability verdicts, parent Hamiltonians, frustration-freeness, factoring."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,26 @@ class TestPureTargetPipeline:
             assert parent_hamiltonian(psi, pattern).kernel().dim == kernel_dim
             stabilizers = synthesis.synthesize_stabilizers(psi, pattern, force=True)
             assert len(stabilizers.operators) == len(hoods)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_wide_windows_hold_about_six_hood_arrays(self, n):
+        """On W(n) with its two (n-1)-site windows, check_dqls peaks at about
+        six complex d_hood x d_hood arrays, in the first sweep step's Gram
+        product: the two terms, the identity the step widens to, its
+        conjugate, the applied block and the Gram matrix. The step frees all
+        but the Gram matrix before its Hermitian part and eigh."""
+        psi = make_w(n)
+        windows = [tuple(range(n - 1)), tuple(range(1, n))]
+        pattern = pattern_of(psi.space, windows)
+        d_hood = 2 ** (n - 1)
+        tracemalloc.start()
+        try:
+            report = check_dqls(psi, pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.verdict and report.intersection_dim == 2
+        assert peak <= 6.2 * 16 * d_hood**2
 
 
 class TestSweepDiagnostics:

@@ -491,6 +491,21 @@ class TestPureStatePartialTrace:
                 for chunk in (16, tensor._TRACE_CHUNK):
                     _assert_traces_like_the_outer_product(psi, keep, chunk)
 
+    def test_wide_keep_holds_one_running_sum_per_traced_axis(self):
+        """Keeping 8 of 12 qubits traces four subsystems out through sixteen
+        256 x 256 chunks. One running sum is held per traced-out axis, not
+        one block per chunk, so the peak stays near six blocks (a block per
+        chunk would be sixteen)."""
+        psi = random_pure_state(TensorSpace((2,) * 12), np.random.default_rng(3))
+        d_keep = 2**8
+        tracemalloc.start()
+        try:
+            partial_trace(psi, Neighborhood(tuple(range(2, 10))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * d_keep**2
+
 
 class TestEmbed:
     def test_identity_block(self):
