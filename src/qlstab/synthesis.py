@@ -96,6 +96,9 @@ def synthesize_block(
     Args:
         target_support: subspace to stabilize; must be proper and nonzero.
         gains: positive couplings, one per complement dimension.
+
+    Raises:
+        OverflowError: if the gains are so large that the block overflows.
     """
     n = target_support.ambient_dim
     s = target_support.dim
@@ -116,7 +119,12 @@ def synthesize_block(
     shifted[s - 1, s] = gains[0]
     for j in range(1, r):
         shifted[s + j - 1, s + j] = gains[j]
-    return basis @ shifted @ basis.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = basis @ shifted @ basis.conj().T
+    if not np.isfinite(block).all():
+        # Not a rank-dependent check, so never a note: see note_or_raise.
+        raise OverflowError("gains are too large: the synthesized block overflows")
+    return block
 
 
 def synthesize_stabilizers(
@@ -180,8 +188,11 @@ def synthesize_stabilizers(
     residuals = []
     for op, sup in zip(operators, report.supports):
         applied = apply_local(op, psi.space, psi.amplitudes)
-        residuals.append(float(np.linalg.norm(applied)))
-        defect = float(np.linalg.norm(op.block @ sup.frame))
+        # A norm of huge finite entries overflows to inf, which the
+        # annihilation check below rejects.
+        with np.errstate(over="ignore"):
+            residuals.append(float(np.linalg.norm(applied)))
+            defect = float(np.linalg.norm(op.block @ sup.frame))
         if not defect <= ANNIHILATION_TOL:
             note_or_raise(
                 f"synthesized operator on {op.neighborhood.indices} fails to "

@@ -3,8 +3,8 @@
 Value types for composite finite-dimensional quantum systems, factories for
 the standard entangled fixture states, and partial traces. One kernel,
 :func:`apply_local`, applies a neighborhood operator to full-space vectors;
-:func:`embed` forms the dense D x D matrix only for callers that need it, and
-:func:`embed_sum` adds a list of blocks into one dense matrix in place.
+:func:`embed_sum` adds blocks into one dense D x D matrix in place, only for
+callers that need it, and :func:`embed` is its one-block case.
 
 Composite basis indexing is big-endian: subsystem 0 is the most significant
 digit of a computational-basis index, matching the ordering produced by
@@ -460,35 +460,20 @@ def partial_trace(psi: PureState, keep: Neighborhood) -> DensityMatrix:
     amps = np.moveaxis(psi.amplitudes.reshape(psi.space.dims),
                        rest + keep.indices, range(m))
     amps = amps.reshape(rest_dims + (d_keep,))
-    # The products psi_i conj(psi_j) that the outer product holds, one
-    # d_keep x d_keep block per rest index, are formed and summed in chunks
-    # of at most _TRACE_CHUNK entries over the leading rest indices, so each
-    # chunk stays in cache.
-    rows = _TRACE_CHUNK // d_keep**2
-    lead = 0
-    while lead < len(rest) and math.prod(rest_dims[lead:]) > rows:
-        lead += 1
-    # Each leading rest axis has one running sum, begun from +0.0 at its
-    # index 0 and added to in index order; a finished sum is added into the
-    # running sum of the axis before it. These are the additions _sum_out
-    # makes over the leading axes, with one block per axis held instead of
-    # one per leading index.
-    sums = [None] * lead
-    for index in np.ndindex(*rest_dims[:lead]):
-        chunk = amps[index]
-        products = chunk[..., :, None] * chunk[..., None, :].conj()
-        block = _sum_out(products, len(rest) - lead)
-        for axis in reversed(range(lead)):
-            if index[axis] == 0:
-                sums[axis] = block + 0.0
-            else:
-                sums[axis] += block
-            if index[axis] + 1 < rest_dims[axis]:
-                break
-            block, sums[axis] = sums[axis], None
-    # Free the work arrays before validation allocates its own.
-    del chunk, products
-    return DensityMatrix(TensorSpace(keep_dims), block)
+    return DensityMatrix(TensorSpace(keep_dims), _trace_rest(amps))
+
+
+def _trace_rest(amps: np.ndarray) -> np.ndarray:
+    """Sum psi_i conj(psi_j) over the axes before the last, kept one, as
+    np.trace sums the outer product: whole when the products fit in
+    _TRACE_CHUNK entries, else split on the first axis into one running sum."""
+    if amps.ndim == 1 or amps.size * amps.shape[-1] <= _TRACE_CHUNK:
+        return _sum_out(amps[..., :, None] * amps[..., None, :].conj(), amps.ndim - 1)
+    acc = _trace_rest(amps[0])
+    acc += 0.0
+    for sub in amps[1:]:
+        acc += _trace_rest(sub)
+    return acc
 
 
 def _sum_out(t: np.ndarray, count: int) -> np.ndarray:
@@ -504,8 +489,8 @@ def _sum_out(t: np.ndarray, count: int) -> np.ndarray:
 
 
 def _factor_dims(neighborhood: Neighborhood, space: TensorSpace, block=None):
-    """Dims of the neighborhood's subsystems, then of the others (the layout of
-    ``kron(block, identity)``). Raises if the neighborhood or ``block`` does not fit."""
+    """Dims of the neighborhood's subsystems, then of the others, each in
+    increasing index order. Raises if the neighborhood or ``block`` does not fit."""
     n = space.n_subsystems
     if neighborhood.indices[-1] >= n:
         raise DimensionMismatchError(
@@ -520,12 +505,12 @@ def _factor_dims(neighborhood: Neighborhood, space: TensorSpace, block=None):
     return hood_dims, space.subspace_dims(neighborhood.complement(n))
 
 
-def _to_global(t: np.ndarray, neighborhood: Neighborhood, offset: int = 0):
-    """Reorder the subsystem axes of ``t`` that start at ``offset`` from
-    neighborhood first (each group in increasing index order) to subsystem
-    order; axes before and after them keep their places."""
+def _to_global(t: np.ndarray, neighborhood: Neighborhood):
+    """Reorder the leading subsystem axes of ``t`` from neighborhood first
+    (each group in increasing index order) to subsystem order; the axes
+    after them keep their places."""
     hood = neighborhood.indices
-    return np.moveaxis(t, range(offset, offset + len(hood)), [offset + a for a in hood])
+    return np.moveaxis(t, range(len(hood)), hood)
 
 
 def apply_local(op: QLOperator, space: TensorSpace, vectors: np.ndarray) -> np.ndarray:
@@ -551,7 +536,8 @@ def apply_local(op: QLOperator, space: TensorSpace, vectors: np.ndarray) -> np.n
 
 
 def embed(op: QLOperator, space: TensorSpace) -> np.ndarray:
-    """Extend a neighborhood block to the full space by identity elsewhere.
+    """Extend a neighborhood block to the full space by identity elsewhere:
+    ``embed_sum([op], space)``.
 
     The result acts as ``op.block`` on the neighborhood factor and as the
     identity on every other subsystem, respecting the global big-endian
@@ -559,23 +545,19 @@ def embed(op: QLOperator, space: TensorSpace) -> np.ndarray:
     neighborhoods). Only for callers that need the dense D x D matrix
     itself; :func:`apply_local` applies the operator to vectors.
     """
-    hood_dims, rest_dims = _factor_dims(op.neighborhood, space, op.block)
-    full = np.kron(op.block, np.eye(math.prod(rest_dims), dtype=complex))
-    t = full.reshape((hood_dims + rest_dims) * 2)
-    t = _to_global(_to_global(t, op.neighborhood), op.neighborhood, space.n_subsystems)
-    return np.ascontiguousarray(t.reshape(space.dim, space.dim))
+    return embed_sum([op], space)
 
 
 def embed_sum(ops: Iterable[QLOperator], space: TensorSpace) -> np.ndarray:
-    """The dense sum of ``embed(op, space)`` over ``ops``, formed in place.
+    """The dense sum over ``ops`` of each block times the identity on the
+    other subsystems, formed in place.
 
     Each block is added, in operator order, into a strided view of one zero
     D x D matrix: the view's axes are the neighborhood's row and column
     subsystems and, for every other subsystem, its diagonal. No embedded
-    matrix is formed. Every entry receives the nonzero additions of the
-    ``embed`` sum in the same order, and the zeros ``embed`` adds leave a
-    sum that starts at +0.0 unchanged, so the result has the same bits.
-    Raises as :func:`embed` does for an operator that does not fit.
+    matrix is formed. Each entry is the sum from +0.0, in operator order,
+    of the block entries that land on it: the bits of adding the embedded
+    matrices to a zero matrix. Raises if an operator does not fit.
     """
     n = space.n_subsystems
     total = np.zeros((space.dim, space.dim), dtype=complex)

@@ -525,6 +525,34 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "--out", "ops"],
+            ["certify"],
+            ["simulate", "--csv", "t.csv", "--t-final", "0.1"],
+            ["simulate", "--csv", "t.csv", "--switched", "--cycles", "1"],
+        ],
+        ids=["synthesize", "certify", "simulate", "simulate-switched"],
+    )
+    @pytest.mark.parametrize(
+        "policy, scale", [("uniform", 1e300), ("graded", 1e308)],
+        ids=["uniform", "graded"],
+    )
+    def test_huge_gain_scale_is_one_numerical_error(
+        self, tmp_path, capsys, argv, policy, scale
+    ):
+        # The suite turns warnings into errors, so a numpy overflow or
+        # invalid-value warning on the way would fail this test.
+        inst = dicke_instance(tmp_path, gains_policy=policy, gain_scale=scale)
+        words = [str(tmp_path / w) if w in ("ops", "t.csv") else w for w in argv[1:]]
+        code, report, err = run_cli(capsys, [argv[0], inst, *words])
+        assert code == 7
+        assert report is None
+        assert err.startswith("error: numerical failure: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ops").exists()
+
+    @pytest.mark.parametrize(
         "key, value, code, message",
         [
             ("tolerance", 10**400, 2, f"tolerance must be finite, got {10**400}"),

@@ -614,15 +614,27 @@ class TestApplyLocal:
         rng = np.random.default_rng(43)
         for space, op in _local_operator_cases(rng):
             full = embed(op, space)
-            assert np.array_equal(
-                full, embed_oracle(op.block, space.dims, op.neighborhood.indices)
-            )
+            oracle = embed_oracle(op.block, space.dims, op.neighborhood.indices)
+            assert np.array_equal(full, oracle)
+            # Bits too: every zero off the block is +0.0, as in the oracle.
+            assert full.tobytes() == (oracle + 0.0).tobytes()
             assert full.flags.c_contiguous
+
+    def test_embed_holds_one_dense_matrix(self):
+        space = qubit_space(10)
+        op = QLOperator(Neighborhood((3, 4, 5)), np.ones((8, 8)))
+        tracemalloc.start()
+        try:
+            embed(op, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 16 * space.dim**2
 
     def test_embed_sum_has_the_bits_of_the_embedded_sum(self):
         # Repeated and nested neighborhoods, and blocks holding signed
-        # zeros: each entry gets the nonzero additions of the embed sum, in
-        # the same order, from the same +0.0 start.
+        # zeros: each entry gets the additions of the oracle-embedded sum,
+        # in the same order, from the same +0.0 start.
         rng = np.random.default_rng(47)
         space = TensorSpace((2, 3, 2))
         ops = []
@@ -634,7 +646,7 @@ class TestApplyLocal:
             ops.append(QLOperator(Neighborhood(hood), block))
         total = np.zeros((space.dim, space.dim), dtype=complex)
         for op in ops:
-            total += embed(op, space)
+            total += embed_oracle(op.block, space.dims, op.neighborhood.indices)
         assert embed_sum(ops, space).tobytes() == total.tobytes()
         assert not embed_sum([], space).any()
 
