@@ -164,7 +164,7 @@ def _sweep(space: TensorSpace, terms: Sequence[QLOperator]):
         frame = _widen(frame, covered, union, union_space) @ evecs[:, kept]
         covered = union
     frame = _widen(frame, covered, list(range(space.n_subsystems)), space)
-    kernel = Subspace(space.dim, _fix_phase(frame))
+    kernel = Subspace(_fix_phase(frame))
     return kernel, np.concatenate(spectra), tuple(margins)
 
 

@@ -75,15 +75,16 @@ __all__ = ["main", "run", "build_parser"]
 # and arrays are lists. JSON output is json.dumps(indent=2) of that rounded
 # tree, so a float prints as float.__repr__ of its rounded value. Text output
 # prints a float as f"{v:.12g}", which a 12-digit value survives unchanged.
-# Float and complex arrays are rendered row by row without building the
-# rounded tree for them: each row's floats (a complex row's through its
-# interleaved real view) are formatted by "%.12g" in one %-operation.
+# Complex arrays, the only arrays a report holds, are rendered row by row
+# without building the rounded tree for them: each row's floats, through its
+# interleaved real view, are formatted by "%.12g" in one %-operation. Any
+# other array goes through the tree, which renders it the same way.
 
 
 def _tree(value):
-    """The rounded report tree, with float and complex arrays of rank >= 1
-    left as arrays for the renderers."""
-    if isinstance(value, np.ndarray) and value.ndim and value.dtype.kind in "fc":
+    """The rounded report tree, with complex arrays of rank >= 1 left as
+    arrays for the renderers."""
+    if isinstance(value, np.ndarray) and value.ndim and value.dtype.kind == "c":
         return value
     if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
@@ -99,25 +100,27 @@ def _tree(value):
 
 
 def _floats(row: np.ndarray) -> tuple[float, ...]:
-    """The values of a 1-D float array, or the real and imaginary parts,
-    interleaved, of a complex one."""
-    if row.dtype.kind == "c":
-        row = np.ascontiguousarray(row).view(row.real.dtype)
-    return tuple(row.tolist())
+    """The real and imaginary parts, interleaved, of a 1-D complex array (the
+    values themselves of a float64 one)."""
+    return tuple(np.ascontiguousarray(row).view(np.float64).tolist())
 
 
 def _json_numbers(row: np.ndarray) -> list[str]:
-    """JSON tokens of the values of a 1-D float or complex array (interleaved).
+    """JSON tokens of the values of a 1-D complex (interleaved) or float64 array.
 
     The tokens are f"{v:.12g}". One in positional form with a fraction already
     equals float.__repr__ of its rounded value; integral and exponent-form
-    tokens ("0", "-0", "1e-05") are passed through float and repr.
+    tokens ("0", "-0", "1e-05") are passed through float and repr, and "nan",
+    "inf" and "-inf" become JSON strings, as in the rounded tree.
     """
     values = _floats(row)
     tokens = ("%.12g " * len(values) % values).split()
-    if not np.isfinite(row).all():
-        return [json.dumps(_tree(float(t))) for t in tokens]
-    return [t if "." in t and "e" not in t else repr(float(t)) for t in tokens]
+    return [
+        t if "." in t and "e" not in t
+        else f'"{t}"' if t in ("nan", "inf", "-inf")
+        else repr(float(t))
+        for t in tokens
+    ]
 
 
 def _json(value, depth: int = 0) -> str:
@@ -130,12 +133,11 @@ def _json(value, depth: int = 0) -> str:
         items = [_json(v, depth + 1) for v in value]
         brackets = "[]"
     elif isinstance(value, np.ndarray):
-        items = _json_numbers(value)
-        if value.dtype.kind == "c" and items:
-            # Each complex entry is a [re, im] list one level deeper; all are
-            # filled in by one %-operation.
-            pair = f"[{inner}  %s,{inner}  %s{inner}]"
-            items = [("," + inner).join([pair] * len(value)) % tuple(items)]
+        # Each complex entry is a [re, im] list one level deeper; all are
+        # filled in by one %-operation.
+        pair = f"[{inner}  %s,{inner}  %s{inner}]"
+        numbers = tuple(_json_numbers(value))
+        items = [("," + inner).join([pair] * len(value)) % numbers] if numbers else []
         brackets = "[]"
     else:
         return json.dumps(value)
@@ -155,12 +157,9 @@ def _text(value, indent: int = 0) -> list[str]:
     elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
         entries = [(f"{pad}-", v) for v in value]
     else:
-        # A 1-D array: one line per float, or three per complex entry,
-        # filled in by one %-operation.
-        if value.dtype.kind == "f":
-            entry = f"{pad}- %.12g"
-        else:
-            entry = f"{pad}-\n{pad}  - %.12g\n{pad}  - %.12g"
+        # A 1-D complex array: three lines per entry, filled in by one
+        # %-operation.
+        entry = f"{pad}-\n{pad}  - %.12g\n{pad}  - %.12g"
         return ["\n".join([entry] * len(value)) % _floats(value)] if len(value) else []
     lines: list[str] = []
     for head, v in entries:
@@ -168,14 +167,8 @@ def _text(value, indent: int = 0) -> list[str]:
             lines.append(head)
             lines.extend(_text(v, indent + 1))
         else:
-            lines.append(f"{head} {_scalar_text(v)}")
+            lines.append(f"{head} {v:.12g}" if isinstance(v, float) else f"{head} {v}")
     return lines
-
-
-def _scalar_text(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -291,10 +284,7 @@ def _cmd_certify(args, instance: ProblemInstance, rtol: float) -> dict:
     dim = instance.space.dim
     # Refuse before any analysis or operator file read, and any D x D build.
     if dim > args.dim_cap:
-        raise dynamics.DimensionCapError(
-            f"dimension {dim} exceeds the dense spectral cap {args.dim_cap}; "
-            "run simulate for trajectory evidence"
-        )
+        raise dynamics.DimensionCapError(dim, args.dim_cap)
     if args.operators:
         ops = read_noise_operators(args.operators)
         notes = [f"operators loaded from {args.operators}"]

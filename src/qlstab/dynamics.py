@@ -92,6 +92,12 @@ __all__ = [
 class DimensionCapError(RuntimeError):
     """Dense spectral analysis was requested above the dimension cap."""
 
+    def __init__(self, dim: int, cap: int):
+        super().__init__(
+            f"dimension {dim} exceeds the dense spectral cap {cap}; "
+            "run simulate for trajectory evidence"
+        )
+
 
 class IntegrationError(RuntimeError):
     """The fixed-step integrator lost trace conservation."""
@@ -198,9 +204,15 @@ class InvarianceDiagnostics:
     ``invariant`` holds when both are at most ``INVARIANCE_TOL``.
     """
 
-    invariant: bool
     offdiagonal_residual: float
     hamiltonian_residual: float
+
+    @property
+    def invariant(self) -> bool:
+        return (
+            self.offdiagonal_residual <= INVARIANCE_TOL
+            and self.hamiltonian_residual <= INVARIANCE_TOL
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,10 +470,7 @@ def gas_certificate(
     if target.space != gen.space:
         raise DimensionMismatchError("target and generator live on different spaces")
     if d > dim_cap:
-        raise DimensionCapError(
-            f"dimension {d} exceeds the dense spectral cap {dim_cap}; "
-            "run simulate for trajectory evidence"
-        )
+        raise DimensionCapError(d, dim_cap)
     with np.errstate(over="ignore", invalid="ignore"):
         lhat = vectorize(gen)
         real = _real_form(lhat, d)
@@ -553,11 +562,7 @@ def check_invariance(gen: LindbladGenerator, psi: PureState) -> InvarianceDiagno
         offdiag = max(offdiag, float(np.linalg.norm(image - ell * ket)))
         row -= 0.5 * np.conj(ell) * (bra @ op)
     ham_residual = float(np.linalg.norm(row - (row @ ket) * bra))
-    return InvarianceDiagnostics(
-        invariant=offdiag <= INVARIANCE_TOL and ham_residual <= INVARIANCE_TOL,
-        offdiagonal_residual=offdiag,
-        hamiltonian_residual=ham_residual,
-    )
+    return InvarianceDiagnostics(offdiag, ham_residual)
 
 
 def _default_dt(gen: LindbladGenerator) -> float:
@@ -573,16 +578,6 @@ def _rk4_step(gen: LindbladGenerator, mat: np.ndarray, dt: float) -> np.ndarray:
     k3 = apply_generator(gen, mat + 0.5 * dt * k2)
     k4 = apply_generator(gen, mat + dt * k3)
     return mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _snapshot(space: TensorSpace, mat: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(
-        space,
-        mat,
-        herm_tol=SNAPSHOT_HERM_TOL,
-        trace_tol=SNAPSHOT_TRACE_TOL,
-        psd_tol=SNAPSHOT_PSD_TOL,
-    )
 
 
 def evolve(
@@ -646,7 +641,10 @@ def _integrate(
             )
         if k % record_every == 0 or k == steps:
             try:
-                snapshot = _snapshot(gen.space, mat)
+                snapshot = DensityMatrix(
+                    gen.space, mat, herm_tol=SNAPSHOT_HERM_TOL,
+                    trace_tol=SNAPSHOT_TRACE_TOL, psd_tol=SNAPSHOT_PSD_TOL,
+                )
             except ValueError as exc:
                 raise IntegrationError(
                     f"snapshot at t={k * dt_eff:.6g} failed validation "
@@ -669,9 +667,7 @@ def switched_map(schedule: SwitchingSchedule) -> np.ndarray:
     space = schedule.generators[0].space
     d = space.dim
     if d > DEFAULT_DIM_CAP:
-        raise DimensionCapError(
-            f"dimension {d} exceeds the dense spectral cap {DEFAULT_DIM_CAP}"
-        )
+        raise DimensionCapError(d, DEFAULT_DIM_CAP)
     total = np.eye(d * d, dtype=complex)
     for gen in schedule.generators:
         lhat = vectorize(gen)

@@ -77,13 +77,16 @@ class InstanceFormatError(ValueError):
 class ProblemInstance:
     """Parsed problem data ready for the analysis pipeline."""
 
-    space: TensorSpace
     state: PureState
     pattern: LocalityPattern
     tolerance: float | None
     gains_policy: str
     gain_scale: float | None
     state_label: str
+
+    @property
+    def space(self) -> TensorSpace:
+        return self.pattern.space
 
 
 def pairs_to_array(pairs: Any, what: str = "value") -> np.ndarray:
@@ -276,9 +279,7 @@ def parse_instance(data: Any) -> ProblemInstance:
         gain_scale = _finite(gain_scale, "gain_scale")
         if gain_scale <= 0.0:
             raise InstanceFormatError("gain_scale must be strictly positive")
-    return ProblemInstance(
-        space, state, pattern, tolerance, gains_policy, gain_scale, label
-    )
+    return ProblemInstance(state, pattern, tolerance, gains_policy, gain_scale, label)
 
 
 def load_instance(path: str | Path) -> ProblemInstance:

@@ -68,37 +68,34 @@ def note_or_raise(failure: str, borderline: bool, notes: list[str], cause: str =
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Subspace of C^ambient_dim represented by an orthonormal column frame."""
+    """Subspace of C^ambient_dim represented by an orthonormal column frame,
+    whose row count is the ambient dimension."""
 
-    ambient_dim: int
     frame: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        d = int(self.ambient_dim)
-        if d < 1:
-            raise ValueError("ambient dimension must be positive")
         frame = np.array(self.frame, dtype=complex)
         if frame.ndim != 2:
             raise DimensionMismatchError(f"frame must be 2-D, got shape {frame.shape}")
-        if frame.shape[0] != d:
+        d, k = frame.shape
+        if d < 1:
+            raise ValueError("ambient dimension must be positive")
+        if k > d:
             raise DimensionMismatchError(
-                f"frame has {frame.shape[0]} rows, ambient dimension is {d}"
+                f"frame has {k} columns in ambient dimension {d}"
             )
-        if frame.shape[1] > d:
-            raise DimensionMismatchError(
-                f"frame has {frame.shape[1]} columns in ambient dimension {d}"
-            )
-        if frame.shape[1] > 0:
-            gram_defect = np.max(
-                np.abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
-            )
+        if k > 0:
+            gram_defect = np.max(np.abs(frame.conj().T @ frame - np.eye(k)))
             if not gram_defect <= ORTH_TOL:
                 raise ValueError(
                     f"frame columns are not orthonormal (defect {gram_defect:.3e})"
                 )
         frame.flags.writeable = False
-        object.__setattr__(self, "ambient_dim", d)
         object.__setattr__(self, "frame", frame)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.frame.shape[0]
 
     @property
     def dim(self) -> int:
@@ -119,7 +116,7 @@ def support(
     evals, evecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     cutoff = rtol * float(evals[-1])
     notes = borderline_notes(evals, cutoff, "support")
-    return Subspace(mat.shape[0], evecs[:, evals > cutoff]), notes
+    return Subspace(evecs[:, evals > cutoff]), notes
 
 
 def projector(sub: Subspace) -> np.ndarray:
@@ -181,7 +178,7 @@ def intersect(subspaces: Sequence[Subspace]) -> tuple[Subspace, list[str]]:
                 f"vector sits {worst:.3e} outside an input subspace "
                 "(ill-conditioned inputs near the rank threshold)"
             )
-    return Subspace(d, frame), notes
+    return Subspace(frame), notes
 
 
 def equals(a: Subspace, b: Subspace) -> bool:

@@ -152,8 +152,10 @@ def synthesize_stabilizers(
     decision, taken once (the target's distance from the intersection). Each
     block is verified to annihilate its own support frame (norm of B_k F_k
     at most ``ANNIHILATION_TOL``), which any block built from a valid support
-    passes; a violation raises, or after a borderline rank decision is a
-    note. ``residuals`` are the norms of L_k psi, reported, not thresholded.
+    passes up to its roundoff, which grows with the gains; a violation
+    raises, naming ``gain_scale``, or after a borderline rank decision is a
+    note. A block that overflows raises ``OverflowError``, naming it too.
+    ``residuals`` are the norms of L_k psi, reported, not thresholded.
     """
     report = check_dqls(psi, pattern, rtol)
     if not report.verdict and not force:
@@ -169,6 +171,7 @@ def synthesize_stabilizers(
             report,
         )
     notes = list(report.warnings)
+    too_large = f"gain_scale {gain_scale:g} is too large"
     operators: list[QLOperator] = []
     all_gains: list[tuple[float, ...]] = []
     for hood, sup in zip(pattern.neighborhoods, report.supports):
@@ -183,7 +186,12 @@ def synthesize_stabilizers(
             all_gains.append(())
             continue
         gains = gains_for(gains_policy, r, gain_scale)
-        operators.append(QLOperator(hood, synthesize_block(sup, gains)))
+        try:
+            block = synthesize_block(sup, gains)
+        except OverflowError:
+            msg = f"{too_large}: the block on {hood.indices} overflows"
+            raise OverflowError(msg) from None
+        operators.append(QLOperator(hood, block))
         all_gains.append(gains)
     residuals = []
     for op, sup in zip(operators, report.supports):
@@ -198,6 +206,7 @@ def synthesize_stabilizers(
                 f"synthesized operator on {op.neighborhood.indices} fails to "
                 f"annihilate its support ({defect:.3e})",
                 report.borderline, notes,
+                f"; {too_large}: the defect grows with the gains",
             )
     return StabilizerSet(
         tuple(operators), tuple(all_gains), tuple(residuals), tuple(notes)

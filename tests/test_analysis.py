@@ -73,7 +73,7 @@ class TestCheckDqls:
         assert report.intersection_dim == 2
         expected = np.zeros((8, 2), dtype=complex)
         expected[0, 0] = expected[7, 1] = 1.0
-        assert equals(report.intersection, Subspace(8, expected))
+        assert equals(report.intersection, Subspace(expected))
 
     def test_w4_fails_with_sliding_neighborhoods(self):
         w = make_w(4)
@@ -89,7 +89,7 @@ class TestCheckDqls:
         report = check_dqls(psi, pattern)
         assert report.verdict
         assert report.intersection_dim == 1
-        target = Subspace(psi.space.dim, psi.amplitudes.reshape(-1, 1))
+        target = Subspace(psi.amplitudes.reshape(-1, 1))
         assert equals(report.intersection, target)
 
     def test_product_state_with_singletons(self):
@@ -159,17 +159,16 @@ def dense_intersection(psi, pattern):
     rho = psi.density_matrix()
     embedded = [
         Subspace(
-            psi.space.dim,
             embed_frame(
                 support(partial_trace_oracle(rho, hood.indices))[0].frame,
                 hood,
                 psi.space,
-            ),
+            )
         )
         for hood in pattern.neighborhoods
     ]
     oracle, _ = intersect(embedded)
-    target = Subspace(psi.space.dim, psi.amplitudes.reshape(-1, 1))
+    target = Subspace(psi.amplitudes.reshape(-1, 1))
     return oracle, oracle.dim == 1 and equals(oracle, target)
 
 
@@ -529,8 +528,8 @@ class TestBorderlineNotesAsData:
         # complement projectors, 1 - cos(theta) ~ 1e-7, sits just above the
         # 1e-8 intersection cutoff.
         theta = math.sqrt(2e-7)
-        lines = [Subspace(2, np.array([[1.0], [0.0]])),
-                 Subspace(2, np.array([[math.cos(theta)], [math.sin(theta)]]))]
+        lines = [Subspace(np.array([[1.0], [0.0]])),
+                 Subspace(np.array([[math.cos(theta)], [math.sin(theta)]]))]
         sub, notes = intersect(lines)
         assert sub.dim == 0
         assert len(notes) == 1

@@ -535,20 +535,25 @@ class TestExitCodes:
         ids=["synthesize", "certify", "simulate", "simulate-switched"],
     )
     @pytest.mark.parametrize(
-        "policy, scale", [("uniform", 1e300), ("graded", 1e308)],
-        ids=["uniform", "graded"],
+        "policy, scale",
+        [("uniform", 1e300), ("graded", 1e308), ("uniform", 1e8)],
+        ids=["uniform", "graded", "uniform-1e8"],
     )
     def test_huge_gain_scale_is_one_numerical_error(
         self, tmp_path, capsys, argv, policy, scale
     ):
         # The suite turns warnings into errors, so a numpy overflow or
-        # invalid-value warning on the way would fail this test.
+        # invalid-value warning on the way would fail this test. At 1e8 the
+        # block is finite but its annihilation defect, roundoff that grows
+        # with the gains, exceeds ANNIHILATION_TOL; at 1e300 its norm
+        # overflows; at 1e308 graded the block itself does.
         inst = dicke_instance(tmp_path, gains_policy=policy, gain_scale=scale)
         words = [str(tmp_path / w) if w in ("ops", "t.csv") else w for w in argv[1:]]
         code, report, err = run_cli(capsys, [argv[0], inst, *words])
         assert code == 7
         assert report is None
         assert err.startswith("error: numerical failure: ")
+        assert f"gain_scale {scale:g} is too large" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "ops").exists()
 
@@ -1653,7 +1658,7 @@ class TestSafetyBranches:
             _, evals, margins = sweep(space, terms)
             odd = np.zeros(space.dim, dtype=complex)
             odd[0], odd[-1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-            return Subspace(space.dim, odd[:, None]), evals, margins
+            return Subspace(odd[:, None]), evals, margins
 
         monkeypatch.setattr(analysis, "_sweep", odd_kernel)
         code, report, err = run_cli(capsys, ["check-dqls", ghz3_instance(tmp_path)])
@@ -2025,6 +2030,32 @@ class TestParserReuse:
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def run_module(*argv):
+    """``python -m qlstab.cli`` in a child process: the console script's
+    entry point, ``cli.run``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "qlstab.cli", *argv], env=env, capture_output=True,
+        text=True,
+    )
+
+
+class TestEntryPoint:
+    def test_version(self):
+        out = run_module("--version")
+        assert (out.returncode, out.stdout, out.stderr) == (0, "0.1.0\n", "")
+
+    def test_exit_code_reaches_the_shell(self, tmp_path):
+        # cli.run hands main's code to sys.exit: the refusal is exit 4.
+        out = run_module("synthesize", ghz3_instance(tmp_path), "--out",
+                         str(tmp_path / "ops"))
+        assert out.returncode == 4
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: target failed the stabilizability test")
+        assert out.stderr.count("\n") == 1
+        assert not (tmp_path / "ops").exists()
 
 
 # The exit codes of the README's table.

@@ -484,8 +484,12 @@ class TestGasCertificate:
         space = qubit_space(7)
         ops = (np.zeros((128, 128)),)
         gen = LindbladGenerator(space, np.zeros((128, 128)), ops)
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(DimensionCapError) as info:
             gas_certificate(gen, basis_state(space, 0))
+        assert str(info.value) == (
+            "dimension 128 exceeds the dense spectral cap 64; "
+            "run simulate for trajectory evidence"
+        )
 
     def test_dicke_generator_certifies(self):
         psi, stabs = dicke_generator()
@@ -1046,8 +1050,12 @@ class TestSwitchedMap:
         space = qubit_space(7)
         gen = LindbladGenerator(space, None, (np.zeros((128, 128)),))
         schedule = SwitchingSchedule(1.0, (gen,))
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(DimensionCapError) as info:
             switched_map(schedule)
+        assert str(info.value) == (
+            "dimension 128 exceeds the dense spectral cap 64; "
+            "run simulate for trajectory evidence"
+        )
 
     def test_dicke_cycle_contracts(self):
         psi, stabs = dicke_generator()

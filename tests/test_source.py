@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,23 @@ def test_check_invariance_works_on_the_state_vector(monkeypatch):
     for name in ("offdiagonal_residual", "hamiltonian_residual"):
         value = getattr(want, name)
         assert abs(getattr(diag, name) - value) <= 1e-12 * max(1.0, value)
+
+
+def test_readme_python_examples_print_their_commented_outputs(capsys):
+    # Every ```python block of README.md, run in order in one namespace.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "True 1"
+    certified, gap = lines[1].split()
+    assert certified == "True" and round(float(gap), 2) == 0.98
+    fidelities = [float(line.split()[1]) for line in lines[2:]]
+    assert fidelities[-1] > max(fidelities[:-1])
+    assert np.linalg.norm(namespace["out"]) <= 1e-8  # "~0: target is dark"
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -37,47 +37,49 @@ def no_notes(result):
 
 def random_subspace(ambient, dim, rng):
     raw = rng.standard_normal((ambient, dim)) + 1j * rng.standard_normal((ambient, dim))
-    return Subspace(ambient, np.linalg.qr(raw)[0])
+    return Subspace(np.linalg.qr(raw)[0])
 
 
 def coordinate_span(ambient, indices):
     frame = np.zeros((ambient, len(indices)), dtype=complex)
     for col, idx in enumerate(indices):
         frame[idx, col] = 1.0
-    return Subspace(ambient, frame)
+    return Subspace(frame)
 
 
 class TestSubspaceType:
     def test_rejects_non_orthonormal_frame(self):
         with pytest.raises(ValueError):
-            Subspace(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
+            Subspace(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_nan_frame(self):
         with pytest.raises(ValueError, match="not orthonormal"):
-            Subspace(2, np.array([[np.nan], [0.0]]))
+            Subspace(np.array([[np.nan], [0.0]]))
 
     def test_zero_dimensional_is_legal(self):
-        sub = Subspace(3, np.zeros((3, 0)))
+        sub = Subspace(np.zeros((3, 0)))
         assert sub.dim == 0
         np.testing.assert_allclose(projector(sub), np.zeros((3, 3)))
 
     @pytest.mark.parametrize(
-        "ambient, frame, error, message",
+        "frame, error, message",
         [
-            (0, np.zeros((0, 0)), ValueError, "ambient dimension must be positive"),
-            (3, np.eye(2), DimensionMismatchError,
-             "frame has 2 rows, ambient dimension is 3"),
-            (2, np.ones((2, 3)) / 2, DimensionMismatchError,
+            (np.zeros((0, 0)), ValueError, "ambient dimension must be positive"),
+            (np.ones((2, 3)) / 2, DimensionMismatchError,
              "frame has 3 columns in ambient dimension 2"),
-            (2, np.array([1.0, 0.0]), DimensionMismatchError,
+            (np.array([1.0, 0.0]), DimensionMismatchError,
              "frame must be 2-D, got shape (2,)"),
         ],
-        ids=["ambient-zero", "row-count", "too-many-columns", "one-dimensional"],
+        ids=["ambient-zero", "too-many-columns", "one-dimensional"],
     )
-    def test_rejects_malformed_frames(self, ambient, frame, error, message):
+    def test_rejects_malformed_frames(self, frame, error, message):
         with pytest.raises(error) as info:
-            Subspace(ambient, frame)
+            Subspace(frame)
         assert str(info.value) == message
+
+    def test_ambient_dimension_is_the_frames_row_count(self):
+        assert Subspace(np.zeros((5, 0))).ambient_dim == 5
+        assert Subspace(np.eye(4)[:, :2]).ambient_dim == 4
 
 
 class TestNoteOrRaise:
@@ -125,7 +127,7 @@ def completion(sub):
     """The orthogonal complement of ``sub``: the columns that
     ``complete_frame`` appends to its frame."""
     basis = complete_frame(sub.frame, sub.ambient_dim)
-    return Subspace(sub.ambient_dim, basis[:, sub.dim:])
+    return Subspace(basis[:, sub.dim:])
 
 
 class TestComplementAndProjector:
@@ -151,7 +153,7 @@ class TestComplementAndProjector:
         np.testing.assert_allclose(p @ p, p, atol=1e-9)
 
     def test_full_space_projector_is_identity(self):
-        np.testing.assert_allclose(projector(Subspace(3, np.eye(3))), np.eye(3))
+        np.testing.assert_allclose(projector(Subspace(np.eye(3))), np.eye(3))
 
     def test_complete_frame_is_unitary_and_keeps_input(self):
         rng = np.random.default_rng(10)
@@ -172,7 +174,7 @@ class TestIntersect:
     def test_with_full_space_is_identity(self):
         rng = np.random.default_rng(14)
         sub = random_subspace(5, 3, rng)
-        out = no_notes(intersect([sub, Subspace(5, np.eye(5))]))
+        out = no_notes(intersect([sub, Subspace(np.eye(5))]))
         assert equals(out, sub)
 
     def test_coordinate_planes(self):
@@ -192,10 +194,10 @@ class TestIntersect:
             red = ptrace_oracle(rho, [2] * 4, list(hood))
             sub = no_notes(support(DensityMatrix(TensorSpace((2, 2, 2)), red)))
             frame = embed_frame(sub.frame, Neighborhood(hood), psi.space)
-            embedded.append(Subspace(16, frame))
+            embedded.append(Subspace(frame))
         out = no_notes(intersect(embedded))
         assert out.dim == 1
-        assert equals(out, Subspace(16, psi.amplitudes.reshape(-1, 1)))
+        assert equals(out, Subspace(psi.amplitudes.reshape(-1, 1)))
 
     def test_disjoint_subspaces_intersect_to_zero(self):
         halves = [coordinate_span(4, [0, 1]), coordinate_span(4, [2, 3])]
@@ -204,7 +206,7 @@ class TestIntersect:
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            intersect([Subspace(2, np.eye(2)), Subspace(3, np.eye(3))])
+            intersect([Subspace(np.eye(2)), Subspace(np.eye(3))])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -228,7 +230,7 @@ class TestIntersect:
         # the two lines is kept, yet it lies sin(theta / 2) = 5e-6 outside
         # each of them.
         theta = 1e-5
-        line = Subspace(2, np.array([[np.cos(theta)], [np.sin(theta)]]))
+        line = Subspace(np.array([[np.cos(theta)], [np.sin(theta)]]))
         with pytest.raises(ArithmeticError) as exc:
             intersect([coordinate_span(2, [0]), line])
         assert str(exc.value) == (
@@ -260,7 +262,7 @@ class TestEquals:
     def test_basis_change_invariance(self):
         rng = np.random.default_rng(22)
         sub = random_subspace(6, 3, rng)
-        mixed = Subspace(6, sub.frame @ haar_unitary(3, rng))
+        mixed = Subspace(sub.frame @ haar_unitary(3, rng))
         assert equals(sub, mixed)
 
     def test_unequal_dimensions_differ(self):
@@ -301,9 +303,7 @@ class TestSupportContainmentProperty:
             for hood in hoods:
                 red = partial_trace_oracle(rho, hood.indices)
                 sub = no_notes(support(red))
-                embedded.append(
-                    Subspace(space.dim, embed_frame(sub.frame, hood, space))
-                )
+                embedded.append(Subspace(embed_frame(sub.frame, hood, space)))
             inter = no_notes(intersect(embedded))
             residual = global_support.frame - projector(inter) @ global_support.frame
             assert float(np.max(np.abs(residual))) < 1e-8

@@ -43,12 +43,12 @@ def axis_subspace(ambient, indices):
     frame = np.zeros((ambient, len(indices)), dtype=complex)
     for col, idx in enumerate(indices):
         frame[idx, col] = 1.0
-    return Subspace(ambient, frame)
+    return Subspace(frame)
 
 
 def random_subspace(ambient, dim, rng):
     raw = rng.standard_normal((ambient, dim)) + 1j * rng.standard_normal((ambient, dim))
-    return Subspace(ambient, np.linalg.qr(raw)[0])
+    return Subspace(np.linalg.qr(raw)[0])
 
 
 class TestGainPolicies:
@@ -112,7 +112,7 @@ class TestSynthesizeBlock:
 
     def test_rejects_the_zero_subspace(self):
         with pytest.raises(ValueError) as info:
-            synthesize_block(Subspace(3, np.zeros((3, 0))), (1.0, 1.0, 1.0))
+            synthesize_block(Subspace(np.zeros((3, 0))), (1.0, 1.0, 1.0))
         assert str(info.value) == "cannot stabilize the zero subspace"
 
     def test_rejects_zero_gain_and_bad_count(self):
